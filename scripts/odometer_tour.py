@@ -39,7 +39,7 @@ def main(argv=None) -> int:
 
     print("== axioms ==")
     for k in range(3):
-        rep = axioms_check(generated_family(a, args.bound, level=k))
+        rep = axioms_check(generated_family(a.stage(k), args.bound))
         print(f"truncation {k}: ok={rep.ok} (span {rep.bound})")
 
     print()
@@ -49,23 +49,23 @@ def main(argv=None) -> int:
 
     p = GermPair(1, Point.parse("(0)"))
     q = GermPair(0, Point.parse("1(0)"))
-    print(f"{p} ~ {q} at level 0: {related(a, p, q, level=0)}")
+    print(f"{p} ~ {q} at level 0: {related(a.stage(0), p, q)}")
 
     print()
     print("== stage partitions ==")
     for k in range(3):
-        ak = a.at_level(k)
+        ak = a.stage(k)
         d = adapted_depth(ak, k + 1)
         part = cell_partition(ak, k + 1, d)
         print(f"stage k={k}, n={k + 1}, d={d}: {len(part.classes)} classes, "
               f"sizes {sorted(part.sizes, reverse=True)}")
-    tr = truncated_relation(ODOMETER, 1, 2, 2)
+    tr = truncated_relation(a, 1, 2, 2)
     print(f"truncated_relation(1,2,2) -> {len(tr.classes)} classes")
 
     print()
     print("== diagram ==")
-    sched = default_schedule(ODOMETER, args.levels)
-    diag = bratteli_build(ODOMETER, sched)
+    sched = default_schedule(a, args.levels)
+    diag = bratteli_build(a, sched)
     for lv in diag.levels:
         dims = [v[1] for v in lv.vertices]
         print(f"level {lv.m} (k={lv.k}, n={lv.n}, d={lv.d}): "

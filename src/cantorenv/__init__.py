@@ -37,7 +37,6 @@ from .envelope import (
     groupoid_probe,
     hausdorff_decide,
     nonseparable_pair,
-    quotient_decomposition,
     related,
     symmetry_transitivity_probe,
 )
@@ -66,11 +65,10 @@ from .filtration import (
     export,
     inclusion_probe,
     inclusion_witness,
-    restrict,
     truncated_relation,
 )
 from .functions import PiecewiseConstant, Scalar, compose_with_map, indicator
-from .prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap, compose, power
+from .prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap, compose
 from .sampling import Sampler
 from .verify import VerifyReport, equivariance_sign, isomorphism_suite
 

@@ -2,8 +2,8 @@
 
 The generator h gives h_t = h^t with domain X_{-t} and image X_t, so X_{-n} is
 where n forward steps are defined and X_n is where n backward steps are
-defined.  A generated enumeration is handled through its clopen truncations:
-level k uses the map made of the first rules of the enumeration.
+defined.  A generated enumeration is handled through its clopen stages:
+stage k uses the map made of the first rules of the enumeration.
 
 Index conventions are owned by the three helpers below and used everywhere:
 
@@ -41,62 +41,77 @@ def kernel_tag(r: int, s: int) -> int:
 class ZPartialAction:
     """The family {X_t, h_t} generated by a prefix map or an enumeration.
 
-    Powers and domains are cached per (level, t); entries are immutable, so a
-    lost cache race only recomputes the same value.
+    An action of a prefix map is clopen and acts directly.  An action of an
+    enumeration acts only through its clopen stages: stage k keeps the first
+    count(k) rules, one more per stage unless `counts` gives the schedule.
+    Powers are cached per t and stages per rule count; entries are
+    immutable, so a lost cache race only recomputes the same value.
     """
 
     def __init__(self, generator: PrefixMap | GeneratedMap, counts=None):
+        bad = generator.violations()
+        if bad:
+            raise ParseError("invalid generator: " + "; ".join(bad))
         self.generator = generator
         if counts is not None:
             counts = tuple(int(c) for c in counts)
             if any(c < 1 for c in counts) or list(counts) != sorted(counts):
                 raise ParseError("rule counts must be nondecreasing and >= 1")
         self.counts = counts
-        self._powers: dict[tuple[int | None, int], PrefixMap] = {}
+        self._powers: dict[int, PrefixMap] = {}
+        self._stages: dict[int, ZPartialAction] = {}
 
     @property
     def clopen(self) -> bool:
         return isinstance(self.generator, PrefixMap)
 
-    def _base(self, level: int | None) -> PrefixMap:
+    def count(self, k: int) -> int:
+        """How many rules stage k keeps; a clopen action keeps all of them."""
+        if k < 0:
+            raise LevelRequired(f"stage must be >= 0, not {k}")
         if self.clopen:
-            return self.generator
-        if level is None:
-            raise LevelRequired("generated action needs a truncation level")
+            return len(self.generator.rules)
         if self.counts is not None:
-            if level >= len(self.counts):
-                raise LevelRequired(
-                    f"exhaustion schedule has no level {level}"
-                )
-            return self.generator.truncation(self.counts[level] - 1)
-        return self.generator.truncation(level)
+            if k >= len(self.counts):
+                raise LevelRequired(f"exhaustion schedule has no stage {k}")
+            return self.counts[k]
+        if self.generator.is_finite:
+            return min(k + 1, self.generator.rule_count)
+        return k + 1
 
-    def at_level(self, level: int) -> "ZPartialAction":
-        """The clopen action of the level-`level` truncation."""
+    def stage(self, k: int) -> "ZPartialAction":
+        """The clopen action of stage k; a clopen action is its own stage."""
+        c = self.count(k)
         if self.clopen:
             return self
-        return ZPartialAction(self._base(level))
+        out = self._stages.get(c)
+        if out is None:
+            out = self._stages[c] = ZPartialAction(
+                self.generator.truncation(c - 1)
+            )
+        return out
 
-    def h(self, t: int, level: int | None = None) -> PrefixMap:
-        key = (None if self.clopen else level, t)
-        cached = self._powers.get(key)
+    def h(self, t: int) -> PrefixMap:
+        cached = self._powers.get(t)
         if cached is not None:
             return cached
         if t == 0:
             out = IDENTITY
+        elif not self.clopen:
+            raise LevelRequired("generated action needs a truncation level")
         elif t > 0:
-            out = compose(self._base(level), self.h(t - 1, level))
+            out = compose(self.generator, self.h(t - 1))
         else:
-            out = self.h(-t, level).inverse()
-        self._powers[key] = out
+            out = self.h(-t).inverse()
+        self._powers[t] = out
         return out
 
-    def domain(self, t: int, level: int | None = None) -> ClopenSet:
+    def domain(self, t: int) -> ClopenSet:
         """X_t: the set where t backward steps (equivalently -t forward) live."""
-        return self.h(t, level).image()
+        return self.h(t).image()
 
-    def apply(self, t: int, x: Point, level: int | None = None) -> Point:
-        return self.h(t, level).apply_point(x)
+    def apply(self, t: int, x: Point) -> Point:
+        return self.h(t).apply_point(x)
 
 
 @dataclass(frozen=True)
@@ -127,12 +142,9 @@ class AxiomsReport:
         }
 
 
-def generated_family(a: ZPartialAction, bound: int, level: int | None = None):
+def generated_family(a: ZPartialAction, bound: int):
     """The explicit family {(X_t, h_t)} for |t| <= bound."""
-    return {
-        t: (a.domain(t, level), a.h(t, level))
-        for t in range(-bound, bound + 1)
-    }
+    return {t: (a.domain(t), a.h(t)) for t in range(-bound, bound + 1)}
 
 
 def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
@@ -224,16 +236,14 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
     return AxiomsReport(bound, tuple(viol))
 
 
-def pullback(
-    f: PiecewiseConstant, a: ZPartialAction, t: int, level: int | None = None
-) -> PiecewiseConstant:
+def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:
     """Transport f supported in X_{-t} to the function f o h_t^{-1} on X_t."""
-    dom = a.domain(-t, level)
+    dom = a.domain(-t)
     if not f.support().subset_of(dom):
         raise SupportViolation(
             f"support {f.support()} escapes X_{-t} = {dom}"
         )
-    return compose_with_map(f, a.h(-t, level))
+    return compose_with_map(f, a.h(-t))
 
 
 def identity_family(bound: int) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .action import ZPartialAction, germ_index, kernel_tag, transport_index
 from .errors import ParseError, SupportViolation
@@ -20,88 +21,96 @@ from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map
 Index = tuple[int, int]
 
 
-def _canon_table(table, what: str):
-    seen = set()
-    out = []
-    for key, func in table:
-        key = (int(key[0]), int(key[1]))
-        if key in seen:
-            raise ParseError(f"duplicate {what} at {key}")
-        seen.add(key)
-        if not func.is_zero():
-            out.append((key, func))
-    return tuple(sorted(out))
+class _IndexedTable:
+    """Finitely many slots (r, s) -> function, kept canonical and sorted.
 
+    A subclass is a frozen dataclass whose one field, named by `_field`,
+    holds the table; `_what` names one slot in messages.  Dataclass equality
+    compares the class too, so tables of different kinds are never equal.
+    """
 
-def _table_to_json(table) -> list:
-    return [
-        [[r, s], {w: str(c) for w, c in func.pieces}]
-        for (r, s), func in table
-    ]
+    _field: ClassVar[str]
+    _what: ClassVar[str]
 
-
-def _table_from_json(obj, what: str):
-    if not isinstance(obj, list):
-        raise ParseError(f"{what} serialization must be a list")
-    table = []
-    for item in obj:
-        try:
-            (r, s), pieces = item
-            func = PiecewiseConstant(
-                tuple((w, Scalar.parse(c)) for w, c in pieces.items())
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad {what} item {item!r}: {exc}") from exc
-        table.append(((int(r), int(s)), func))
-    return tuple(table)
-
-
-@dataclass(frozen=True)
-class GroupoidFunction:
-    """Finitely many blocks (r, s) -> function supported in X_{s-r}."""
-
-    blocks: tuple[tuple[Index, PiecewiseConstant], ...] = ()
+    @property
+    def _table(self) -> tuple[tuple[Index, PiecewiseConstant], ...]:
+        return getattr(self, self._field)
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", _canon_table(self.blocks, "block"))
+        seen = set()
+        out = []
+        for key, func in self._table:
+            key = (int(key[0]), int(key[1]))
+            if key in seen:
+                raise ParseError(f"duplicate {self._what} at {key}")
+            seen.add(key)
+            if not func.is_zero():
+                out.append((key, func))
+        object.__setattr__(self, self._field, tuple(sorted(out)))
 
-    def block(self, r: int, s: int) -> PiecewiseConstant:
-        for key, func in self.blocks:
+    def _at(self, r: int, s: int) -> PiecewiseConstant:
+        for key, func in self._table:
             if key == (r, s):
                 return func
         return ZERO_FUNC
 
     @property
     def indices(self) -> tuple[Index, ...]:
-        return tuple(key for key, _ in self.blocks)
+        return tuple(key for key, _ in self._table)
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self._table
 
-    def __add__(self, other: "GroupoidFunction") -> "GroupoidFunction":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         keys = sorted(set(self.indices) | set(other.indices))
-        return GroupoidFunction(
-            tuple((k, self.block(*k) + other.block(*k)) for k in keys)
-        )
+        return type(self)(tuple((k, self._at(*k) + other._at(*k)) for k in keys))
 
-    def __neg__(self) -> "GroupoidFunction":
-        return GroupoidFunction(tuple((k, -f) for k, f in self.blocks))
+    def __neg__(self):
+        return type(self)(tuple((k, -f) for k, f in self._table))
 
-    def __sub__(self, other: "GroupoidFunction") -> "GroupoidFunction":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "GroupoidFunction":
-        return GroupoidFunction(tuple((k, f.scale(c)) for k, f in self.blocks))
+    def scale(self, c: Scalar):
+        return type(self)(tuple((k, f.scale(c)) for k, f in self._table))
+
+    def to_json(self) -> list:
+        return [
+            [[r, s], {w: str(c) for w, c in func.pieces}]
+            for (r, s), func in self._table
+        ]
+
+    @classmethod
+    def from_json(cls, obj):
+        if not isinstance(obj, list):
+            raise ParseError(f"{cls._what} serialization must be a list")
+        table = []
+        for item in obj:
+            try:
+                (r, s), pieces = item
+                func = PiecewiseConstant(
+                    tuple((w, Scalar.parse(c)) for w, c in pieces.items())
+                )
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad {cls._what} item {item!r}: {exc}") from exc
+            table.append(((int(r), int(s)), func))
+        return cls(tuple(table))
+
+
+@dataclass(frozen=True)
+class GroupoidFunction(_IndexedTable):
+    """Finitely many blocks (r, s) -> function supported in X_{s-r}."""
+
+    blocks: tuple[tuple[Index, PiecewiseConstant], ...] = ()
+    _field = "blocks"
+    _what = "block"
+
+    block = _IndexedTable._at
 
     def restrict_block(self, r: int, s: int) -> "GroupoidFunction":
         return GroupoidFunction((((r, s), self.block(r, s)),))
-
-    def to_json(self) -> list:
-        return _table_to_json(self.blocks)
-
-    @staticmethod
-    def from_json(obj) -> "GroupoidFunction":
-        return GroupoidFunction(_table_from_json(obj, "block"))
 
     def __str__(self) -> str:
         if not self.blocks:
@@ -110,48 +119,14 @@ class GroupoidFunction:
 
 
 @dataclass(frozen=True)
-class KernelElement:
+class KernelElement(_IndexedTable):
     """Finitely many entries (r, s) -> function supported in X_{r-s}."""
 
     entries: tuple[tuple[Index, PiecewiseConstant], ...] = ()
+    _field = "entries"
+    _what = "entry"
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _canon_table(self.entries, "entry"))
-
-    def entry(self, r: int, s: int) -> PiecewiseConstant:
-        for key, func in self.entries:
-            if key == (r, s):
-                return func
-        return ZERO_FUNC
-
-    @property
-    def indices(self) -> tuple[Index, ...]:
-        return tuple(key for key, _ in self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __add__(self, other: "KernelElement") -> "KernelElement":
-        keys = sorted(set(self.indices) | set(other.indices))
-        return KernelElement(
-            tuple((k, self.entry(*k) + other.entry(*k)) for k in keys)
-        )
-
-    def __neg__(self) -> "KernelElement":
-        return KernelElement(tuple((k, -f) for k, f in self.entries))
-
-    def __sub__(self, other: "KernelElement") -> "KernelElement":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "KernelElement":
-        return KernelElement(tuple((k, f.scale(c)) for k, f in self.entries))
-
-    def to_json(self) -> list:
-        return _table_to_json(self.entries)
-
-    @staticmethod
-    def from_json(obj) -> "KernelElement":
-        return KernelElement(_table_from_json(obj, "entry"))
+    entry = _IndexedTable._at
 
     def __str__(self) -> str:
         if not self.entries:
@@ -165,28 +140,22 @@ ZERO_BLOCKS = GroupoidFunction()
 ZERO_KERNEL = KernelElement()
 
 
-def validate_blocks(
-    f: GroupoidFunction, a: ZPartialAction, level: int | None = None
-) -> None:
-    for (r, s), func in f.blocks:
-        dom = a.domain(germ_index(r, s), level)
+def _check_supports(table, a: ZPartialAction, index, what: str) -> None:
+    for (r, s), func in table:
+        dom = a.domain(index(r, s))
         if not func.support().subset_of(dom):
             raise SupportViolation(
-                f"block ({r},{s}) supported on {func.support()}, "
-                f"outside X_{germ_index(r, s)} = {dom}"
+                f"{what} ({r},{s}) supported on {func.support()}, "
+                f"outside X_{index(r, s)} = {dom}"
             )
 
 
-def validate_entries(
-    k: KernelElement, a: ZPartialAction, level: int | None = None
-) -> None:
-    for (r, s), func in k.entries:
-        dom = a.domain(kernel_tag(r, s), level)
-        if not func.support().subset_of(dom):
-            raise SupportViolation(
-                f"entry ({r},{s}) supported on {func.support()}, "
-                f"outside X_{kernel_tag(r, s)} = {dom}"
-            )
+def validate_blocks(f: GroupoidFunction, a: ZPartialAction) -> None:
+    _check_supports(f.blocks, a, germ_index, "block")
+
+
+def validate_entries(k: KernelElement, a: ZPartialAction) -> None:
+    _check_supports(k.entries, a, kernel_tag, "entry")
 
 
 # --------------------------------------------------------------------------
@@ -194,41 +163,36 @@ def validate_entries(
 
 
 def convolve(
-    f: GroupoidFunction,
-    g: GroupoidFunction,
-    a: ZPartialAction,
-    level: int | None = None,
+    f: GroupoidFunction, g: GroupoidFunction, a: ZPartialAction
 ) -> GroupoidFunction:
     """Block (r, u) of f*g = sum over s of f_{r,s} (g_{s,u} o h_{r-s})."""
-    validate_blocks(f, a, level)
-    validate_blocks(g, a, level)
+    validate_blocks(f, a)
+    validate_blocks(g, a)
     acc: dict[Index, PiecewiseConstant] = {}
     for (r, s), fb in f.blocks:
         for (s2, u), gb in g.blocks:
             if s2 != s:
                 continue
-            moved = compose_with_map(gb, a.h(transport_index(r, s), level))
+            moved = compose_with_map(gb, a.h(transport_index(r, s)))
             term = fb * moved
             if term.is_zero():
                 continue
             key = (r, u)
             acc[key] = acc.get(key, ZERO_FUNC) + term
     out = GroupoidFunction(tuple(sorted(acc.items())))
-    validate_blocks(out, a, level)
+    validate_blocks(out, a)
     return out
 
 
-def adjoint(
-    f: GroupoidFunction, a: ZPartialAction, level: int | None = None
-) -> GroupoidFunction:
+def adjoint(f: GroupoidFunction, a: ZPartialAction) -> GroupoidFunction:
     """Block (s, r) of f* = conjugate of f_{r,s}, transported by h_{s-r}."""
-    validate_blocks(f, a, level)
+    validate_blocks(f, a)
     table = []
     for (r, s), func in f.blocks:
-        moved = compose_with_map(func.conj(), a.h(transport_index(s, r), level))
+        moved = compose_with_map(func.conj(), a.h(transport_index(s, r)))
         table.append(((s, r), moved))
     out = GroupoidFunction(tuple(table))
-    validate_blocks(out, a, level)
+    validate_blocks(out, a)
     return out
 
 
@@ -244,56 +208,44 @@ def shift_blocks(f: GroupoidFunction, t: int) -> GroupoidFunction:
 
 
 def fiber_product(
-    f: PiecewiseConstant,
-    p: int,
-    g: PiecewiseConstant,
-    q: int,
-    a: ZPartialAction,
-    level: int | None = None,
+    f: PiecewiseConstant, p: int, g: PiecewiseConstant, q: int, a: ZPartialAction
 ) -> PiecewiseConstant:
     """(f d_p)(g d_q) = alpha_p(alpha_{-p}(f) g) d_{p+q}, value part only."""
-    down = compose_with_map(f, a.h(p, level))
+    down = compose_with_map(f, a.h(p))
     prod = down * g
-    return compose_with_map(prod, a.h(-p, level))
+    return compose_with_map(prod, a.h(-p))
 
 
 def kernel_multiply(
-    k1: KernelElement,
-    k2: KernelElement,
-    a: ZPartialAction,
-    level: int | None = None,
+    k1: KernelElement, k2: KernelElement, a: ZPartialAction
 ) -> KernelElement:
     """Matrix product with fiber products: (k1 k2)(r,s) = sum_t k1(r,t) k2(t,s)."""
-    validate_entries(k1, a, level)
-    validate_entries(k2, a, level)
+    validate_entries(k1, a)
+    validate_entries(k2, a)
     acc: dict[Index, PiecewiseConstant] = {}
     for (r, t), e1 in k1.entries:
         for (t2, s), e2 in k2.entries:
             if t2 != t:
                 continue
-            term = fiber_product(
-                e1, kernel_tag(r, t), e2, kernel_tag(t, s), a, level
-            )
+            term = fiber_product(e1, kernel_tag(r, t), e2, kernel_tag(t, s), a)
             if term.is_zero():
                 continue
             key = (r, s)
             acc[key] = acc.get(key, ZERO_FUNC) + term
     out = KernelElement(tuple(sorted(acc.items())))
-    validate_entries(out, a, level)
+    validate_entries(out, a)
     return out
 
 
-def kernel_adjoint(
-    k: KernelElement, a: ZPartialAction, level: int | None = None
-) -> KernelElement:
+def kernel_adjoint(k: KernelElement, a: ZPartialAction) -> KernelElement:
     """Entry (r, s) of k* = conjugate of k(s, r), transported by h_{s-r}."""
-    validate_entries(k, a, level)
+    validate_entries(k, a)
     table = []
     for (s, r), func in k.entries:
-        moved = compose_with_map(func.conj(), a.h(germ_index(r, s), level))
+        moved = compose_with_map(func.conj(), a.h(germ_index(r, s)))
         table.append(((r, s), moved))
     out = KernelElement(tuple(table))
-    validate_entries(out, a, level)
+    validate_entries(out, a)
     return out
 
 

@@ -241,7 +241,3 @@ class ClopenSet:
 EMPTY = ClopenSet(())
 FULL = ClopenSet(("",))
 
-
-def normalize(words) -> ClopenSet:
-    """Canonicalize an arbitrary iterable of cylinder words."""
-    return ClopenSet(tuple(words))

@@ -43,7 +43,7 @@ class UnionFind:
         )
 
 
-def adapted_depth(a: ZPartialAction, n: int, level: int | None = None) -> int:
+def adapted_depth(a: ZPartialAction, n: int) -> int:
     """Smallest depth at which cells of indices |t| <= n behave rigidly.
 
     Pairs with slots in [-n, n] are transported by maps h_t with |t| up to
@@ -53,7 +53,7 @@ def adapted_depth(a: ZPartialAction, n: int, level: int | None = None) -> int:
     """
     depth = 0
     for t in range(-2 * n, 2 * n + 1):
-        h = a.h(t, level)
+        h = a.h(t)
         for u, v in h.rules:
             if len(u) != len(v):
                 raise NotStabilized(
@@ -61,7 +61,7 @@ def adapted_depth(a: ZPartialAction, n: int, level: int | None = None) -> int:
                     "no uniform cell depth exists"
                 )
             depth = max(depth, len(u))
-        depth = max(depth, a.domain(t, level).max_depth())
+        depth = max(depth, a.domain(t).max_depth())
     return depth
 
 
@@ -76,20 +76,13 @@ def cell_image_word(h: PrefixMap, w: str) -> str:
     raise NotInDomain(f"cylinder [{w}] is not inside dom({h})")
 
 
-def directly_related(
-    a: ZPartialAction,
-    r: int,
-    w: str,
-    s: int,
-    wp: str,
-    level: int | None = None,
-) -> bool:
+def directly_related(a: ZPartialAction, r: int, w: str, s: int, wp: str) -> bool:
     """Whether the single gluing step identifies cell (r, [w]) with (s, [wp])."""
     if r == s:
         return w == wp
-    if not a.domain(germ_index(r, s), level).contains_word(w):
+    if not a.domain(germ_index(r, s)).contains_word(w):
         return False
-    return cell_image_word(a.h(transport_index(r, s), level), w) == wp
+    return cell_image_word(a.h(transport_index(r, s)), w) == wp
 
 
 @dataclass(frozen=True)
@@ -108,26 +101,18 @@ class CellPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.classes)
 
-    def index_of(self, unit) -> int:
-        for i, cls in enumerate(self.classes):
-            if unit in cls:
-                return i
-        raise KeyError(unit)
-
     def lookup(self) -> dict:
         return {u: i for i, cls in enumerate(self.classes) for u in cls}
 
 
-def cell_partition(
-    a: ZPartialAction, n: int, d: int, level: int | None = None
-) -> CellPartition:
+def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     """Partition of all cells (t, w), |t| <= n and |w| = d, by the relation.
 
     The one-step gluing is already an equivalence at adapted depth, so the
     connected components must be all-pairs directly related; that is checked
     outright and a failure means the generating family breaks the axioms.
     """
-    least = adapted_depth(a, n, level)
+    least = adapted_depth(a, n)
     if d < least:
         raise DepthTooSmall(f"depth {d} < adapted depth {least}")
 
@@ -138,16 +123,16 @@ def cell_partition(
         for s in range(-n, n + 1):
             if s == r:
                 continue
-            if not a.domain(germ_index(r, s), level).contains_word(w):
+            if not a.domain(germ_index(r, s)).contains_word(w):
                 continue
-            wp = cell_image_word(a.h(transport_index(r, s), level), w)
+            wp = cell_image_word(a.h(transport_index(r, s)), w)
             uf.union((r, w), (s, wp))
 
     classes = uf.classes()
     for cls in classes:
         for x in cls:
             for y in cls:
-                if not directly_related(a, x[0], x[1], y[0], y[1], level):
+                if not directly_related(a, x[0], x[1], y[0], y[1]):
                     raise EngineError(
                         f"classes are not transitive: {x} !~ {y}"
                     )

@@ -20,14 +20,8 @@ from .action import (
     transport_index,
 )
 from .cantor import ClopenSet, Point, check_word
-from .cells import adapted_depth
-from .envelope import (
-    GermPair,
-    etale_probe,
-    hausdorff_decide,
-    nonseparable_pair,
-    quotient_decomposition,
-)
+from .cells import adapted_depth, cell_partition
+from .envelope import GermPair, etale_probe, hausdorff_decide, nonseparable_pair
 from .errors import (
     BaseNotInDomain,
     CapExceeded,
@@ -40,7 +34,6 @@ from .errors import (
     ParseError,
 )
 from .filtration import (
-    Exhaustion,
     bratteli_build,
     default_schedule,
     export,
@@ -145,13 +138,34 @@ def load_system(path: str) -> SystemDefinition:
     return SystemDefinition(name, generator, counts, dict(defaults))
 
 
+# least accepted value of each numeric option, whether given or defaulted
+_LEAST = {"bound": 0, "depth": 0, "cap": 0, "levels": 1, "trials": 1}
+
+
+def _checked(name: str, val):
+    least = _LEAST.get(name)
+    if val is not None and least is not None and val < least:
+        raise ParseError(f"--{name} must be >= {least}, not {val}")
+    return val
+
+
 def _resolve(args, sd: SystemDefinition, name: str, fallback=None):
     val = getattr(args, name, None)
-    return val if val is not None else sd.default(name, fallback)
+    return _checked(name, val if val is not None else sd.default(name, fallback))
 
 
-def _action(sd: SystemDefinition) -> ZPartialAction:
-    return ZPartialAction(sd.generator, sd.counts)
+def _action(sd: SystemDefinition, stage: int | None = None) -> ZPartialAction:
+    """The system's action, or that stage of it when one is named."""
+    a = ZPartialAction(sd.generator, sd.counts)
+    return a if stage is None else a.stage(stage)
+
+
+def _level(args, sd: SystemDefinition, fallback=None) -> int | None:
+    """--level or its default; an open enumeration must have one."""
+    level = _resolve(args, sd, "level", fallback)
+    if sd.is_generated and level is None:
+        raise LevelRequired("--level is needed for an open enumeration")
+    return level
 
 
 def _germ(text: str) -> GermPair:
@@ -170,14 +184,18 @@ def _violations(sd: SystemDefinition):
 # Commands: each returns (exit code, payload); dict payloads print as JSON.
 
 
+def _axioms_report(args, sd: SystemDefinition):
+    bound = _resolve(args, sd, "bound", 4)
+    level = _resolve(args, sd, "level", bound if sd.is_generated else None)
+    return axioms_check(generated_family(_action(sd, level), bound), bound)
+
+
 def cmd_validate(args):
     sd = load_system(args.system)
     bad = _violations(sd)
     if bad:
         return 2, {"ok": False, "name": sd.name, "violations": bad}
-    bound = _resolve(args, sd, "bound", 4)
-    level = _resolve(args, sd, "level", bound if sd.is_generated else None)
-    report = axioms_check(generated_family(_action(sd), bound, level), bound)
+    report = _axioms_report(args, sd)
     return (0 if report.ok else 2), {
         "ok": report.ok,
         "name": sd.name,
@@ -191,9 +209,7 @@ def cmd_axioms(args):
     bad = _violations(sd)
     if bad:
         return 2, {"ok": False, "violations": bad}
-    bound = _resolve(args, sd, "bound", 4)
-    level = _resolve(args, sd, "level", bound if sd.is_generated else None)
-    report = axioms_check(generated_family(_action(sd), bound, level), bound)
+    report = _axioms_report(args, sd)
     return (0 if report.ok else 2), report.to_json()
 
 
@@ -204,13 +220,12 @@ def cmd_hausdorff(args):
         return 2, {"ok": False, "violations": bad}
     bound = _resolve(args, sd, "bound", 4)
     depth = _resolve(args, sd, "depth", 10)
-    cert = hausdorff_decide(_action(sd), bound, depth)
+    a = _action(sd)
+    cert = hausdorff_decide(a, bound, depth)
     payload = cert.to_json()
     if cert.verdict == "non-clopen-witness":
         try:
-            payload["pair"] = nonseparable_pair(
-                _action(sd), cert.t, depth
-            ).to_json()
+            payload["pair"] = nonseparable_pair(a, cert.t, depth).to_json()
         except NoWitness as exc:
             payload["pair"] = None
             payload["pair_error"] = str(exc)
@@ -220,13 +235,12 @@ def cmd_hausdorff(args):
 def cmd_related(args):
     sd = load_system(args.system)
     p, q = _germ(args.p), _germ(args.q)
-    a = _action(sd)
-    level = _resolve(args, sd, "level")
-    dom = a.domain(germ_index(p.index, q.index), level)
+    a = _action(sd, _resolve(args, sd, "level"))
+    dom = a.domain(germ_index(p.index, q.index))
     member = dom.contains_point(p.point)
     image = None
     if member:
-        image = a.apply(transport_index(p.index, q.index), p.point, level)
+        image = a.apply(transport_index(p.index, q.index), p.point)
     return 0, {
         "related": bool(member and image == q.point),
         "p": str(p),
@@ -239,30 +253,24 @@ def cmd_related(args):
 
 def cmd_etale(args):
     sd = load_system(args.system)
-    a = _action(sd)
-    level = _resolve(args, sd, "level")
+    a = _action(sd, _resolve(args, sd, "level"))
     t, s = args.t, args.s
     if args.base is not None:
         base = ClopenSet.parse(args.base)
     else:
-        base = a.domain(germ_index(t, s), level)
-    report = etale_probe(a, t, s, base, level)
+        base = a.domain(germ_index(t, s))
+    report = etale_probe(a, t, s, base)
     return (0 if report.ok else 2), report.to_json()
 
 
 def cmd_quotient(args):
     sd = load_system(args.system)
-    a = _action(sd)
-    if sd.is_generated:
-        level = _resolve(args, sd, "level")
-        if level is None:
-            raise LevelRequired("--level is needed for an open enumeration")
-        a = a.at_level(level)
+    a = _action(sd, _level(args, sd))
     bound = _resolve(args, sd, "bound", 2)
     depth = _resolve(args, sd, "depth")
     if depth is None:
         depth = adapted_depth(a, bound)
-    part = quotient_decomposition(a, bound, depth)
+    part = cell_partition(a, bound, depth)
     return 0, {
         "n": part.n,
         "d": part.d,
@@ -282,22 +290,17 @@ def cmd_filtrate(args):
         p, q = _germ(args.p), _germ(args.q)
         cap = _resolve(args, sd, "cap", 64)
         level = inclusion_witness(
-            Exhaustion(sd.generator, sd.counts),
-            p.index, p.point, q.index, q.point, cap,
+            _action(sd), p.index, p.point, q.index, q.point, cap
         )
         return 0, {"p": str(p), "q": str(q), "witness_level": level}
 
-    k = _resolve(args, sd, "level", None if sd.is_generated else 0)
-    if k is None:
-        raise LevelRequired("--level is needed for an open enumeration")
+    k = _level(args, sd, None if sd.is_generated else 0)
+    a = _action(sd)
     n = _resolve(args, sd, "bound", 2)
-    g = Exhaustion(sd.generator, sd.counts) if sd.is_generated else sd.generator
     depth = _resolve(args, sd, "depth")
     if depth is None:
-        depth = adapted_depth(
-            g.action(k) if sd.is_generated else ZPartialAction(sd.generator), n
-        )
-    tr = truncated_relation(g, k, n, depth)
+        depth = adapted_depth(a.stage(k), n)
+    tr = truncated_relation(a, k, n, depth)
     payload = tr.to_json()
     payload["count"] = len(tr.classes)
     payload["sizes"] = list(tr.sizes)
@@ -307,33 +310,24 @@ def cmd_filtrate(args):
 def cmd_bratteli(args):
     sd = load_system(args.system)
     levels = _resolve(args, sd, "levels", 3)
-    g = Exhaustion(sd.generator, sd.counts) if sd.is_generated else sd.generator
-    schedule = default_schedule(g, levels)
-    diagram = bratteli_build(g, schedule)
-    return 0, export(diagram, args.out)
+    a = _action(sd)
+    return 0, export(bratteli_build(a, default_schedule(a, levels)), args.out)
 
 
 def cmd_verify_psi(args):
     sd = load_system(args.system)
-    a = _action(sd)
-    level = _resolve(args, sd, "level")
-    if sd.is_generated and level is None:
-        raise LevelRequired("--level is needed for an open enumeration")
-    trials = args.trials
+    a = _action(sd, _level(args, sd))
+    trials = _checked("trials", args.trials)
     seed = _resolve(args, sd, "seed", 0)
-    report = isomorphism_suite(
-        a, trials=trials, seed=seed, max_index=args.support,
-        depth=args.depth if args.depth is not None else 6, level=level,
-    )
-    payload = {"ok": report.ok, "isomorphism": report.to_json()}
-    if trials > 0:
-        eps, ereport = equivariance_sign(
-            a, trials=min(trials, 50), seed=seed, max_index=args.support,
-            depth=args.depth if args.depth is not None else 6, level=level,
-        )
-        payload["equivariance"] = ereport.to_json()
-        payload["ok"] = report.ok and ereport.ok
-    return (0 if payload["ok"] else 2), payload
+    opts = dict(seed=seed, max_index=args.support, depth=_checked("depth", args.depth))
+    report = isomorphism_suite(a, trials=trials, **opts)
+    _, ereport = equivariance_sign(a, trials=min(trials, 50), **opts)
+    ok = report.ok and ereport.ok
+    return (0 if ok else 2), {
+        "ok": ok,
+        "isomorphism": report.to_json(),
+        "equivariance": ereport.to_json(),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--support", type=int, default=3)
-    sp.add_argument("--depth", type=int)
+    sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--level", type=int)
     return parser
 

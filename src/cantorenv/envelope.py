@@ -16,9 +16,8 @@ from dataclasses import dataclass, replace
 
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import ClopenSet, Point, common_prefix_length
-from .cells import CellPartition, cell_image_word, cell_partition
-from .errors import BaseNotInDomain, LevelRequired, NoWitness, NotInDomain
-from .prefix_map import GeneratedMap
+from .cells import cell_image_word
+from .errors import BaseNotInDomain, NoWitness, NotInDomain
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,11 @@ class GermPair:
         return f"[{self.index}, {self.point}]"
 
 
-def related(
-    a: ZPartialAction, p: GermPair, q: GermPair, level: int | None = None
-) -> bool:
+def related(a: ZPartialAction, p: GermPair, q: GermPair) -> bool:
     """Whether (p.index, p.point) and (q.index, q.point) glue to one class."""
-    if not a.domain(germ_index(p.index, q.index), level).contains_point(p.point):
+    if not a.domain(germ_index(p.index, q.index)).contains_point(p.point):
         return False
-    moved = a.apply(transport_index(p.index, q.index), p.point, level)
+    moved = a.apply(transport_index(p.index, q.index), p.point)
     return moved == q.point
 
 
@@ -57,24 +54,18 @@ class ProbeReport:
         }
 
 
-def symmetry_transitivity_probe(
-    a: ZPartialAction, triples, level: int | None = None
-) -> ProbeReport:
+def symmetry_transitivity_probe(a: ZPartialAction, triples) -> ProbeReport:
     """Check reflexivity, symmetry and transitivity on supplied germ triples."""
     checked = 0
     bad: list[str] = []
     for p, q, r in triples:
         checked += 1
         for g in (p, q, r):
-            if not related(a, g, g, level):
+            if not related(a, g, g):
                 bad.append(f"{g} not related to itself")
-        if related(a, p, q, level) and not related(a, q, p, level):
+        if related(a, p, q) and not related(a, q, p):
             bad.append(f"{p} ~ {q} but not conversely")
-        if (
-            related(a, p, q, level)
-            and related(a, q, r, level)
-            and not related(a, p, r, level)
-        ):
+        if related(a, p, q) and related(a, q, r) and not related(a, p, r):
             bad.append(f"{p} ~ {q} ~ {r} but {p} !~ {r}")
     return ProbeReport(checked, tuple(bad))
 
@@ -107,8 +98,8 @@ class HausdorffCertificate:
 
 
 def _union_sets(a: ZPartialAction, depth: int) -> list[ClopenSet]:
-    """U_0 .. U_depth: domains of one forward step of each truncation."""
-    return [a.at_level(k).domain(-1) for k in range(depth + 1)]
+    """U_0 .. U_depth: domains of one forward step of each stage."""
+    return [a.stage(k).domain(-1) for k in range(depth + 1)]
 
 
 def _chain_limit(residuals) -> Point | None:
@@ -138,6 +129,11 @@ def _witness_soundness(x: Point, unions) -> bool:
     return True
 
 
+def _clopen_certificate(full: ZPartialAction, bound: int) -> HausdorffCertificate:
+    doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
+    return HausdorffCertificate("clopen", bound=bound, domains=doms)
+
+
 def hausdorff_decide(
     a: ZPartialAction, bound: int = 4, depth: int = 10
 ) -> HausdorffCertificate:
@@ -151,22 +147,14 @@ def hausdorff_decide(
     every U_k while its cylinders all meet U_depth.  Anything else is an
     honest "unknown".
     """
-    if a.clopen or (isinstance(a.generator, GeneratedMap) and a.generator.is_finite):
-        top = None
-        if not a.clopen:
-            top = a.generator.rule_count - 1
-        full = a if a.clopen else a.at_level(top)
-        doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
-        return HausdorffCertificate("clopen", bound=bound, domains=doms)
+    if a.clopen or a.generator.is_finite:
+        full = a if a.clopen else a.stage(a.generator.rule_count - 1)
+        return _clopen_certificate(full, bound)
 
-    residuals = []
     unions = _union_sets(a, depth)
-    for u in unions:
-        residuals.append(u.complement())
+    residuals = [u.complement() for u in unions]
     if residuals and residuals[-1].is_empty():
-        full = a.at_level(depth)
-        doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
-        return HausdorffCertificate("clopen", bound=bound, domains=doms)
+        return _clopen_certificate(a.stage(depth), bound)
 
     x = _chain_limit(residuals)
     if x is not None and _witness_soundness(x, unions):
@@ -224,19 +212,19 @@ def nonseparable_pair(
         if meet.is_empty():
             raise NoWitness(f"cylinder of depth {j} around {x} misses the union")
         xj = Point(meet.words[0], "0")
-        yj = side.apply(1, xj, level=depth)
+        yj = side.stage(depth).apply(1, xj)
         approach.append((xj, yj))
 
     first, second = GermPair(-t, x), GermPair(0, y)
     for j, (xj, yj) in enumerate(approach, start=1):
-        if not related(a, GermPair(-t, xj), GermPair(0, yj), level=depth):
+        if not related(a.stage(depth), GermPair(-t, xj), GermPair(0, yj)):
             raise NoWitness(f"approach pair {xj}, {yj} is not related")
         if common_prefix_length(xj, x, depth) < min(j, depth):
             raise NoWitness(f"approach point {xj} strays from {x}")
         if common_prefix_length(yj, y, depth) < min(j, depth):
             raise NoWitness(f"image point {yj} strays from {y}")
     for k in range(depth + 1):
-        if related(a, first, second, level=k):
+        if related(a.stage(k), first, second):
             raise NoWitness(f"{first} and {second} merge at level {k}")
     return NonSeparablePair(first, second, tuple(approach))
 
@@ -270,13 +258,7 @@ class EtaleReport:
         }
 
 
-def etale_probe(
-    a: ZPartialAction,
-    t: int,
-    s: int,
-    base: ClopenSet,
-    level: int | None = None,
-) -> EtaleReport:
+def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleReport:
     """Range/source bijectivity over one basic open.
 
     The basic open over (t, s) with the given base consists of the pairs
@@ -285,11 +267,11 @@ def etale_probe(
     cell by cell: transported cells must be pairwise distinct and union up
     to exactly the transported base.
     """
-    if not base.subset_of(a.domain(germ_index(t, s), level)):
+    if not base.subset_of(a.domain(germ_index(t, s))):
         raise BaseNotInDomain(
             f"base {base} is not inside X_{germ_index(t, s)}"
         )
-    h = a.h(transport_index(t, s), level)
+    h = a.h(transport_index(t, s))
     image = h.image_set(base)
     bad: list[str] = []
 
@@ -323,46 +305,30 @@ class GroupoidElement:
         return f"({self.point}, {self.left}, {self.right})"
 
 
-def element_valid(
-    a: ZPartialAction, z: GroupoidElement, level: int | None = None
-) -> bool:
-    return a.domain(germ_index(z.left, z.right), level).contains_point(z.point)
+def element_valid(a: ZPartialAction, z: GroupoidElement) -> bool:
+    return a.domain(germ_index(z.left, z.right)).contains_point(z.point)
 
 
-def composable(
-    a: ZPartialAction,
-    z1: GroupoidElement,
-    z2: GroupoidElement,
-    level: int | None = None,
-) -> bool:
+def composable(a: ZPartialAction, z1: GroupoidElement, z2: GroupoidElement) -> bool:
     if z1.right != z2.left:
         return False
-    return z2.point == a.apply(
-        transport_index(z1.left, z1.right), z1.point, level
-    )
+    return z2.point == a.apply(transport_index(z1.left, z1.right), z1.point)
 
 
 def compose_elements(
-    a: ZPartialAction,
-    z1: GroupoidElement,
-    z2: GroupoidElement,
-    level: int | None = None,
+    a: ZPartialAction, z1: GroupoidElement, z2: GroupoidElement
 ) -> GroupoidElement:
-    if not composable(a, z1, z2, level):
+    if not composable(a, z1, z2):
         raise NotInDomain(f"{z1} and {z2} do not compose")
     return GroupoidElement(z1.point, z1.left, z2.right)
 
 
-def invert_element(
-    a: ZPartialAction, z: GroupoidElement, level: int | None = None
-) -> GroupoidElement:
-    moved = a.apply(transport_index(z.left, z.right), z.point, level)
+def invert_element(a: ZPartialAction, z: GroupoidElement) -> GroupoidElement:
+    moved = a.apply(transport_index(z.left, z.right), z.point)
     return GroupoidElement(moved, z.right, z.left)
 
 
-def groupoid_probe(
-    a: ZPartialAction, samples, level: int | None = None
-) -> ProbeReport:
+def groupoid_probe(a: ZPartialAction, samples) -> ProbeReport:
     """Groupoid laws on composable triples (z1, z2, z3).
 
     Per triple: membership of each arrow, the definedness criterion (both
@@ -374,9 +340,9 @@ def groupoid_probe(
     for z1, z2, z3 in samples:
         checked += 1
         for z in (z1, z2, z3):
-            if not element_valid(a, z, level):
+            if not element_valid(a, z):
                 bad.append(f"{z} is not an arrow")
-        if not (composable(a, z1, z2, level) and composable(a, z2, z3, level)):
+        if not (composable(a, z1, z2) and composable(a, z2, z3)):
             bad.append(f"sample chain {z1}, {z2}, {z3} is not composable")
             continue
 
@@ -384,33 +350,25 @@ def groupoid_probe(
             head = z2.point.shift(1)
             flip = "1" if z2.point.unroll(1) == "0" else "0"
             corrupt = replace(z2, point=head.with_prefix(flip))
-            if composable(a, z1, corrupt, level):
+            if composable(a, z1, corrupt):
                 bad.append(f"{z1} composes with corrupted {corrupt}")
 
-        left = compose_elements(a, compose_elements(a, z1, z2, level), z3, level)
-        right = compose_elements(a, z1, compose_elements(a, z2, z3, level), level)
+        left = compose_elements(a, compose_elements(a, z1, z2), z3)
+        right = compose_elements(a, z1, compose_elements(a, z2, z3))
         if left != right:
             bad.append(f"associativity fails: {left} != {right}")
 
-        inv = invert_element(a, z1, level)
-        if compose_elements(a, z1, inv, level) != GroupoidElement(
+        inv = invert_element(a, z1)
+        if compose_elements(a, z1, inv) != GroupoidElement(
             z1.point, z1.left, z1.left
         ):
             bad.append(f"{z1} times its inverse is not the range unit")
-        if compose_elements(a, inv, z1, level) != GroupoidElement(
+        if compose_elements(a, inv, z1) != GroupoidElement(
             inv.point, z1.right, z1.right
         ):
             bad.append(f"inverse of {z1} times it is not the source unit")
         unit = GroupoidElement(z1.point, z1.left, z1.left)
-        if compose_elements(a, unit, unit, level) != unit:
+        if compose_elements(a, unit, unit) != unit:
             bad.append(f"unit {unit} is not idempotent")
     return ProbeReport(checked, tuple(bad))
 
-
-def quotient_decomposition(
-    a: ZPartialAction, bound: int, depth: int
-) -> CellPartition:
-    """Finite cell shadow of the germ quotient for a clopen action."""
-    if not a.clopen:
-        raise LevelRequired("truncate with at_level() before taking quotients")
-    return cell_partition(a, bound, depth)

@@ -14,76 +14,19 @@ import json
 from dataclasses import dataclass
 
 from .action import ZPartialAction
-from .cantor import ClopenSet, Point, extensions
+from .cantor import Point, extensions
 from .cells import CellPartition, adapted_depth, cell_partition
 from .envelope import GermPair, ProbeReport, related
-from .errors import (
-    CapExceeded,
-    EngineError,
-    LevelRequired,
-    NotInDomain,
-    ParseError,
-)
-from .prefix_map import GeneratedMap, PrefixMap
+from .errors import CapExceeded, EngineError, NotInDomain, ParseError
 
 
-@dataclass(frozen=True)
-class Exhaustion:
-    """Schedule of clopen stages: stage k keeps the first count(k) rules."""
-
-    generated: GeneratedMap
-    counts: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.generated, GeneratedMap):
-            raise ParseError("an exhaustion needs an enumerated generator")
-        if self.counts is not None:
-            counts = tuple(int(c) for c in self.counts)
-            if any(c < 1 for c in counts) or list(counts) != sorted(counts):
-                raise ParseError("rule counts must be nondecreasing and >= 1")
-            object.__setattr__(self, "counts", counts)
-
-    def count(self, k: int) -> int:
-        if k < 0:
-            raise ValueError("stage must be >= 0")
-        if self.counts is None:
-            if self.generated.is_finite:
-                return min(k + 1, self.generated.rule_count)
-            return k + 1
-        if k >= len(self.counts):
-            raise LevelRequired(f"exhaustion schedule has no stage {k}")
-        return self.counts[k]
-
-    def level_map(self, k: int) -> PrefixMap:
-        return self.generated.truncation(self.count(k) - 1)
-
-    def union_set(self, k: int) -> ClopenSet:
-        """U_k: where one forward step of stage k is defined."""
-        return self.level_map(k).domain()
-
-    def action(self, k: int) -> ZPartialAction:
-        return ZPartialAction(self.level_map(k))
-
-
-def restrict(g: GeneratedMap, k: int) -> ZPartialAction:
-    """The clopen action generated by the first k+1 rules of g."""
-    if k < 0:
-        raise ValueError("stage must be >= 0")
-    return ZPartialAction(g.truncation(k))
-
-
-def _as_exhaustion(g) -> Exhaustion:
-    if isinstance(g, Exhaustion):
-        return g
-    if isinstance(g, GeneratedMap):
-        return Exhaustion(g)
-    if isinstance(g, ZPartialAction) and isinstance(g.generator, GeneratedMap):
-        return Exhaustion(g.generator, g.counts)
-    raise ParseError("inclusion witnesses need an enumerated generator")
+# An exhaustion is the enumerated action itself: ZPartialAction owns the
+# schedule (`count`) and the clopen stages (`stage`).
+Exhaustion = ZPartialAction
 
 
 def inclusion_witness(
-    g, r: int, x: Point, s: int, y: Point, cap: int = 64
+    a: ZPartialAction, r: int, x: Point, s: int, y: Point, cap: int = 64
 ) -> int:
     """Least stage K whose relation already contains the instance (r,x,s,y).
 
@@ -91,41 +34,29 @@ def inclusion_witness(
     time; the stage must cover every rule index used on the way.  The result
     is re-checked by running the stage-K relation on the pair.
     """
-    ex = _as_exhaustion(g)
+    if a.clopen:
+        raise ParseError("inclusion witnesses need an enumerated generator")
     steps = r - s
     p, goal = (x, y) if steps >= 0 else (y, x)
     top = -1
     for _ in range(abs(steps)):
-        p, idx = ex.generated.apply_point(p)
+        p, idx = a.generator.apply_point(p)
         top = max(top, idx)
     if p != goal:
         raise NotInDomain(f"({r}, {x}) and ({s}, {y}) are not related")
 
     level = 0
-    while ex.count(level) <= top:
+    while a.count(level) <= top:
         level += 1
         if level > cap:
             raise CapExceeded(f"no stage up to {cap} covers rule {top}")
-    a = ZPartialAction(ex.generated, ex.counts)
-    if not related(a, GermPair(r, x), GermPair(s, y), level=level):
+    if not related(a.stage(level), GermPair(r, x), GermPair(s, y)):
         raise EngineError(f"stage {level} fails to relate the verified pair")
     return level
 
 
 # --------------------------------------------------------------------------
 # Finite truncations
-
-
-def _leveled_action(g, k: int) -> ZPartialAction:
-    if isinstance(g, PrefixMap):
-        return ZPartialAction(g)
-    if isinstance(g, GeneratedMap):
-        return Exhaustion(g).action(k)
-    if isinstance(g, Exhaustion):
-        return g.action(k)
-    if isinstance(g, ZPartialAction):
-        return g if g.clopen else g.at_level(k)
-    raise ParseError(f"cannot build a stage from {type(g).__name__}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +93,11 @@ class TruncatedRelation:
         }
 
 
-def truncated_relation(g, k: int, n: int, d: int) -> TruncatedRelation:
-    return TruncatedRelation(k, n, d, cell_partition(_leveled_action(g, k), n, d))
+def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> TruncatedRelation:
+    return TruncatedRelation(k, n, d, cell_partition(a.stage(k), n, d))
 
 
-def inclusion_probe(g, first, second) -> ProbeReport:
+def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
     """Every related cell pair of the coarse stage stays related at the fine one.
 
     Pairs are pushed forward by appending each suffix of the depth gap to
@@ -175,8 +106,8 @@ def inclusion_probe(g, first, second) -> ProbeReport:
     (k1, n1, d1), (k2, n2, d2) = first, second
     if k2 < k1 or n2 < n1 or d2 < d1:
         raise ParseError("second stage must refine the first")
-    coarse = truncated_relation(g, k1, n1, d1)
-    fine = truncated_relation(g, k2, n2, d2)
+    coarse = truncated_relation(a, k1, n1, d1)
+    fine = truncated_relation(a, k2, n2, d2)
     look = fine.partition.lookup()
     checked = 0
     bad: list[str] = []
@@ -198,13 +129,13 @@ def inclusion_probe(g, first, second) -> ProbeReport:
 Schedule = tuple[tuple[int, int, int], ...]
 
 
-def default_schedule(g, levels: int) -> Schedule:
+def default_schedule(a: ZPartialAction, levels: int) -> Schedule:
     """Stage m uses (k, n) = (m, m+1) at the least workable depth."""
     out = []
     d_prev = 0
     for m in range(levels):
         n = m + 1
-        d = max(adapted_depth(_leveled_action(g, m), n), d_prev)
+        d = max(adapted_depth(a.stage(m), n), d_prev)
         out.append((m, n, d))
         d_prev = d
     return tuple(out)
@@ -225,7 +156,7 @@ class BratteliDiagram:
     edges: tuple[tuple[int, int, int, int], ...]  # (m, src, dst, mult)
 
 
-def bratteli_build(g, schedule: Schedule) -> BratteliDiagram:
+def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     """Stack the stage partitions of a schedule into a leveled diagram.
 
     Vertices at level m are the classes of the stage relation; an edge
@@ -235,11 +166,11 @@ def bratteli_build(g, schedule: Schedule) -> BratteliDiagram:
     enforced at every level.
     """
     schedule = tuple((int(k), int(n), int(d)) for k, n, d in schedule)
-    for a, b in zip(schedule, schedule[1:]):
-        if any(x > y for x, y in zip(a, b)):
-            raise ParseError(f"schedule steps backwards from {a} to {b}")
+    for prev, cur in zip(schedule, schedule[1:]):
+        if any(x > y for x, y in zip(prev, cur)):
+            raise ParseError(f"schedule steps backwards from {prev} to {cur}")
 
-    parts = [truncated_relation(g, k, n, d) for k, n, d in schedule]
+    parts = [truncated_relation(a, k, n, d) for k, n, d in schedule]
     levels: list[BratteliLevel] = []
     edges: list[tuple[int, int, int, int]] = []
     for m, tr in enumerate(parts):

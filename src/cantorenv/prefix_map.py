@@ -123,17 +123,6 @@ def compose(g: PrefixMap, f: PrefixMap) -> PrefixMap:
     return PrefixMap(tuple(out))
 
 
-def power(m: PrefixMap, n: int) -> PrefixMap:
-    if n == 0:
-        return IDENTITY
-    if n < 0:
-        return power(m.inverse(), -n)
-    out = m
-    for _ in range(n - 1):
-        out = compose(m, out)
-    return out
-
-
 @dataclass(frozen=True)
 class GeneratedMap:
     """A countable enumeration of pairwise disjoint prefix rules.

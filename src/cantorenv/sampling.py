@@ -88,19 +88,18 @@ class Sampler:
         max_index: int = 3,
         depth: int = 6,
         max_blocks: int = 3,
-        level: int | None = None,
     ) -> GroupoidFunction:
         span = range(-max_index, max_index + 1)
         keys = [
             (r, s)
             for r in span
             for s in span
-            if not a.domain(germ_index(r, s), level).is_empty()
+            if not a.domain(germ_index(r, s)).is_empty()
         ]
         take = min(len(keys), self.rng.randint(1, max_blocks))
         chosen = self.rng.sample(keys, take)
         blocks = tuple(
-            (key, self.pwc(a.domain(germ_index(*key), level), depth))
+            (key, self.pwc(a.domain(germ_index(*key)), depth))
             for key in sorted(chosen)
         )
         return GroupoidFunction(blocks)
@@ -110,15 +109,13 @@ class Sampler:
     def germ(self, max_index: int = 3) -> GermPair:
         return GermPair(self.rng.randint(-max_index, max_index), self.point())
 
-    def related_triple(
-        self, a: ZPartialAction, max_index: int = 2, level: int | None = None
-    ):
+    def related_triple(self, a: ZPartialAction, max_index: int = 2):
         """A germ chain p ~ q ~ w when a feasible base exists, else random germs."""
         for _ in range(20):
             slots = [
                 self.rng.randint(-max_index, max_index) for _ in range(3)
             ]
-            feas, maps = self._feasible(a, slots, level)
+            feas, maps = self._feasible(a, slots)
             if feas.is_empty():
                 continue
             x = self.point_in(feas)
@@ -126,27 +123,21 @@ class Sampler:
             return tuple(GermPair(t, p) for t, p in zip(slots, pts))
         return tuple(self.germ(max_index) for _ in range(3))
 
-    def _feasible(self, a: ZPartialAction, slots, level):
+    def _feasible(self, a: ZPartialAction, slots):
         """Base set whose points thread through every consecutive transport."""
-        feas = a.domain(germ_index(slots[0], slots[1]), level)
+        feas = a.domain(germ_index(slots[0], slots[1]))
         acc = None
         maps = []
         for i in range(len(slots) - 1):
-            step = a.h(transport_index(slots[i], slots[i + 1]), level)
+            step = a.h(transport_index(slots[i], slots[i + 1]))
             acc = step if acc is None else compose(step, acc)
             if i + 2 < len(slots):
-                nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]), level)
+                nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]))
                 feas = feas & acc.preimage_set(nxt)
             maps.append(acc)
         return feas, maps
 
-    def arrow_triples(
-        self,
-        a: ZPartialAction,
-        count: int,
-        max_index: int = 2,
-        level: int | None = None,
-    ):
+    def arrow_triples(self, a: ZPartialAction, count: int, max_index: int = 2):
         """Composable triples (z1, z2, z3) of arrows, exactly `count` of them."""
         out = []
         guard = 0
@@ -157,7 +148,7 @@ class Sampler:
             slots = [
                 self.rng.randint(-max_index, max_index) for _ in range(4)
             ]
-            feas, maps = self._feasible(a, slots, level)
+            feas, maps = self._feasible(a, slots)
             if feas.is_empty():
                 continue
             x = self.point_in(feas)

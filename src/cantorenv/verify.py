@@ -62,6 +62,8 @@ def isomorphism_suite(
     """Exercise the reindexing on random elements: homomorphism, involution,
     inversion, corners, shifts and the counting norm, all exactly.
     """
+    if level is not None:
+        a = a.stage(level)
     sampler = Sampler(seed)
     failures: list[str] = []
     checked = 0
@@ -73,38 +75,38 @@ def isomorphism_suite(
             failures.append(msg)
 
     for _ in range(trials):
-        f = sampler.groupoid_function(a, max_index, depth, level=level)
-        g = sampler.groupoid_function(a, max_index, depth, level=level)
-        h = sampler.groupoid_function(a, max_index, depth, level=level)
+        f = sampler.groupoid_function(a, max_index, depth)
+        g = sampler.groupoid_function(a, max_index, depth)
+        h = sampler.groupoid_function(a, max_index, depth)
         kf, kg = to_kernel(f), to_kernel(g)
-        fg = convolve(f, g, a, level)
+        fg = convolve(f, g, a)
 
         expect(
-            to_kernel(fg) == kernel_multiply(kf, kg, a, level),
+            to_kernel(fg) == kernel_multiply(kf, kg, a),
             f"products disagree for f={f} and g={g}",
         )
         expect(
-            to_kernel(adjoint(f, a, level)) == kernel_adjoint(kf, a, level),
+            to_kernel(adjoint(f, a)) == kernel_adjoint(kf, a),
             f"adjoints disagree for f={f}",
         )
         expect(from_kernel(kf) == f, f"reindexing does not invert on {f}")
         expect(
-            adjoint(adjoint(f, a, level), a, level) == f,
+            adjoint(adjoint(f, a), a) == f,
             f"double adjoint moved {f}",
         )
         expect(
-            adjoint(fg, a, level)
-            == convolve(adjoint(g, a, level), adjoint(f, a, level), a, level),
+            adjoint(fg, a)
+            == convolve(adjoint(g, a), adjoint(f, a), a),
             f"(fg)* != g*f* for f={f}, g={g}",
         )
         expect(
-            convolve(fg, h, a, level) == convolve(f, convolve(g, h, a, level), a, level),
+            convolve(fg, h, a) == convolve(f, convolve(g, h, a), a),
             f"block product not associative on f={f}, g={g}, h={h}",
         )
         kh = to_kernel(h)
         expect(
-            kernel_multiply(kernel_multiply(kf, kg, a, level), kh, a, level)
-            == kernel_multiply(kf, kernel_multiply(kg, kh, a, level), a, level),
+            kernel_multiply(kernel_multiply(kf, kg, a), kh, a)
+            == kernel_multiply(kf, kernel_multiply(kg, kh, a), a),
             "kernel product not associative",
         )
 
@@ -123,8 +125,8 @@ def isomorphism_suite(
 
         for t in (-1, 0, 1):
             c1, c2 = corner(kf, t, t), corner(kg, t, t)
-            p12 = kernel_multiply(c1, c2, a, level)
-            p21 = kernel_multiply(c2, c1, a, level)
+            p12 = kernel_multiply(c1, c2, a)
+            p21 = kernel_multiply(c2, c1, a)
             expect(p12 == p21, f"diagonal corners at {t} do not commute")
             expect(
                 p12.indices in ((), ((t, t),)),
@@ -137,15 +139,15 @@ def isomorphism_suite(
 
         for t in (-2, 1):
             expect(
-                shift_kernel(kernel_multiply(kf, kg, a, level), t)
+                shift_kernel(kernel_multiply(kf, kg, a), t)
                 == kernel_multiply(
-                    shift_kernel(kf, t), shift_kernel(kg, t), a, level
+                    shift_kernel(kf, t), shift_kernel(kg, t), a
                 ),
                 f"slot shift by {t} is not multiplicative",
             )
             expect(
-                shift_kernel(kernel_adjoint(kf, a, level), t)
-                == kernel_adjoint(shift_kernel(kf, t), a, level),
+                shift_kernel(kernel_adjoint(kf, a), t)
+                == kernel_adjoint(shift_kernel(kf, t), a),
                 f"slot shift by {t} does not respect the adjoint",
             )
             expect(
@@ -169,11 +171,10 @@ def equivariance_sign(
     The sign is fixed by the first sampled element that distinguishes the
     two candidates, then enforced across every sample and every |t| bound.
     """
+    if level is not None:
+        a = a.stage(level)
     sampler = Sampler(seed)
-    samples = [
-        sampler.groupoid_function(a, max_index, depth, level=level)
-        for _ in range(trials)
-    ]
+    samples = [sampler.groupoid_function(a, max_index, depth) for _ in range(trials)]
     eps = None
     for f in samples:
         for t in range(1, max_t + 1):

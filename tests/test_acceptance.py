@@ -18,7 +18,6 @@ from cantorenv.envelope import (
     groupoid_probe,
     hausdorff_decide,
     nonseparable_pair,
-    quotient_decomposition,
     related,
 )
 from cantorenv.cantor import Point, common_prefix_length
@@ -80,10 +79,10 @@ def test_criterion_1_axioms():
         sampler = Sampler(seed=101)
         for _ in range(50):
             a = ZPartialAction(sampler.prefix_map())
-            rep = axioms_check(generated_family(a, 4, None))
+            rep = axioms_check(generated_family(a, 4))
             assert rep.ok, rep.violations[:2]
         for k in range(4):
-            rep = axioms_check(generated_family(ODO, 4, level=k))
+            rep = axioms_check(generated_family(ODO.stage(k), 4))
             assert rep.ok, rep.violations[:2]
 
 
@@ -107,26 +106,26 @@ def test_criterion_2_hausdorff_decision():
 
         pair = nonseparable_pair(ODO, -1, depth=8)
         for k in range(9):
-            assert not related(ODO, pair.first, pair.second, level=k)
+            assert not related(ODO.stage(k), pair.first, pair.second)
         for j, (xj, yj) in enumerate(pair.approach):
-            assert related(ODO, GermPair(pair.first.index, xj),
-                           GermPair(pair.second.index, yj), level=8)
+            assert related(ODO.stage(8), GermPair(pair.first.index, xj),
+                           GermPair(pair.second.index, yj))
             assert common_prefix_length(xj, pair.first.point, j) == j
             assert common_prefix_length(yj, pair.second.point, j) == j
 
 
 def test_criterion_3_etale_and_groupoid():
     with criterion(3, "etale opens and groupoid laws"):
-        for a, lv in ((FLIP, None), (ODO, 1)):
+        for a in (FLIP, ODO.stage(1)):
             for t in range(-3, 4):
                 for s in range(-3, 4):
-                    base = a.domain(germ_index(t, s), lv)
+                    base = a.domain(germ_index(t, s))
                     if base.is_empty():
                         continue
-                    rep = etale_probe(a, t, s, base, level=lv)
+                    rep = etale_probe(a, t, s, base)
                     assert rep.ok, (t, s, rep.violations[:1])
-        triples = Sampler(seed=303).arrow_triples(ODO, 1000, level=1)
-        rep = groupoid_probe(ODO, triples, level=1)
+        triples = Sampler(seed=303).arrow_triples(ODO.stage(1), 1000)
+        rep = groupoid_probe(ODO.stage(1), triples)
         assert rep.ok and rep.checked == 1000
 
 
@@ -136,26 +135,26 @@ def test_criterion_4_filtration_witnesses():
         for _ in range(100):
             r, x, s, y, top = sampler.enumeration_instance(max_index=4,
                                                            max_desc=8)
-            K = inclusion_witness(ODOMETER, r, x, s, y)
+            K = inclusion_witness(ODO, r, x, s, y)
             assert K <= top + 1
-            assert related(ODO, GermPair(r, x), GermPair(s, y), level=K)
+            assert related(ODO.stage(K), GermPair(r, x), GermPair(s, y))
         for k in range(4):
             for n in range(4):
-                d1 = adapted_depth(ODO.at_level(k), n)
-                d2 = max(d1, adapted_depth(ODO.at_level(k + 1), n + 1))
-                rep = inclusion_probe(ODOMETER, (k, n, d1),
+                d1 = adapted_depth(ODO.stage(k), n)
+                d2 = max(d1, adapted_depth(ODO.stage(k + 1), n + 1))
+                rep = inclusion_probe(ODO, (k, n, d1),
                                       (k + 1, n + 1, d2))
                 assert rep.ok, (k, n, rep.violations[:1])
 
 
 def test_criterion_5_partitions_match_brute_force():
     with criterion(5, "cell partitions against brute force"):
-        part = quotient_decomposition(FLIP, 1, 1)
+        part = cell_partition(FLIP, 1, 1)
         assert len(part.units) == 6
         assert sorted(part.sizes) == [1, 1, 2, 2]
         assert part.classes == brute_partition([("0", "1")], 1, 1)
         for k in range(4):
-            ak = ODO.at_level(k)
+            ak = ODO.stage(k)
             rules = [ODOMETER.rule(i) for i in range(k + 1)]
             for n in range(4):
                 d = adapted_depth(ak, n)
@@ -166,8 +165,8 @@ def test_criterion_5_partitions_match_brute_force():
 
 def test_criterion_6_bratteli_diagram():
     with criterion(6, "leveled diagram build and deterministic export"):
-        sched = default_schedule(ODOMETER, 4)
-        diag = bratteli_build(ODOMETER, sched)
+        sched = default_schedule(ODO, 4)
+        diag = bratteli_build(ODO, sched)
         # the builder enforces the counting identity; re-check it here
         for prev, cur in zip(diag.levels, diag.levels[1:]):
             for j, (_, size, fresh) in enumerate(cur.vertices):
@@ -175,7 +174,7 @@ def test_criterion_6_bratteli_diagram():
                              for (m, i, jj, mult) in diag.edges
                              if m == prev.m and jj == j)
                 assert size == inflow + fresh
-        again = bratteli_build(ODOMETER, sched)
+        again = bratteli_build(ODO, sched)
         assert diagram_to_json(diag) == diagram_to_json(again)
         assert diagram_to_dot(diag) == diagram_to_dot(again)
         assert diagram_to_json(diag).encode() == diagram_to_json(again).encode()

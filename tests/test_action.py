@@ -17,7 +17,7 @@ from cantorenv.action import (
 from cantorenv.cantor import ClopenSet, Point
 from cantorenv.errors import LevelRequired, NotInDomain, ParseError, SupportViolation
 from cantorenv.functions import Scalar, indicator
-from cantorenv.prefix_map import IDENTITY, ODOMETER, PrefixMap
+from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
 
 from oracles import FLIP_RULES, odometer_rules, transport, words
@@ -44,10 +44,10 @@ class TestZPartialAction:
         a = ZPartialAction(ODOMETER)
         with pytest.raises(LevelRequired):
             a.h(1)
-        assert a.h(1, level=0).rules == (("0", "1"),)
+        assert a.stage(0).h(1).rules == (("0", "1"),)
 
     def test_at_level_freezes_truncation(self):
-        a = ZPartialAction(ODOMETER).at_level(1)
+        a = ZPartialAction(ODOMETER).stage(1)
         assert a.clopen
         assert {u: v for u, v in a.h(1).rules} == {"0": "1", "10": "01"}
 
@@ -58,9 +58,9 @@ class TestZPartialAction:
     def test_negative_powers_invert(self):
         a = ZPartialAction(ODOMETER)
         x = Point.parse("10(0)")
-        y = a.apply(2, x, level=1)
+        y = a.stage(1).apply(2, x)
         assert y == Point.parse("11(0)")
-        assert a.apply(-2, y, level=1) == x
+        assert a.stage(1).apply(-2, y) == x
 
     def test_apply_outside_domain(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
@@ -70,10 +70,39 @@ class TestZPartialAction:
     def test_counts_schedule_controls_levels(self):
         # counts (1, 3): stage 0 uses rule 0 only, stage 1 uses rules 0..2
         a = ZPartialAction(ODOMETER, counts=(1, 3))
-        assert a.h(1, level=0).rules == (("0", "1"),)
-        assert len(a.h(1, level=1).rules) == 3
+        assert a.stage(0).h(1).rules == (("0", "1"),)
+        assert len(a.stage(1).h(1).rules) == 3
         with pytest.raises(LevelRequired):
-            a.h(1, level=2)
+            a.stage(2).h(1)
+
+    def test_stages_are_cached_per_rule_count(self):
+        a = ZPartialAction(ODOMETER, counts=(1, 1, 4))
+        assert a.stage(0) is a.stage(1)
+        assert a.stage(2) is a.stage(2) and a.stage(2) is not a.stage(1)
+        assert [a.count(k) for k in range(3)] == [1, 1, 4]
+        flip = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        assert flip.stage(3) is flip
+
+    def test_negative_stage_is_rejected(self):
+        for a in (ZPartialAction(ODOMETER), ZPartialAction(PrefixMap.parse("[0 -> 1]"))):
+            with pytest.raises(LevelRequired):
+                a.stage(-1)
+
+    def test_enumeration_acts_only_through_stages(self):
+        a = ZPartialAction(ODOMETER)
+        assert a.h(0) == IDENTITY and a.domain(0) == ClopenSet.parse("{ε}")
+        with pytest.raises(LevelRequired):
+            a.domain(-1)
+        with pytest.raises(LevelRequired):
+            a.apply(1, Point.parse("(0)"))
+
+    def test_invalid_generator_is_rejected(self):
+        # overlapping sources: the map is not injective-open, so no action
+        bad = PrefixMap.parse("[0->1, 00->0]")
+        with pytest.raises(ParseError, match="sources not prefix-free"):
+            ZPartialAction(bad)
+        with pytest.raises(ParseError, match="no rules"):
+            ZPartialAction(GeneratedMap("rules", ()))
 
     def test_counts_must_be_nondecreasing(self):
         with pytest.raises(ParseError):
@@ -89,13 +118,13 @@ class TestZPartialAction:
         depth = (k + 1) * max(1, abs(t))
         for w in words(depth):
             want = transport(rules, t, w)
-            got_dom = a.domain(-t, level=k).contains_word(w)
+            got_dom = a.stage(k).domain(-t).contains_word(w)
             if want is None:
                 # the whole cylinder cannot sit inside the domain
                 assert not got_dom or transport(rules, t, w) is not None
             else:
                 assert got_dom
-                assert a.apply(t, Point(w, "0"), level=k).unroll(depth) == want
+                assert a.stage(k).apply(t, Point(w, "0")).unroll(depth) == want
 
 
 class TestAxioms:
@@ -105,18 +134,18 @@ class TestAxioms:
 
     def test_flip_family_passes(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
-        rep = axioms_check(generated_family(a, 3, None))
+        rep = axioms_check(generated_family(a, 3))
         assert rep.ok
 
     def test_odometer_truncations_pass(self):
         a = ZPartialAction(ODOMETER)
         for k in range(3):
-            rep = axioms_check(generated_family(a, 4, level=k))
+            rep = axioms_check(generated_family(a.stage(k), 4))
             assert rep.ok, rep.violations[:2]
 
     def test_wrong_base_set_is_reported(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
-        fam = generated_family(a, 2, None)
+        fam = generated_family(a, 2)
         fam[0] = (ClopenSet.parse("{0}"), IDENTITY)
         rep = axioms_check(fam)
         assert not rep.ok
@@ -124,7 +153,7 @@ class TestAxioms:
 
     def test_wrong_power_is_reported(self):
         a = ZPartialAction(ODOMETER)
-        fam = generated_family(a, 2, level=1)
+        fam = generated_family(a.stage(1), 2)
         x2, _ = fam[2]
         fam[2] = (x2, PrefixMap((("00", "00"), ("10", "10"))))
         rep = axioms_check(fam)
@@ -140,7 +169,7 @@ class TestAxioms:
     @settings(max_examples=30, deadline=None)
     def test_random_prefix_maps_satisfy_axioms(self, seed):
         m = Sampler(seed).prefix_map()
-        rep = axioms_check(generated_family(ZPartialAction(m), 3, None))
+        rep = axioms_check(generated_family(ZPartialAction(m), 3))
         assert rep.ok, rep.violations[:2]
 
 
@@ -149,11 +178,11 @@ class TestPullback:
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
         f = indicator(ClopenSet.parse("{0}"), Scalar(3))
         # f lives on X_{-1} = [0]; pulled back along h_{-1} it sits on X_1
-        g = pullback(f, a, 1, None)
+        g = pullback(f, a, 1)
         assert g == indicator(ClopenSet.parse("{1}"), Scalar(3))
 
     def test_rejects_support_outside_domain(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
         f = indicator(ClopenSet.parse("{1}"))
         with pytest.raises(SupportViolation):
-            pullback(f, a, 1, None)
+            pullback(f, a, 1)

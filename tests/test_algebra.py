@@ -34,7 +34,7 @@ from cantorenv.prefix_map import ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
 
 FLIP = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
-ODO1 = ZPartialAction(ODOMETER).at_level(1)
+ODO1 = ZPartialAction(ODOMETER).stage(1)
 
 ONE_0 = indicator(ClopenSet.parse("{0}"))
 ONE_1 = indicator(ClopenSet.parse("{1}"))

@@ -195,6 +195,47 @@ class TestCommands:
         assert code == 0 and out["ok"] is True
 
 
+class TestRejections:
+    @pytest.mark.parametrize("argv", [
+        ("related", "--p", "1:(0)", "--q", "0:1(0)"),
+        ("quotient", "--bound", "1", "--depth", "2"),
+        ("filtrate", "--bound", "1", "--depth", "2"),
+    ])
+    def test_negative_level(self, sysfile, capsys, argv):
+        code, out = run(capsys, argv[0], sysfile(ODOMETER_DEF), *argv[1:],
+                        "--level", "-1")
+        assert code == 1 and "stage" in out["error"]
+
+    @pytest.mark.parametrize("system, argv", [
+        (ODOMETER_DEF, ("validate", "--bound", "-1")),
+        (ODOMETER_DEF, ("axioms", "--bound", "-1")),
+        (ODOMETER_DEF, ("hausdorff", "--depth", "-1")),
+        (FLIP_DEF, ("hausdorff", "--bound", "-1")),
+        (FLIP_DEF, ("quotient", "--bound", "-1")),
+        (ODOMETER_DEF, ("filtrate", "--p", "2:(0)", "--q", "0:01(0)",
+                        "--cap", "-1")),
+        (FLIP_DEF, ("bratteli", "--levels", "0")),
+        (FLIP_DEF, ("verify-psi", "--trials", "0")),
+    ])
+    def test_degenerate_numbers(self, sysfile, capsys, system, argv):
+        code, out = run(capsys, argv[0], sysfile(system), *argv[1:])
+        assert code == 1 and "must be >=" in out["error"]
+
+    def test_degenerate_default(self, sysfile, capsys):
+        withdef = {**FLIP_DEF, "defaults": {"bound": -1}}
+        code, out = run(capsys, "quotient", sysfile(withdef))
+        assert code == 1 and "--bound" in out["error"]
+
+    def test_invalid_generator_outside_the_checks(self, sysfile, capsys):
+        bad = {"name": "x", "generator": {"kind": "rules",
+                                          "rules": [["0", "1"], ["00", "0"]],
+                                          "exhausts": "clopen"}}
+        code, out = run(capsys, "quotient", sysfile(bad), "--bound", "1")
+        assert code == 1 and "prefix-free" in out["error"]
+        code, out = run(capsys, "hausdorff", sysfile(bad))
+        assert code == 2 and out["ok"] is False
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -15,11 +15,11 @@ from cantorenv.envelope import (
     hausdorff_decide,
     invert_element,
     nonseparable_pair,
-    quotient_decomposition,
     related,
     symmetry_transitivity_probe,
 )
 from cantorenv.action import ZPartialAction, germ_index
+from cantorenv.cells import cell_partition
 from cantorenv.errors import (
     BaseNotInDomain,
     LevelRequired,
@@ -37,10 +37,10 @@ ODO = ZPartialAction(ODOMETER)
 
 class TestRelated:
     def test_odometer_examples(self):
-        assert related(ODO, GermPair(1, Point.parse("(0)")),
-                       GermPair(0, Point.parse("1(0)")), level=0)
-        assert not related(ODO, GermPair(0, Point.parse("(0)")),
-                           GermPair(1, Point.parse("(0)")), level=0)
+        assert related(ODO.stage(0), GermPair(1, Point.parse("(0)")),
+                       GermPair(0, Point.parse("1(0)")))
+        assert not related(ODO.stage(0), GermPair(0, Point.parse("(0)")),
+                           GermPair(1, Point.parse("(0)")))
 
     def test_same_slot_means_equal_points(self):
         x = Point.parse("01(0)")
@@ -50,15 +50,15 @@ class TestRelated:
     def test_relation_grows_with_level(self):
         p = GermPair(2, Point.parse("(0)"))
         q = GermPair(0, Point.parse("01(0)"))
-        assert not related(ODO, p, q, level=0)
-        assert related(ODO, p, q, level=1)
+        assert not related(ODO.stage(0), p, q)
+        assert related(ODO.stage(1), p, q)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_probe_finds_no_defect(self, seed):
         s = Sampler(seed)
-        triples = [s.related_triple(ODO, level=2) for _ in range(5)]
-        assert symmetry_transitivity_probe(ODO, triples, level=2).ok
+        triples = [s.related_triple(ODO.stage(2)) for _ in range(5)]
+        assert symmetry_transitivity_probe(ODO.stage(2), triples).ok
 
     def test_probe_str_output(self):
         assert str(GermPair(1, Point.parse("(0)"))) == "[1, (0)]"
@@ -112,11 +112,11 @@ class TestNonSeparablePair:
         assert (first.index, second.index) == (1, 0)
         # never related at any truncation we can afford to try
         for k in range(6):
-            assert not related(ODO, first, second, level=k)
+            assert not related(ODO.stage(k), first, second)
         # the approach converges to the pair and is related all the way
         for j, (xj, yj) in enumerate(pair.approach):
-            assert related(ODO, GermPair(first.index, xj),
-                           GermPair(second.index, yj), level=8)
+            assert related(ODO.stage(8), GermPair(first.index, xj),
+                           GermPair(second.index, yj))
             assert common_prefix_length(xj, first.point, j) == j
             assert common_prefix_length(yj, second.point, j) == j
 
@@ -124,7 +124,7 @@ class TestNonSeparablePair:
         pair = nonseparable_pair(ODO, 1, depth=6)
         assert (pair.first.index, pair.second.index) == (-1, 0)
         for k in range(5):
-            assert not related(ODO, pair.first, pair.second, level=k)
+            assert not related(ODO.stage(k), pair.first, pair.second)
 
     def test_clopen_action_has_no_witness(self):
         with pytest.raises(NoWitness):
@@ -151,13 +151,13 @@ class TestEtale:
             etale_probe(FLIP, 1, 0, ClopenSet.parse("{1}"))
 
     def test_all_small_opens(self):
-        for a, lv in ((FLIP, None), (ODO, 1)):
+        for a in (FLIP, ODO.stage(1)):
             for t in range(-2, 3):
                 for s in range(-2, 3):
-                    base = a.domain(germ_index(t, s), lv)
+                    base = a.domain(germ_index(t, s))
                     if base.is_empty():
                         continue
-                    assert etale_probe(a, t, s, base, level=lv).ok
+                    assert etale_probe(a, t, s, base).ok
 
 
 class TestArrows:
@@ -165,35 +165,35 @@ class TestArrows:
         # (x, 2, 1) then (h_1 x, 1, 0) composes to (x, 2, 0)
         x = Point.parse("00(0)")
         z1 = GroupoidElement(x, 2, 1)
-        hx = ODO.apply(1, x, level=1)
+        hx = ODO.stage(1).apply(1, x)
         z2 = GroupoidElement(hx, 1, 0)
-        assert element_valid(ODO, z1, level=1)
-        assert composable(ODO, z1, z2, level=1)
-        z = compose_elements(ODO, z1, z2, level=1)
+        assert element_valid(ODO.stage(1), z1)
+        assert composable(ODO.stage(1), z1, z2)
+        z = compose_elements(ODO.stage(1), z1, z2)
         assert z == GroupoidElement(x, 2, 0)
-        zi = invert_element(ODO, z1, level=1)
+        zi = invert_element(ODO.stage(1), z1)
         assert zi == GroupoidElement(hx, 1, 2)
 
     def test_mismatched_slots_do_not_compose(self):
         x = Point.parse("00(0)")
         z1 = GroupoidElement(x, 2, 1)
         z3 = GroupoidElement(x, 0, 1)
-        assert not composable(ODO, z1, z3, level=1)
+        assert not composable(ODO.stage(1), z1, z3)
         with pytest.raises(NotInDomain):
-            compose_elements(ODO, z1, z3, level=1)
+            compose_elements(ODO.stage(1), z1, z3)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_probe_on_sampled_arrows(self, seed):
-        triples = Sampler(seed).arrow_triples(ODO, 25, level=1)
-        rep = groupoid_probe(ODO, triples, level=1)
+        triples = Sampler(seed).arrow_triples(ODO.stage(1), 25)
+        rep = groupoid_probe(ODO.stage(1), triples)
         assert rep.ok, rep.violations[:2]
         assert rep.checked == 25
 
 
 class TestQuotient:
     def test_flip_quotient_classes(self):
-        part = quotient_decomposition(FLIP, 1, 1)
+        part = cell_partition(FLIP, 1, 1)
         assert part.classes == (
             ((-1, "0"),),
             ((-1, "1"), (0, "0")),
@@ -203,8 +203,8 @@ class TestQuotient:
 
     def test_generated_map_needs_truncation_first(self):
         with pytest.raises(LevelRequired):
-            quotient_decomposition(ODO, 1, 1)
+            cell_partition(ODO, 1, 1)
 
     def test_truncated_quotient_works(self):
-        part = quotient_decomposition(ODO.at_level(1), 2, 2)
+        part = cell_partition(ODO.stage(1), 2, 2)
         assert sorted(part.sizes) == [1, 1, 2, 2, 3, 3, 4, 4]

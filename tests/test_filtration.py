@@ -24,7 +24,6 @@ from cantorenv.filtration import (
     export,
     inclusion_probe,
     inclusion_witness,
-    restrict,
     truncated_relation,
 )
 from cantorenv.action import ZPartialAction
@@ -34,6 +33,8 @@ from cantorenv.prefix_map import ODOMETER, GeneratedMap
 from cantorenv.sampling import Sampler
 
 from oracles import brute_partition, odometer_rules
+
+ODO = ZPartialAction(ODOMETER)
 
 
 class TestExhaustion:
@@ -49,7 +50,7 @@ class TestExhaustion:
     def test_custom_counts(self):
         ex = Exhaustion(ODOMETER, (1, 1, 4))
         assert ex.count(1) == 1
-        assert len(ex.level_map(2).rules) == 4
+        assert len(ex.stage(2).generator.rules) == 4
         with pytest.raises(LevelRequired):
             ex.count(3)
 
@@ -62,34 +63,34 @@ class TestExhaustion:
     def test_union_sets_are_nested(self):
         ex = Exhaustion(ODOMETER)
         for k in range(4):
-            assert ex.union_set(k).subset_of(ex.union_set(k + 1))
+            assert ex.stage(k).domain(-1).subset_of(ex.stage(k + 1).domain(-1))
 
     def test_restrict_gives_clopen_action(self):
-        a = restrict(ODOMETER, 1)
+        a = ZPartialAction(ODOMETER).stage(1)
         assert a.clopen
         assert {u: v for u, v in a.h(1).rules} == {"0": "1", "10": "01"}
 
 
 class TestInclusionWitness:
     def test_documented_instance(self):
-        K = inclusion_witness(ODOMETER, 2, Point.parse("(0)"), 0,
+        K = inclusion_witness(ODO, 2, Point.parse("(0)"), 0,
                               Point.parse("01(0)"))
         assert K == 1
 
     def test_deeper_carry_needs_later_stage(self):
         # moving 1110(0) forward uses carry rule 3
-        K = inclusion_witness(ODOMETER, 1, Point.parse("1110(0)"), 0,
+        K = inclusion_witness(ODO, 1, Point.parse("1110(0)"), 0,
                               Point.parse("0001(0)"))
         assert K == 3
 
     def test_cap_is_respected(self):
         with pytest.raises(CapExceeded):
-            inclusion_witness(ODOMETER, 1, Point.parse("1110(0)"), 0,
+            inclusion_witness(ODO, 1, Point.parse("1110(0)"), 0,
                               Point.parse("0001(0)"), cap=2)
 
     def test_unrelated_pair_raises(self):
         with pytest.raises(NotInDomain):
-            inclusion_witness(ODOMETER, 1, Point.parse("(0)"), 0,
+            inclusion_witness(ODO, 1, Point.parse("(0)"), 0,
                               Point.parse("(0)"))
 
     def test_custom_schedule_shifts_the_stage(self):
@@ -102,26 +103,26 @@ class TestInclusionWitness:
     @settings(max_examples=30, deadline=None)
     def test_random_instances_verify_at_stage(self, seed):
         r, x, s, y, top = Sampler(seed).enumeration_instance()
-        K = inclusion_witness(ODOMETER, r, x, s, y)
+        K = inclusion_witness(ODO, r, x, s, y)
         assert K <= top + 1
         a = ZPartialAction(ODOMETER)
-        assert related(a, GermPair(r, x), GermPair(s, y), level=K)
+        assert related(a.stage(K), GermPair(r, x), GermPair(s, y))
 
 
 class TestTruncatedRelation:
     def test_shape_and_json(self):
-        tr = truncated_relation(ODOMETER, 1, 2, 2)
+        tr = truncated_relation(ODO, 1, 2, 2)
         assert (tr.k, tr.n, tr.d) == (1, 2, 2)
         assert len(tr.classes) == 8
         out = tr.to_json()
         assert out["k"] == 1 and len(out["classes"]) == 8
 
     def test_matches_brute_force(self):
-        tr = truncated_relation(ODOMETER, 1, 2, 2)
+        tr = truncated_relation(ODO, 1, 2, 2)
         assert tr.classes == brute_partition(odometer_rules(1), 2, 2)
 
     def test_related_units(self):
-        tr = truncated_relation(ODOMETER, 1, 2, 2)
+        tr = truncated_relation(ODO, 1, 2, 2)
         assert tr.related_units((0, "00"), (-1, "10"))
         assert not tr.related_units((0, "00"), (0, "01"))
 
@@ -129,22 +130,22 @@ class TestTruncatedRelation:
         for k in range(3):
             for n in range(3):
                 a = ZPartialAction(ODOMETER)
-                d1 = adapted_depth(a.at_level(k), n)
-                d2 = max(d1, adapted_depth(a.at_level(k + 1), n + 1))
-                rep = inclusion_probe(ODOMETER, (k, n, d1), (k + 1, n + 1, d2))
+                d1 = adapted_depth(a.stage(k), n)
+                d2 = max(d1, adapted_depth(a.stage(k + 1), n + 1))
+                rep = inclusion_probe(ODO, (k, n, d1), (k + 1, n + 1, d2))
                 assert rep.ok, rep.violations[:1]
 
     def test_probe_rejects_non_refining_stages(self):
         with pytest.raises(ParseError):
-            inclusion_probe(ODOMETER, (2, 2, 2), (1, 3, 3))
+            inclusion_probe(ODO, (2, 2, 2), (1, 3, 3))
 
 
 class TestBratteli:
     def test_default_schedule(self):
-        assert default_schedule(ODOMETER, 3) == ((0, 1, 1), (1, 2, 2), (2, 3, 3))
+        assert default_schedule(ODO, 3) == ((0, 1, 1), (1, 2, 2), (2, 3, 3))
 
     def test_vertex_sizes_and_dimension_identity(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 3))
+        diag = bratteli_build(ODO, default_schedule(ODO, 3))
         for prev, cur in zip(diag.levels, diag.levels[1:]):
             for j, vert in enumerate(cur.vertices):
                 _, size, fresh = vert
@@ -156,24 +157,24 @@ class TestBratteli:
                 assert size == inflow + fresh
 
     def test_level_zero_is_all_fresh(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 2))
+        diag = bratteli_build(ODO, default_schedule(ODO, 2))
         for _, size, fresh in diag.levels[0].vertices:
             assert size == fresh
 
     def test_schedule_must_be_nondecreasing(self):
         with pytest.raises(ParseError):
-            bratteli_build(ODOMETER, ((1, 2, 2), (0, 3, 3)))
+            bratteli_build(ODO, ((1, 2, 2), (0, 3, 3)))
 
     def test_json_roundtrip_and_determinism(self):
-        sched = default_schedule(ODOMETER, 4)
-        one = diagram_to_json(bratteli_build(ODOMETER, sched))
-        two = diagram_to_json(bratteli_build(ODOMETER, sched))
+        sched = default_schedule(ODO, 4)
+        one = diagram_to_json(bratteli_build(ODO, sched))
+        two = diagram_to_json(bratteli_build(ODO, sched))
         assert one == two
         back = diagram_from_json(one)
         assert diagram_to_json(back) == one
 
     def test_json_schema(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 2))
+        diag = bratteli_build(ODO, default_schedule(ODO, 2))
         obj = json.loads(diagram_to_json(diag))
         assert set(obj) == {"levels", "edges"}
         lv = obj["levels"][0]
@@ -184,33 +185,33 @@ class TestBratteli:
         assert set(e) == {"from", "to", "mult"}
 
     def test_from_json_rejects_unknown_keys(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 2))
+        diag = bratteli_build(ODO, default_schedule(ODO, 2))
         obj = json.loads(diagram_to_json(diag))
         obj["extra"] = 1
         with pytest.raises(ParseError):
             diagram_from_json(json.dumps(obj))
 
     def test_from_json_rejects_bad_edge_levels(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 2))
+        diag = bratteli_build(ODO, default_schedule(ODO, 2))
         obj = json.loads(diagram_to_json(diag))
         obj["edges"][0]["to"][0] = 5
         with pytest.raises(ParseError):
             diagram_from_json(json.dumps(obj))
 
     def test_dot_output(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 2))
+        diag = bratteli_build(ODO, default_schedule(ODO, 2))
         dot = diagram_to_dot(diag)
         assert dot.startswith("digraph")
         assert "L0_0" in dot and "rank=same" in dot
         assert dot == export(diag, "dot")
 
     def test_export_rejects_unknown_format(self):
-        diag = bratteli_build(ODOMETER, default_schedule(ODOMETER, 1))
+        diag = bratteli_build(ODO, default_schedule(ODO, 1))
         with pytest.raises(ParseError):
             export(diag, "svg")
 
     def test_finite_enumeration_diagram(self):
-        g = GeneratedMap("rules", (("0", "1"),))
+        g = ZPartialAction(GeneratedMap("rules", (("0", "1"),)))
         diag = bratteli_build(g, default_schedule(g, 2))
         assert len(diag.levels) == 2
         assert [v[1] for v in diag.levels[0].vertices] == [1, 2, 2, 1]

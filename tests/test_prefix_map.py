@@ -11,8 +11,8 @@ from cantorenv.prefix_map import (
     GeneratedMap,
     PrefixMap,
     compose,
-    power,
 )
+from cantorenv.action import ZPartialAction
 from cantorenv.sampling import Sampler
 
 from oracles import odometer_rules, step, transport, value, words
@@ -94,11 +94,11 @@ class TestCompose:
     def test_level_one_odometer_powers(self):
         # expected word maps derived by stepping the carry rules directly
         m = ODOMETER.truncation(1)
-        h2 = power(m, 2)
+        h2 = ZPartialAction(m).h(2)
         assert {u: v for u, v in h2.rules} == {"00": "01", "10": "11"}
-        h3 = power(m, 3)
+        h3 = ZPartialAction(m).h(3)
         assert {u: v for u, v in h3.rules} == {"00": "11"}
-        assert power(m, 4).rules == ()
+        assert ZPartialAction(m).h(4).rules == ()
         # X_{-2} = dom(h_2)
         assert h2.domain() == ClopenSet.parse("{00,10}")
         assert h2.image() == ClopenSet.parse("{01,11}")

@@ -41,25 +41,25 @@ def test_point_in_lands_inside(seed):
 @settings(max_examples=25, deadline=None)
 def test_groupoid_functions_satisfy_support_constraints(seed):
     s = Sampler(seed)
-    f = s.groupoid_function(ODO, level=1)
-    validate_blocks(f, ODO, level=1)
+    f = s.groupoid_function(ODO.stage(1))
+    validate_blocks(f, ODO.stage(1))
 
 
 @given(seed=seeds)
 @settings(max_examples=20, deadline=None)
 def test_arrow_triples_chain(seed):
-    for z1, z2, z3 in Sampler(seed).arrow_triples(ODO, 5, level=1):
-        assert element_valid(ODO, z1, level=1)
-        assert composable(ODO, z1, z2, level=1)
-        assert composable(ODO, z2, z3, level=1)
+    for z1, z2, z3 in Sampler(seed).arrow_triples(ODO.stage(1), 5):
+        assert element_valid(ODO.stage(1), z1)
+        assert composable(ODO.stage(1), z1, z2)
+        assert composable(ODO.stage(1), z2, z3)
 
 
 @given(seed=seeds)
 @settings(max_examples=20, deadline=None)
 def test_related_triples_lie_in_domains(seed):
-    p, q, r = Sampler(seed).related_triple(ODO, level=2)
+    p, q, r = Sampler(seed).related_triple(ODO.stage(2))
     for g in (p, q, r):
-        assert related(ODO, g, g, level=2)
+        assert related(ODO.stage(2), g, g)
 
 
 def test_same_seed_same_stream():
