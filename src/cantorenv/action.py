@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import FULL, ClopenSet, Point, extensions
+from .cantor import ClopenSet, Point, extensions
 from .errors import LevelRequired, ParseError, SupportViolation
 from .functions import PiecewiseConstant, compose_with_map
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
@@ -245,7 +245,3 @@ def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConsta
         )
     return compose_with_map(f, a.h(-t))
 
-
-def identity_family(bound: int) -> dict:
-    """The trivial action where every h_t is the identity on everything."""
-    return {t: (FULL, IDENTITY) for t in range(-bound, bound + 1)}

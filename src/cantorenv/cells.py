@@ -3,44 +3,21 @@
 At a depth d that is *adapted* -- deep enough that every map h_t in play
 sends depth-d cylinders onto depth-d cylinders and every domain X_t is a
 union of depth-d cylinders -- the relation on pairs (t, x) collapses to a
-finite relation on pairs (t, w) with w a word of length d.  Everything
-downstream (quotients, truncations, diagram levels) runs on these cells.
+finite relation on cells (t, w) with w a word of length d.  The gluing set
+of (r, w) is the cell itself plus each (s, h_{r-s}[w]) with [w] inside
+dom(h_{r-s}); at adapted depth that one-step gluing is an equivalence, so
+each class is the gluing set of any of its members.  Everything downstream
+(quotients, truncations, diagram levels) runs on these cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .action import ZPartialAction, germ_index, transport_index
+from .action import ZPartialAction, transport_index
 from .cantor import extensions
-from .errors import DepthTooSmall, EngineError, NotInDomain, NotStabilized
+from .errors import DepthTooSmall, EngineError, NotStabilized
 from .prefix_map import PrefixMap
-
-
-class UnionFind:
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:  # path compression
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[ry] = rx
-
-    def classes(self):
-        buckets: dict = {}
-        for x in self._parent:
-            buckets.setdefault(self.find(x), []).append(x)
-        return tuple(
-            sorted(tuple(sorted(members)) for members in buckets.values())
-        )
 
 
 def adapted_depth(a: ZPartialAction, n: int) -> int:
@@ -49,7 +26,9 @@ def adapted_depth(a: ZPartialAction, n: int) -> int:
     Pairs with slots in [-n, n] are transported by maps h_t with |t| up to
     2n, so those are the maps that must act cell-to-cell.  A rule that
     changes word length shifts cylinder depth on every application and no
-    uniform depth ever works; that is reported as NotStabilized.
+    uniform depth ever works; that is reported as NotStabilized.  The
+    domains need no test of their own: canonical words of X_t are prefixes
+    of rule targets, which are as long as the sources.
     """
     depth = 0
     for t in range(-2 * n, 2 * n + 1):
@@ -61,28 +40,19 @@ def adapted_depth(a: ZPartialAction, n: int) -> int:
                     "no uniform cell depth exists"
                 )
             depth = max(depth, len(u))
-        depth = max(depth, a.domain(t).max_depth())
     return depth
 
 
-def cell_image_word(h: PrefixMap, w: str) -> str:
+def cell_image_word(h: PrefixMap, w: str) -> str | None:
     """Image of the cylinder [w] under h, as a word of the same length.
 
-    Requires [w] inside dom(h) and len(w) at least the longest source.
+    None when [w] is outside dom(h); len(w) must be at least the longest
+    source, so that one matching source decides membership.
     """
     for u, v in h.rules:
         if w.startswith(u):
             return v + w[len(u):]
-    raise NotInDomain(f"cylinder [{w}] is not inside dom({h})")
-
-
-def directly_related(a: ZPartialAction, r: int, w: str, s: int, wp: str) -> bool:
-    """Whether the single gluing step identifies cell (r, [w]) with (s, [wp])."""
-    if r == s:
-        return w == wp
-    if not a.domain(germ_index(r, s)).contains_word(w):
-        return False
-    return cell_image_word(a.h(transport_index(r, s)), w) == wp
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,32 +78,40 @@ class CellPartition:
 def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     """Partition of all cells (t, w), |t| <= n and |w| = d, by the relation.
 
-    The one-step gluing is already an equivalence at adapted depth, so the
-    connected components must be all-pairs directly related; that is checked
-    outright and a failure means the generating family breaks the axioms.
+    The least cell in no class yet starts the next class, which is its
+    gluing set (one rule scan per slot).  Guard: every member's own gluing
+    set must be that same class and no member may sit in an earlier class;
+    otherwise the family breaks the axioms and EngineError is raised.
     """
     least = adapted_depth(a, n)
     if d < least:
         raise DepthTooSmall(f"depth {d} < adapted depth {least}")
 
-    words = extensions("", d)
-    units = [(t, w) for t in range(-n, n + 1) for w in words]
-    uf = UnionFind(units)
-    for r, w in units:
-        for s in range(-n, n + 1):
-            if s == r:
-                continue
-            if not a.domain(germ_index(r, s)).contains_word(w):
-                continue
-            wp = cell_image_word(a.h(transport_index(r, s)), w)
-            uf.union((r, w), (s, wp))
+    slots = range(-n, n + 1)
+    powers = {t: a.h(t) for t in range(-2 * n, 2 * n + 1)}
 
-    classes = uf.classes()
-    for cls in classes:
-        for x in cls:
-            for y in cls:
-                if not directly_related(a, x[0], x[1], y[0], y[1]):
+    def gluing_set(r: int, w: str):
+        out = []
+        for s in slots:
+            wp = w if s == r else cell_image_word(powers[transport_index(r, s)], w)
+            if wp is not None:
+                out.append((s, wp))
+        return tuple(out)
+
+    words = extensions("", d)
+    seen: set = set()
+    classes = []
+    for r in slots:
+        for w in words:
+            if (r, w) in seen:
+                continue
+            cls = gluing_set(r, w)
+            for x in cls:
+                if x in seen or (x != (r, w) and gluing_set(*x) != cls):
                     raise EngineError(
-                        f"classes are not transitive: {x} !~ {y}"
+                        f"classes are not transitive: {x} is glued to {(r, w)}"
+                        " but not to its class"
                     )
-    return CellPartition(n, d, classes)
+                seen.add(x)
+            classes.append(cls)
+    return CellPartition(n, d, tuple(classes))

@@ -319,7 +319,7 @@ def cmd_verify_psi(args):
     a = _action(sd, _level(args, sd))
     trials = _checked("trials", args.trials)
     seed = _resolve(args, sd, "seed", 0)
-    opts = dict(seed=seed, max_index=args.support, depth=_checked("depth", args.depth))
+    opts = dict(seed=seed, max_index=args.support, depth=_resolve(args, sd, "depth", 6))
     report = isomorphism_suite(a, trials=trials, **opts)
     _, ereport = equivariance_sign(a, trials=min(trials, 50), **opts)
     ok = report.ok and ereport.ok
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--support", type=int, default=3)
-    sp.add_argument("--depth", type=int, default=6)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--level", type=int)
     return parser
 

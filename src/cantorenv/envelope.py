@@ -145,8 +145,11 @@ def hausdorff_decide(
     inspected for k up to the depth; a chain of strictly shrinking single
     cylinders pins down a limit point, which is then verified to avoid
     every U_k while its cylinders all meet U_depth.  Anything else is an
-    honest "unknown".
+    honest "unknown".  Hausdorffness belongs to the enumeration, so a
+    schedule is dropped: stage k keeps the first k+1 rules.
     """
+    if a.counts is not None:
+        a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
         full = a if a.clopen else a.stage(a.generator.rule_count - 1)
         return _clopen_certificate(full, bound)
@@ -187,15 +190,18 @@ def nonseparable_pair(
     its inverse t = +1): the witness limit x gives the class [-t, x], the
     transported limit y gives [0, y], and the approach points x_j in U_depth
     agree with x to depth j while their images agree with y to depth j.
-    Every claimed property is re-verified before the pair is returned.
+    Every claimed property is re-verified before the pair is returned.  As
+    in hausdorff_decide, a schedule is dropped.
     """
+    if a.counts is not None:
+        a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
         raise NoWitness("the action is clopen; all classes are separated")
     if t not in (-1, 1):
         raise NoWitness(f"witness search only covers the generator index, not t={t}")
 
-    side = a if t == -1 else ZPartialAction(a.generator.inverse(), a.counts)
-    other = ZPartialAction(side.generator.inverse(), side.counts)
+    side = a if t == -1 else ZPartialAction(a.generator.inverse())
+    other = ZPartialAction(side.generator.inverse())
 
     unions = _union_sets(side, depth)
     x = _chain_limit([u.complement() for u in unions])

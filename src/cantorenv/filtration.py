@@ -60,29 +60,10 @@ def inclusion_witness(
 
 
 @dataclass(frozen=True)
-class TruncatedRelation:
+class TruncatedRelation(CellPartition):
     """Cell relation of stage k on slots |t| <= n at depth d."""
 
     k: int
-    n: int
-    d: int
-    partition: CellPartition
-
-    @property
-    def classes(self):
-        return self.partition.classes
-
-    @property
-    def units(self):
-        return self.partition.units
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return self.partition.sizes
-
-    def related_units(self, u1, u2) -> bool:
-        look = self.partition.lookup()
-        return look[u1] == look[u2]
 
     def to_json(self) -> dict:
         return {
@@ -94,32 +75,39 @@ class TruncatedRelation:
 
 
 def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> TruncatedRelation:
-    return TruncatedRelation(k, n, d, cell_partition(a.stage(k), n, d))
+    part = cell_partition(a.stage(k), n, d)
+    return TruncatedRelation(part.n, part.d, part.classes, k)
+
+
+def _refined_copies(coarse: CellPartition, fine: CellPartition):
+    """Yield (i, z, ids): the fine classes met by class i of `coarse` once
+    the suffix z of the depth gap is appended to each of its cells."""
+    look = fine.lookup()
+    suffixes = extensions("", fine.d - coarse.d)
+    for i, cls in enumerate(coarse.classes):
+        for z in suffixes:
+            yield i, z, {look[(t, w + z)] for t, w in cls}
 
 
 def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
     """Every related cell pair of the coarse stage stays related at the fine one.
 
-    Pairs are pushed forward by appending each suffix of the depth gap to
-    both cells; the fine partition must keep every pushed pair together.
+    Each coarse class is pushed forward once per suffix of the depth gap by
+    appending the suffix to all its cells; the fine partition must keep
+    every such copy inside one class.  `checked` counts the copies, and a
+    violation names the coarse class and the suffix that split it.
     """
     (k1, n1, d1), (k2, n2, d2) = first, second
     if k2 < k1 or n2 < n1 or d2 < d1:
         raise ParseError("second stage must refine the first")
     coarse = truncated_relation(a, k1, n1, d1)
     fine = truncated_relation(a, k2, n2, d2)
-    look = fine.partition.lookup()
     checked = 0
     bad: list[str] = []
-    for cls in coarse.classes:
-        for r, w in cls:
-            for s, wp in cls:
-                for z in extensions("", d2 - d1):
-                    checked += 1
-                    if look[(r, w + z)] != look[(s, wp + z)]:
-                        bad.append(
-                            f"({r},{w + z}) and ({s},{wp + z}) split when refined"
-                        )
+    for i, z, ids in _refined_copies(coarse, fine):
+        checked += 1
+        if len(ids) != 1:
+            bad.append(f"class {i} {coarse.classes[i]} splits with suffix {z!r}")
     return ProbeReport(checked, tuple(bad))
 
 
@@ -173,50 +161,32 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     parts = [truncated_relation(a, k, n, d) for k, n, d in schedule]
     levels: list[BratteliLevel] = []
     edges: list[tuple[int, int, int, int]] = []
+    incoming: dict[int, int] = {}  # units each class receives from below
     for m, tr in enumerate(parts):
-        sizes = tr.sizes
-        if m == 0:
-            fresh = list(sizes)
-        else:
-            prev_n = parts[m - 1].n
-            fresh = [
-                sum(1 for t, _ in cls if abs(t) > prev_n) for cls in tr.classes
-            ]
-        levels.append(
-            BratteliLevel(
-                m, tr.k, tr.n, tr.d,
-                tuple((i, sizes[i], fresh[i]) for i in range(len(sizes))),
-            )
-        )
-        if m + 1 == len(parts):
-            continue
-        nxt = parts[m + 1]
-        look = nxt.partition.lookup()
-        mult: dict[tuple[int, int], int] = {}
-        for i, cls in enumerate(tr.classes):
-            for z in extensions("", nxt.d - tr.d):
-                targets = {look[(t, w + z)] for t, w in cls}
-                if len(targets) != 1:
-                    raise EngineError(
-                        f"refined copy of class {i} splits across fine classes"
-                    )
-                j = targets.pop()
-                mult[(i, j)] = mult.get((i, j), 0) + 1
-        for (i, j), c in sorted(mult.items()):
-            edges.append((m, i, j, c))
-
-    for m in range(1, len(parts)):
-        prev_sizes = parts[m - 1].sizes
-        incoming: dict[int, int] = {}
-        for em, i, j, c in edges:
-            if em == m - 1:
-                incoming[j] = incoming.get(j, 0) + c * prev_sizes[i]
-        for j, size, fr in levels[m].vertices:
-            if size != incoming.get(j, 0) + fr:
+        prev_n = parts[m - 1].n if m else -1
+        vertices = []
+        for j, cls in enumerate(tr.classes):
+            fresh = sum(1 for t, _ in cls if abs(t) > prev_n)
+            if len(cls) != incoming.get(j, 0) + fresh:
                 raise EngineError(
                     f"dimension identity fails at level {m} vertex {j}: "
-                    f"{size} != {incoming.get(j, 0)} + {fr}"
+                    f"{len(cls)} != {incoming.get(j, 0)} + {fresh}"
                 )
+            vertices.append((j, len(cls), fresh))
+        levels.append(BratteliLevel(m, tr.k, tr.n, tr.d, tuple(vertices)))
+        if m + 1 == len(parts):
+            continue
+        mult: dict[tuple[int, int], int] = {}
+        incoming = {}
+        for i, _, ids in _refined_copies(tr, parts[m + 1]):
+            if len(ids) != 1:
+                raise EngineError(
+                    f"refined copy of class {i} splits across fine classes"
+                )
+            j = ids.pop()
+            mult[(i, j)] = mult.get((i, j), 0) + 1
+            incoming[j] = incoming.get(j, 0) + len(tr.classes[i])
+        edges += [(m, i, j, c) for (i, j), c in sorted(mult.items())]
     return BratteliDiagram(tuple(levels), tuple(edges))
 
 

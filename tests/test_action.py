@@ -9,12 +9,11 @@ from cantorenv.action import (
     axioms_check,
     generated_family,
     germ_index,
-    identity_family,
     kernel_tag,
     pullback,
     transport_index,
 )
-from cantorenv.cantor import ClopenSet, Point
+from cantorenv.cantor import FULL, ClopenSet, Point
 from cantorenv.errors import LevelRequired, NotInDomain, ParseError, SupportViolation
 from cantorenv.functions import Scalar, indicator
 from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap
@@ -129,7 +128,7 @@ class TestZPartialAction:
 
 class TestAxioms:
     def test_identity_family_passes(self):
-        rep = axioms_check(identity_family(3))
+        rep = axioms_check({t: (FULL, IDENTITY) for t in range(-3, 4)})
         assert rep.ok and rep.bound == 3
 
     def test_flip_family_passes(self):
@@ -161,7 +160,7 @@ class TestAxioms:
         assert {v.axiom for v in rep.violations} & {2, 3}
 
     def test_report_serializes(self):
-        rep = axioms_check(identity_family(1))
+        rep = axioms_check({t: (FULL, IDENTITY) for t in range(-1, 2)})
         out = rep.to_json()
         assert out["ok"] is True and out["violations"] == []
 

@@ -10,12 +10,15 @@ import importlib.util
 from pathlib import Path
 
 from cantorenv import (
+    CellPartition,
     Exhaustion,
     ZPartialAction,
     bratteli_build,
+    cell_partition,
     default_schedule,
     equivariance_sign,
     isomorphism_suite,
+    truncated_relation,
 )
 from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap
 
@@ -55,6 +58,15 @@ def test_actions_expose_what_the_tracer_keys_on():
         assert {"generator", "counts", "clopen"} <= set(dir(a))
         key = spans._domain_key((a, 0), {})
         assert key == (a.generator, a.counts, None, 0)
+
+
+def test_partitions_expose_classes():
+    # the tracer's cell_partition hook reads `classes` off every result
+    odo = ZPartialAction(ODOMETER)
+    part = cell_partition(odo.stage(1), 1, 2)
+    tr = truncated_relation(odo, 1, 1, 2)
+    assert isinstance(tr, CellPartition)
+    assert part.classes and tr.classes == part.classes
 
 
 def test_workload_entry_points_still_run():

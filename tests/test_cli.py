@@ -113,6 +113,21 @@ class TestCommands:
         assert out["verdict"] == "non-clopen-witness"
         assert out["pair"]["first"] == {"index": 1, "point": "(1)"}
 
+    def test_hausdorff_reads_whole_finite_enumeration(self, sysfile, capsys):
+        # the schedule stops short of the third rule; the domains may not
+        chain = {"name": "chain", "exhaustion": [1, 1, 1], "generator": {
+            "kind": "rules", "rules": [["0", "1"], ["10", "01"], ["110", "001"]],
+            "exhausts": "open"}}
+        code, out = run(capsys, "hausdorff", sysfile(chain))
+        assert code == 0 and out["verdict"] == "clopen"
+        assert out["domains"]["-1"] == "{0,10,110}"
+
+    def test_hausdorff_ignores_short_schedule(self, sysfile, capsys):
+        plain = run(capsys, "hausdorff", sysfile(ODOMETER_DEF))
+        scheduled = run(capsys, "hausdorff",
+                        sysfile({**ODOMETER_DEF, "exhaustion": [1, 2, 4]}, "s.json"))
+        assert scheduled == plain and plain[1]["pair"] is not None
+
     def test_related(self, sysfile, capsys):
         code, out = run(capsys, "related", sysfile(ODOMETER_DEF),
                         "--p", "1:(0)", "--q", "0:1(0)", "--level", "0")
@@ -183,6 +198,14 @@ class TestCommands:
                         "--trials", "20", "--seed", "1")
         assert code == 0
         assert out["equivariance"]["epsilon"] == -1
+
+    def test_verify_psi_depth_default_from_system_file(self, sysfile, capsys):
+        withdef = {**FLIP_DEF, "defaults": {"depth": 4}}
+        implicit = run(capsys, "verify-psi", sysfile(withdef),
+                       "--trials", "10", "--seed", "3")
+        explicit = run(capsys, "verify-psi", sysfile(FLIP_DEF, "plain.json"),
+                       "--trials", "10", "--seed", "3", "--depth", "4")
+        assert implicit == explicit and implicit[0] == 0
 
     def test_verify_psi_generated_needs_level(self, sysfile, capsys):
         code, out = run(capsys, "verify-psi", sysfile(ODOMETER_DEF),

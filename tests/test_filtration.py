@@ -1,5 +1,6 @@
 """Stage exhaustions, inclusion witnesses, truncations, leveled diagrams."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,8 +124,8 @@ class TestTruncatedRelation:
 
     def test_related_units(self):
         tr = truncated_relation(ODO, 1, 2, 2)
-        assert tr.related_units((0, "00"), (-1, "10"))
-        assert not tr.related_units((0, "00"), (0, "01"))
+        assert tr.lookup()[(0, "00")] == tr.lookup()[(-1, "10")]
+        assert tr.lookup()[(0, "00")] != tr.lookup()[(0, "01")]
 
     def test_monotone_in_all_three_parameters(self):
         for k in range(3):
@@ -204,6 +205,16 @@ class TestBratteli:
         assert dot.startswith("digraph")
         assert "L0_0" in dot and "rank=same" in dot
         assert dot == export(diag, "dot")
+
+    @pytest.mark.parametrize("levels, digest", [
+        (4, "bea8969d57701f02402c1004c4fe5eea5e4d1332f89ed0c4ca804741fa865105"),
+        (5, "5107bf05639ac5438eda21f94f8611990e21e4337d4a56c362eec688e8d4257c"),
+        (6, "3073d6bd4db47427221d05e5014d3c1c46c8a8d21e0e8a4cf261a1070e70f0e1"),
+    ])
+    def test_odometer_diagram_bytes(self, levels, digest):
+        diag = bratteli_build(ODO, default_schedule(ODO, levels))
+        text = export(diag, "json") + export(diag, "dot")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_export_rejects_unknown_format(self):
         diag = bratteli_build(ODO, default_schedule(ODO, 1))
