@@ -4,8 +4,9 @@ Clopen subsets are finite unions of cylinders [w] = {x : x starts with w}.  The
 canonical form is a lexicographically sorted prefix-free antichain in which every
 sibling pair {w0, w1} has been merged to w, so set equality is tuple equality and
 [w] is a subset of a canonical union exactly when some listed word is a prefix
-of w.  Points are eventually periodic sequences pre.per^infinity, stored with a
-primitive period and a minimal preperiod, so point equality is field equality.
+of w; `merge_siblings` alone merges siblings, here and in `functions`.  Points
+are eventually periodic sequences pre.per^infinity, stored with a primitive
+period and a minimal preperiod, so point equality is field equality.
 """
 
 from __future__ import annotations
@@ -120,28 +121,34 @@ def common_prefix_length(a: Point, b: Point, limit: int) -> int:
     return i
 
 
+def merge_siblings(pieces) -> list:
+    """Merge the equal-label siblings among sorted, prefix-free (word, label) pairs.
+
+    Siblings are adjacent in sorted order, and a merged parent is adjacent to
+    its own sibling, so one stack pass merges them all.
+    """
+    stack: list = []
+    for piece in pieces:
+        stack.append(piece)
+        while len(stack) > 1:
+            (u, a), (v, b) = stack[-2], stack[-1]
+            if a != b or u != sibling(v):
+                break
+            stack[-2:] = [(v[:-1], a)]
+    return stack
+
+
 def normalize_words(words) -> tuple[str, ...]:
     """Canonical antichain for a union of cylinders.
 
-    Shorter words absorb their extensions, then sibling pairs are merged until
-    no pair {w0, w1} remains.
+    A word's extensions directly follow it in sorted order, so a word is
+    absorbed when it extends the last word kept.
     """
-    by_length = sorted({check_word(w) for w in words}, key=len)
-    kept: list[str] = []
-    for w in by_length:
-        if not any(w.startswith(p) for p in kept):
-            kept.append(w)
-    live = set(kept)
-    merged = True
-    while merged:
-        merged = False
-        for w in sorted(live, key=len, reverse=True):
-            if w and w in live and sibling(w) in live:
-                live.discard(w)
-                live.discard(sibling(w))
-                live.add(w[:-1])
-                merged = True
-    return tuple(sorted(live))
+    kept: list = []
+    for w in sorted({check_word(w) for w in words}):
+        if not kept or not w.startswith(kept[-1][0]):
+            kept.append((w, None))
+    return tuple(w for w, _ in merge_siblings(kept))
 
 
 def _complement_words(words: list[str]) -> list[str]:

@@ -64,10 +64,6 @@ class CellPartition:
     classes: tuple[tuple[tuple[int, str], ...], ...]
 
     @property
-    def units(self):
-        return tuple(u for cls in self.classes for u in cls)
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.classes)
 

@@ -4,7 +4,8 @@ Scalars are Gaussian rationals (pairs of `fractions.Fraction`), so every
 computation downstream is exact and equality is structural.  A piecewise
 constant function is a finite assignment of nonzero scalars to a prefix-free
 antichain of cylinders; the canonical form merges sibling cylinders carrying
-equal values, which makes function equality structural as well.
+equal values through `cantor.merge_siblings`, as clopen sets do, which makes
+function equality structural as well.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import ClopenSet, Point, check_word, extensions
+from .cantor import ClopenSet, Point, check_word, merge_siblings
 from .errors import ParseError
 
 _Rat = (int, Fraction)
@@ -88,20 +89,11 @@ ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 
 
-def _merge_equal_siblings(table: dict[str, Scalar]) -> dict[str, Scalar]:
-    merged = True
-    while merged:
-        merged = False
-        for w in sorted(table, key=len, reverse=True):
-            if not w or w not in table:
-                continue
-            sib = w[:-1] + ("1" if w[-1] == "0" else "0")
-            if sib in table and table[sib] == table[w]:
-                value = table.pop(w)
-                table.pop(sib)
-                table[w[:-1]] = value
-                merged = True
-    return table
+def _split(w: str, inner: set) -> list[str]:
+    """Leaves below [w] of the prefix tree whose inner nodes are `inner`."""
+    if w not in inner:
+        return [w]
+    return _split(w + "0", inner) + _split(w + "1", inner)
 
 
 @dataclass(frozen=True)
@@ -111,22 +103,23 @@ class PiecewiseConstant:
     pieces: tuple[tuple[str, Scalar], ...] = ()
 
     def __post_init__(self):
-        table: dict[str, Scalar] = {}
+        seen: set[str] = set()
+        live = []
         for w, c in self.pieces:
             check_word(w)
-            if w in table:
+            if w in seen:
                 raise ValueError(f"duplicate piece {w!r}")
+            seen.add(w)
             if not isinstance(c, Scalar):
                 raise TypeError("piece values must be Scalars")
             if not c.is_zero():
-                table[w] = c
-        words = sorted(table, key=len)
-        for i, w in enumerate(words):
-            for p in words[:i]:
-                if w.startswith(p):
-                    raise ValueError(f"pieces overlap: {p!r} and {w!r}")
-        table = _merge_equal_siblings(table)
-        object.__setattr__(self, "pieces", tuple(sorted(table.items())))
+                live.append((w, c))
+        live.sort()  # words are distinct, so values are never compared
+        # in sorted order the extensions of a word directly follow it
+        for (u, _), (v, _) in zip(live, live[1:]):
+            if v.startswith(u):
+                raise ValueError(f"pieces overlap: {u!r} and {v!r}")
+        object.__setattr__(self, "pieces", tuple(merge_siblings(live)))
 
     def is_zero(self) -> bool:
         return not self.pieces
@@ -141,14 +134,13 @@ class PiecewiseConstant:
         return ZERO
 
     def __add__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
-        depth = max(
-            (len(w) for w, _ in self.pieces + other.pieces), default=0
-        )
+        # cut each piece only at the words of the other pieces below it
+        both = self.pieces + other.pieces
+        inner = {w[:i] for w, _ in both for i in range(len(w))}
         acc: dict[str, Scalar] = {}
-        for fam in (self.pieces, other.pieces):
-            for w, c in fam:
-                for cell in extensions(w, depth):
-                    acc[cell] = acc.get(cell, ZERO) + c
+        for w, c in both:
+            for cell in _split(w, inner):
+                acc[cell] = acc.get(cell, ZERO) + c
         return PiecewiseConstant(tuple(acc.items()))
 
     def __neg__(self) -> "PiecewiseConstant":

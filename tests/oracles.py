@@ -33,6 +33,29 @@ def words(d):
     return ["".join(p) for p in itertools.product("01", repeat=d)]
 
 
+def cells_covered(ws, d):
+    """The depth-d cells inside the union of the cylinders [w], w in ws."""
+    return {c for c in words(d) if any(c.startswith(w) for w in ws)}
+
+
+def cell_values(pieces, d):
+    """Depth-d cell -> value, for prefix-free (word, value) pieces."""
+    return {c: v for c in words(d) for w, v in pieces if c.startswith(w)}
+
+
+def overlaps(ws):
+    """Pairs (u, v) of entries at distinct positions with u a prefix of v."""
+    return [(u, v) for i, u in enumerate(ws) for j, v in enumerate(ws)
+            if i != j and v.startswith(u)]
+
+
+def equal_siblings(pieces):
+    """Words w whose halves w0 and w1 are both pieces, with equal values."""
+    table = dict(pieces)
+    return [w[:-1] for w, v in table.items() if w.endswith("0")
+            and w[:-1] + "1" in table and table[w[:-1] + "1"] == v]
+
+
 def brute_partition(rules, n, d):
     """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport."""
     units = [(t, w) for t in range(-n, n + 1) for w in words(d)]

@@ -17,6 +17,7 @@ from cantorenv.cantor import (
     sibling,
 )
 from cantorenv.errors import ParseError
+from oracles import cells_covered, equal_siblings, overlaps
 
 w = st.text(alphabet="01", max_size=6)
 nonempty_w = st.text(alphabet="01", min_size=1, max_size=6)
@@ -106,6 +107,15 @@ def test_normalize_words_absorption_and_merge():
     assert normalize_words(["00", "01"]) == ("0",)
     assert normalize_words(["0", "1"]) == ("",)
     assert normalize_words([]) == ()
+
+
+@given(ws=st.lists(st.text(alphabet="01", max_size=5), max_size=10))
+def test_normalize_words_is_canonical(ws):
+    out = normalize_words(ws)
+    assert cells_covered(out, 6) == cells_covered(ws, 6)
+    assert list(out) == sorted(set(out))
+    assert overlaps(out) == []
+    assert equal_siblings((u, None) for u in out) == []
 
 
 class TestClopenSet:

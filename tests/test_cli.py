@@ -1,9 +1,14 @@
 """Command line behaviour: subcommands, system files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cantorenv
 from cantorenv.cli import load_system, main
 from cantorenv.errors import ParseError
 
@@ -274,3 +279,16 @@ class TestExitCodes:
         p.write_text("{oops")
         code, out = run(capsys, "validate", str(p))
         assert code == 1 and "line" in out["error"]
+
+    def test_module_invocation_matches_main(self, capsys):
+        flip = Path(__file__).resolve().parent.parent / "systems" / "flip.json"
+        code = main(["validate", str(flip)])
+        out = capsys.readouterr().out
+        src = str(Path(cantorenv.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cantorenv.cli", "validate", str(flip)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out
+        assert (proc.returncode, proc.stdout) == (code, out)

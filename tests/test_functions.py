@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorenv.cantor import ClopenSet, Point
+from cantorenv.cantor import FULL, ClopenSet, Point
 from cantorenv.errors import ParseError
 from cantorenv.functions import (
     ONE,
@@ -17,11 +17,31 @@ from cantorenv.functions import (
     indicator,
 )
 from cantorenv.prefix_map import PrefixMap
+from oracles import cell_values, equal_siblings, overlaps
 
 rat = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 scalars = st.builds(Scalar, rat, rat)
+# few distinct values, so that equal siblings and zero pieces are common
+raw_pieces = st.lists(
+    st.tuples(st.text(alphabet="01", max_size=5),
+              st.sampled_from([ZERO, ONE, Scalar(2), Scalar(0, 1)])),
+    max_size=8,
+)
+
+
+def prefix_free(raw):
+    """The raw pieces that overlap no earlier kept piece."""
+    kept = []
+    for w, c in raw:
+        if not overlaps([u for u, _ in kept] + [w]):
+            kept.append((w, c))
+    return tuple(kept)
+
+
+def nonzero(pieces):
+    return [(w, c) for w, c in pieces if not c.is_zero()]
 
 
 class TestScalar:
@@ -70,6 +90,47 @@ class TestPiecewiseConstant:
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(ValueError):
             PiecewiseConstant((("0", ONE), ("01", Scalar(2))))
+
+    def test_duplicate_word_rejected_in_either_order(self):
+        for pieces in ((("0", ZERO), ("0", ONE)), (("0", ONE), ("0", ZERO))):
+            with pytest.raises(ValueError, match="duplicate"):
+                PiecewiseConstant(pieces)
+
+    @given(raw=raw_pieces)
+    def test_rejects_exactly_overlaps_and_repeats(self, raw):
+        ws = [w for w, _ in raw]
+        bad = len(set(ws)) < len(ws) or bool(overlaps([w for w, _ in nonzero(raw)]))
+        try:
+            PiecewiseConstant(tuple(raw))
+        except ValueError:
+            assert bad
+        else:
+            assert not bad
+
+    @given(raw=raw_pieces)
+    def test_canonical_form_keeps_cell_values(self, raw):
+        pieces = prefix_free(raw)
+        f = PiecewiseConstant(pieces)
+        assert cell_values(f.pieces, 6) == cell_values(nonzero(pieces), 6)
+        assert [w for w, _ in f.pieces] == sorted({w for w, _ in f.pieces})
+        assert overlaps([w for w, _ in f.pieces]) == []
+        assert equal_siblings(f.pieces) == []
+
+    @given(a=raw_pieces, b=raw_pieces)
+    def test_sum_adds_cell_values(self, a, b):
+        f, g = PiecewiseConstant(prefix_free(a)), PiecewiseConstant(prefix_free(b))
+        fv, gv = cell_values(f.pieces, 6), cell_values(g.pieces, 6)
+        sums = {c: fv.get(c, ZERO) + gv.get(c, ZERO) for c in fv.keys() | gv.keys()}
+        want = {c: v for c, v in sums.items() if not v.is_zero()}
+        assert cell_values((f + g).pieces, 6) == want
+
+    def test_sum_cuts_only_where_pieces_meet(self):
+        # refining every piece to the deepest word would need 2^40 cells
+        deep = "0" * 40
+        f = indicator(FULL) + indicator(ClopenSet((deep,)), Scalar(2))
+        ones = [("0" * i + "1", ONE) for i in range(40)]
+        assert f.pieces == tuple(sorted([(deep, Scalar(3))] + ones))
+        assert len(f.pieces) == 41
 
     def test_value_at(self):
         f = PiecewiseConstant((("01", Scalar(5)),))
