@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import ClopenSet, Point, extensions
+from .cantor import ClopenSet, Point, leaves_below
 from .errors import LevelRequired, ParseError, SupportViolation
 from .functions import PiecewiseConstant, compose_with_map
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
@@ -152,8 +152,9 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
 
     (1) X_0 is everything and h_0 is the identity, and each h_t maps X_{-t}
     onto X_t; (2) h_t(X_{-t} & X_s) = X_t & X_{t+s} as canonical clopen sets;
-    (3) h_t(h_s(x)) = h_{t+s}(x) on one representative point per cylinder of
-    X_{-s} & X_{-s-t}, refined finely enough that representatives decide cells.
+    (3) h_t(h_s(x)) = h_{t+s}(x) on representative points of the cylinders of
+    X_{-s} & X_{-s-t}, each cut at the leaves of the prefix tree that the rule
+    sources below it span, so that every rule is decided on every piece.
     All violations are collected, not just the first.
     """
     if bound is None:
@@ -208,13 +209,11 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
             h_t, h_s, h_ts = family[t][1], family[s][1], family[t + s][1]
             comp = compose(h_t, h_s)
             sources = [u for u, _ in comp.rules] + [u for u, _ in h_ts.rules]
+            inner = {u[:i] for u in sources for i in range(len(u))}
             for w in inter.words:
-                # refine [w] past every incident rule boundary; two tails per
+                # cut [w] at every rule boundary below it; two tails per
                 # cell make the pointwise test decide string equality exactly
-                depth = max(
-                    [len(w)] + [len(u) for u in sources if u.startswith(w)]
-                )
-                for cell in extensions(w, depth):
+                for cell in leaves_below(w, inner):
                     for rep in (Point(cell, "0"), Point(cell, "1")):
                         try:
                             via = h_t.apply_point(h_s.apply_point(rep))

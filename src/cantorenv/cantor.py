@@ -41,6 +41,24 @@ def extensions(word: str, depth: int) -> list[str]:
     return [word + format(i, f"0{gap}b") for i in range(2**gap)]
 
 
+def leaves_below(word: str, inner) -> list[str]:
+    """Leaves below [word] of the prefix tree whose inner nodes are `inner`.
+
+    With `inner` the proper prefixes of some words, this cuts [word] only
+    where one of them lies deeper, into at most one more cylinder per inner
+    node below it, in sorted order.
+    """
+    out: list[str] = []
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w in inner:
+            stack += (w + "1", w + "0")
+        else:
+            out.append(w)
+    return out
+
+
 def primitive_root(word: str) -> str:
     n = len(word)
     for d in range(1, n + 1):

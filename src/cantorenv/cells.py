@@ -6,8 +6,11 @@ union of depth-d cylinders -- the relation on pairs (t, x) collapses to a
 finite relation on cells (t, w) with w a word of length d.  The gluing set
 of (r, w) is the cell itself plus each (s, h_{r-s}[w]) with [w] inside
 dom(h_{r-s}); at adapted depth that one-step gluing is an equivalence, so
-each class is the gluing set of any of its members.  Everything downstream
-(quotients, truncations, diagram levels) runs on these cells.
+each class is the gluing set of any of its members.  A partition first
+tabulates every map in play cell by cell, one dict per transport index t
+from each cell of dom(h_t) to its image cell, so that every gluing step is
+a lookup.  Everything downstream (quotients, truncations, diagram levels)
+runs on these cells.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .action import ZPartialAction, transport_index
 from .cantor import extensions
 from .errors import DepthTooSmall, EngineError, NotStabilized
-from .prefix_map import PrefixMap
 
 
 def adapted_depth(a: ZPartialAction, n: int) -> int:
@@ -43,18 +45,6 @@ def adapted_depth(a: ZPartialAction, n: int) -> int:
     return depth
 
 
-def cell_image_word(h: PrefixMap, w: str) -> str | None:
-    """Image of the cylinder [w] under h, as a word of the same length.
-
-    None when [w] is outside dom(h); len(w) must be at least the longest
-    source, so that one matching source decides membership.
-    """
-    for u, v in h.rules:
-        if w.startswith(u):
-            return v + w[len(u):]
-    return None
-
-
 @dataclass(frozen=True)
 class CellPartition:
     """Cells (t, w), |t| <= n, len(w) = d, grouped into relation classes."""
@@ -74,22 +64,32 @@ class CellPartition:
 def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     """Partition of all cells (t, w), |t| <= n and |w| = d, by the relation.
 
-    The least cell in no class yet starts the next class, which is its
-    gluing set (one rule scan per slot).  Guard: every member's own gluing
-    set must be that same class and no member may sit in an earlier class;
-    otherwise the family breaks the axioms and EngineError is raised.
+    First one image table per transport index t != 0 in [-2n, 2n] maps each
+    depth-d cell inside dom(h_t) to its image cell.  The least cell in no
+    class yet then starts the next class, which is its gluing set (one table
+    lookup per slot).  Guard: every member's own gluing set must be that
+    same class and no member may sit in an earlier class; otherwise the
+    family breaks the axioms and EngineError is raised.
     """
     least = adapted_depth(a, n)
     if d < least:
         raise DepthTooSmall(f"depth {d} < adapted depth {least}")
 
     slots = range(-n, n + 1)
-    powers = {t: a.h(t) for t in range(-2 * n, 2 * n + 1)}
+    images = {
+        t: {
+            u + z: v + z
+            for u, v in a.h(t).rules
+            for z in extensions("", d - len(u))
+        }
+        for t in range(-2 * n, 2 * n + 1)
+        if t  # distinct slots never transport by h_0
+    }
 
     def gluing_set(r: int, w: str):
         out = []
         for s in slots:
-            wp = w if s == r else cell_image_word(powers[transport_index(r, s)], w)
+            wp = w if s == r else images[transport_index(r, s)].get(w)
             if wp is not None:
                 out.append((s, wp))
         return tuple(out)

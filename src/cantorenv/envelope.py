@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import ClopenSet, Point, common_prefix_length
-from .cells import cell_image_word
 from .errors import BaseNotInDomain, NoWitness, NotInDomain
+from .prefix_map import PrefixMap
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,18 @@ class EtaleReport:
             "diagonal": self.diagonal,
             "violations": list(self.violations),
         }
+
+
+def cell_image_word(h: PrefixMap, w: str) -> str | None:
+    """Image of the cylinder [w] under h, as a word of the same length.
+
+    None when [w] is outside dom(h); len(w) must be at least the longest
+    source, so that one matching source decides membership.
+    """
+    for u, v in h.rules:
+        if w.startswith(u):
+            return v + w[len(u):]
+    return None
 
 
 def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleReport:

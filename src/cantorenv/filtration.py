@@ -190,25 +190,45 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     return BratteliDiagram(tuple(levels), tuple(edges))
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=2) does
+    for an array whose closing bracket sits at `indent`."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
 def diagram_to_json(d: BratteliDiagram) -> str:
-    obj = {
-        "levels": [
-            {
-                "m": lv.m,
-                "params": {"k": lv.k, "n": lv.n, "d": lv.d},
-                "vertices": [
-                    {"id": vid, "size": size, "fresh": fresh}
-                    for vid, size, fresh in lv.vertices
-                ],
-            }
-            for lv in d.levels
-        ],
-        "edges": [
-            {"from": [m, i], "to": [m + 1, j], "mult": c}
-            for m, i, j, c in d.edges
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The diagram as the exact bytes of json.dumps(obj, indent=2) + "\n".
+
+    obj is {"levels": [{"m", "params": {"k", "n", "d"}, "vertices":
+    [{"id", "size", "fresh"}]}], "edges": [{"from": [m, i], "to": [m + 1, j],
+    "mult"}]} with int values.  json.dumps with an indent runs the
+    pure-Python encoder, so the layout is written from fixed templates.
+    """
+    levels = []
+    for lv in d.levels:
+        vertices = [
+            f'{{\n          "id": {vid},\n          "size": {size},\n'
+            f'          "fresh": {fresh}\n        }}'
+            for vid, size, fresh in lv.vertices
+        ]
+        levels.append(
+            f'{{\n      "m": {lv.m},\n      "params": {{\n        "k": {lv.k},\n'
+            f'        "n": {lv.n},\n        "d": {lv.d}\n      }},\n'
+            f'      "vertices": {_json_list(vertices, "      ")}\n    }}'
+        )
+    edges = [
+        f'{{\n      "from": [\n        {m},\n        {i}\n      ],\n'
+        f'      "to": [\n        {m + 1},\n        {j}\n      ],\n'
+        f'      "mult": {c}\n    }}'
+        for m, i, j, c in d.edges
+    ]
+    return (
+        f'{{\n  "levels": {_json_list(levels, "  ")},\n'
+        f'  "edges": {_json_list(edges, "  ")}\n}}\n'
+    )
 
 
 def _require_keys(obj: dict, keys: set[str], what: str) -> None:

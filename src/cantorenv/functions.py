@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor import ClopenSet, Point, check_word, merge_siblings
+from .cantor import ClopenSet, Point, check_word, leaves_below, merge_siblings
 from .errors import ParseError
 
 _Rat = (int, Fraction)
@@ -89,13 +89,6 @@ ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 
 
-def _split(w: str, inner: set) -> list[str]:
-    """Leaves below [w] of the prefix tree whose inner nodes are `inner`."""
-    if w not in inner:
-        return [w]
-    return _split(w + "0", inner) + _split(w + "1", inner)
-
-
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """A locally constant function with finitely many nonzero cylinder values."""
@@ -139,7 +132,7 @@ class PiecewiseConstant:
         inner = {w[:i] for w, _ in both for i in range(len(w))}
         acc: dict[str, Scalar] = {}
         for w, c in both:
-            for cell in _split(w, inner):
+            for cell in leaves_below(w, inner):
                 acc[cell] = acc.get(cell, ZERO) + c
         return PiecewiseConstant(tuple(acc.items()))
 

@@ -80,6 +80,38 @@ def brute_partition(rules, n, d):
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
 
 
+def brute_diagram(rules_of_stage, schedule):
+    """The Bratteli diagram of a schedule of (k, n, d) stages, as JSON data.
+
+    Level m holds the classes of brute_partition(rules_of_stage(k), n, d); a
+    vertex counts as fresh the cells of its class whose slot lies beyond the
+    previous level's n.  Appending one suffix of the depth gap to every cell
+    of a class gives a copy of it, which must lie inside one class of the
+    next level; an edge counts the copies that land in each class.
+    """
+    parts = [brute_partition(rules_of_stage(k), n, d) for k, n, d in schedule]
+    levels, edges = [], []
+    prev_n = -1
+    for m, ((k, n, d), classes) in enumerate(zip(schedule, parts)):
+        vertices = [{"id": i, "size": len(c),
+                     "fresh": len([t for t, _ in c if abs(t) > prev_n])}
+                    for i, c in enumerate(classes)]
+        levels.append({"m": m, "params": {"k": k, "n": n, "d": d},
+                       "vertices": vertices})
+        prev_n = n
+        if m + 1 == len(schedule):
+            break
+        owner = {cell: j for j, c in enumerate(parts[m + 1]) for cell in c}
+        mult = {}
+        for i, c in enumerate(classes):
+            for z in words(schedule[m + 1][2] - d):
+                (j,) = {owner[(t, w + z)] for t, w in c}
+                mult[(i, j)] = mult.get((i, j), 0) + 1
+        edges += [{"from": [m, i], "to": [m + 1, j], "mult": mult[i, j]}
+                  for i, j in sorted(mult)]
+    return {"levels": levels, "edges": edges}
+
+
 def odometer_rules(k):
     """Carry rules 1^i 0 -> 0^i 1 for i = 0..k."""
     return [("1" * i + "0", "0" * i + "1") for i in range(k + 1)]

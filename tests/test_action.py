@@ -126,6 +126,12 @@ class TestZPartialAction:
                 assert a.stage(k).apply(t, Point(w, "0")).unroll(depth) == want
 
 
+def deep_identity(k):
+    """The identity written as rules 0^i 1 -> 0^i 1 (i < k) and 0^k -> 0^k."""
+    rules = [("0" * i + "1",) * 2 for i in range(k)] + [("0" * k,) * 2]
+    return ZPartialAction(PrefixMap(tuple(rules)))
+
+
 class TestAxioms:
     def test_identity_family_passes(self):
         rep = axioms_check({t: (FULL, IDENTITY) for t in range(-3, 4)})
@@ -163,6 +169,24 @@ class TestAxioms:
         rep = axioms_check({t: (FULL, IDENTITY) for t in range(-1, 2)})
         out = rep.to_json()
         assert out["ok"] is True and out["violations"] == []
+
+    def test_deep_identity_cuts_only_at_rule_boundaries(self):
+        # refining [ε] to all depth-30 cells would test 2^30 of them
+        rep = axioms_check(generated_family(deep_identity(30), 1), 1)
+        assert rep.ok and rep.bound == 1
+
+    def test_wrong_power_on_deep_source_is_reported(self):
+        fam = generated_family(deep_identity(30), 2)
+        x2, _ = fam[2]
+        # h_2 swaps [0^28 1] and [0^29 1], which neither 0^inf nor 1^inf
+        # meets, and fixes everything else
+        a, b = "0" * 28 + "1", "0" * 29 + "1"
+        rules = [(u, u) for u in ("0" * i + "1" for i in range(28))]
+        rules += [(a, b), (b, a), ("0" * 30, "0" * 30)]
+        fam[2] = (x2, PrefixMap(tuple(rules)))
+        rep = axioms_check(fam)
+        assert rep.violations
+        assert {v.axiom for v in rep.violations} == {3}
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

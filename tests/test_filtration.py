@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorenv.cantor import ClopenSet, Point
 from cantorenv.errors import (
@@ -16,6 +16,7 @@ from cantorenv.errors import (
 )
 from cantorenv.filtration import (
     BratteliDiagram,
+    BratteliLevel,
     Exhaustion,
     bratteli_build,
     default_schedule,
@@ -33,7 +34,7 @@ from cantorenv.envelope import GermPair, related
 from cantorenv.prefix_map import ODOMETER, GeneratedMap
 from cantorenv.sampling import Sampler
 
-from oracles import brute_partition, odometer_rules
+from oracles import brute_diagram, brute_partition, odometer_rules, words
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -210,6 +211,8 @@ class TestBratteli:
         (4, "bea8969d57701f02402c1004c4fe5eea5e4d1332f89ed0c4ca804741fa865105"),
         (5, "5107bf05639ac5438eda21f94f8611990e21e4337d4a56c362eec688e8d4257c"),
         (6, "3073d6bd4db47427221d05e5014d3c1c46c8a8d21e0e8a4cf261a1070e70f0e1"),
+        (7, "390062e869c0ed9324f54cbf00d773a19004108def1aa0c9f5f7c8f3d0cf7d75"),
+        (8, "b7dbcf01348d331bd31d52d14e21f7f0b7de7d802d1a9dc5dbcfa11ff9ce888e"),
     ])
     def test_odometer_diagram_bytes(self, levels, digest):
         diag = bratteli_build(ODO, default_schedule(ODO, levels))
@@ -226,3 +229,65 @@ class TestBratteli:
         diag = bratteli_build(g, default_schedule(g, 2))
         assert len(diag.levels) == 2
         assert [v[1] for v in diag.levels[0].vertices] == [1, 2, 2, 1]
+
+
+def diagram_object(d):
+    return {
+        "levels": [
+            {"m": lv.m, "params": {"k": lv.k, "n": lv.n, "d": lv.d},
+             "vertices": [{"id": i, "size": size, "fresh": fresh}
+                          for i, size, fresh in lv.vertices]}
+            for lv in d.levels
+        ],
+        "edges": [{"from": [m, i], "to": [m + 1, j], "mult": c}
+                  for m, i, j, c in d.edges],
+    }
+
+
+ints = st.integers(-10**6, 10**12)
+diagrams = st.builds(
+    BratteliDiagram,
+    st.lists(st.builds(BratteliLevel, ints, ints, ints, ints,
+                       st.lists(st.tuples(ints, ints, ints), max_size=4).map(tuple)),
+             max_size=3).map(tuple),
+    st.lists(st.tuples(ints, ints, ints, ints), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams)
+@example(BratteliDiagram((), ()))
+@example(BratteliDiagram((BratteliLevel(0, 0, 1, 1, ()),), ()))
+@example(BratteliDiagram((BratteliLevel(12, 345, 6789, 10, ((0, 11, 2),)),),
+                         ((0, 1, 2, 30),)))
+def test_json_layout_is_json_dumps(d):
+    text = export(d, "json")
+    assert text == json.dumps(diagram_object(d), indent=2) + "\n"
+    assert diagram_from_json(text) == d
+
+
+@st.composite
+def finite_towers(draw):
+    """A finite length-preserving enumeration and a schedule of 2-3 stages."""
+    depth = draw(st.integers(2, 3))
+    pool = words(depth)
+    sources = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    rules = list(zip(sources, draw(st.permutations(pool))))
+    size = draw(st.integers(2, 3))
+
+    def rising(lo, hi):
+        return sorted(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
+
+    schedule = tuple(zip(rising(0, 3), rising(0, 2), rising(depth, depth + 1)))
+    return rules, schedule
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_towers())
+def test_finite_enumeration_diagram_matches_brute_force(tower):
+    rules, schedule = tower
+    a = ZPartialAction(GeneratedMap("rules", tuple(rules)))
+    diag = bratteli_build(a, schedule)
+    assert json.loads(export(diag, "json")) == brute_diagram(
+        lambda k: rules[: k + 1], schedule
+    )
