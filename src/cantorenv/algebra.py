@@ -40,19 +40,18 @@ class _IndexedTable:
         seen = set()
         out = []
         for key, func in self._table:
-            key = (int(key[0]), int(key[1]))
+            if type(key[0]) is not int or type(key[1]) is not int:
+                raise ParseError(f"{self._what} slot {key!r} is not a pair of ints")
             if key in seen:
                 raise ParseError(f"duplicate {self._what} at {key}")
             seen.add(key)
             if not func.is_zero():
                 out.append((key, func))
         object.__setattr__(self, self._field, tuple(sorted(out)))
+        object.__setattr__(self, "_lookup", dict(out))
 
     def _at(self, r: int, s: int) -> PiecewiseConstant:
-        for key, func in self._table:
-            if key == (r, s):
-                return func
-        return ZERO_FUNC
+        return self._lookup.get((r, s), ZERO_FUNC)
 
     @property
     def indices(self) -> tuple[Index, ...]:
@@ -64,8 +63,8 @@ class _IndexedTable:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        keys = sorted(set(self.indices) | set(other.indices))
-        return type(self)(tuple((k, self._at(*k) + other._at(*k)) for k in keys))
+        acc = self._lookup | {k: self._at(*k) + f for k, f in other._table}
+        return type(self)(tuple(acc.items()))
 
     def __neg__(self):
         return type(self)(tuple((k, -f) for k, f in self._table))
@@ -95,7 +94,7 @@ class _IndexedTable:
                 )
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad {cls._what} item {item!r}: {exc}") from exc
-            table.append(((int(r), int(s)), func))
+            table.append(((r, s), func))
         return cls(tuple(table))
 
 

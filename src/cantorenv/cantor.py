@@ -4,13 +4,15 @@ Clopen subsets are finite unions of cylinders [w] = {x : x starts with w}.  The
 canonical form is a lexicographically sorted prefix-free antichain in which every
 sibling pair {w0, w1} has been merged to w, so set equality is tuple equality and
 [w] is a subset of a canonical union exactly when some listed word is a prefix
-of w; `merge_siblings` alone merges siblings, here and in `functions`.  Points
+of w.  `merge_siblings` alone merges siblings and `prefix_join` alone pairs
+two antichains, here and in `prefix_map` and `functions`.  Points
 are eventually periodic sequences pre.per^infinity, stored with a primitive
 period and a minimal preperiod, so point equality is field equality.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DepthTooSmall, ParseError
@@ -156,6 +158,23 @@ def merge_siblings(pieces) -> list:
     return stack
 
 
+def prefix_join(a, b, key_a=str, key_b=str):
+    """Pairs (x, y) from `a` and `b` where one of key_a(x), key_b(y) prefixes the other.
+
+    `b` must be sorted by word and prefix-free: the last word of `b` not after
+    u is then the only possible prefix of u, and the extensions of u are the
+    run right after it, so the cost is O(|a| log |b| + pairs).
+    """
+    for x in a:
+        u = key_a(x)
+        i = bisect_right(b, u, key=key_b)
+        if i and u.startswith(key_b(b[i - 1])):
+            yield x, b[i - 1]
+        while i < len(b) and key_b(b[i]).startswith(u):
+            yield x, b[i]
+            i += 1
+
+
 def normalize_words(words) -> tuple[str, ...]:
     """Canonical antichain for a union of cylinders.
 
@@ -208,12 +227,8 @@ class ClopenSet:
         return ClopenSet(self.words + other.words)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        found = []
-        for u in self.words:
-            for v in other.words:
-                if u.startswith(v) or v.startswith(u):
-                    found.append(u if len(u) >= len(v) else v)
-        return ClopenSet(tuple(found))
+        pairs = prefix_join(self.words, other.words)
+        return ClopenSet(tuple(u + v[len(u):] for u, v in pairs))  # the deeper word
 
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(_complement_words(list(self.words))))
@@ -222,8 +237,9 @@ class ClopenSet:
         return self.intersect(other.complement())
 
     def subset_of(self, other: "ClopenSet") -> bool:
-        # valid because canonical forms are fully sibling-merged
-        return all(any(w.startswith(v) for v in other.words) for w in self.words)
+        # canonical forms are sibling-merged, and u has at most one prefix v
+        pairs = prefix_join(self.words, other.words)
+        return sum(len(v) <= len(u) for u, v in pairs) == len(self.words)
 
     def contains_word(self, word: str) -> bool:
         """Whole-cylinder membership: [word] inside this set."""
@@ -259,8 +275,10 @@ class ClopenSet:
         body = text[1:-1].strip()
         if not body:
             return ClopenSet(())
-        words = tuple("" if w.strip() == "ε" else w.strip() for w in body.split(","))
-        return ClopenSet(words)
+        words = [w.strip() for w in body.split(",")]
+        if "" in words:
+            raise ParseError(f"blank item in clopen set: {text!r}")
+        return ClopenSet(tuple("" if w == "ε" else w for w in words))
 
 
 EMPTY = ClopenSet(())

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .cantor import ClopenSet, Point, check_word, leaves_below, merge_siblings
+from .cantor import (
+    ClopenSet, Point, check_word, leaves_below, merge_siblings, prefix_join
+)
 from .errors import ParseError
 
 _Rat = (int, Fraction)
@@ -65,23 +68,20 @@ class Scalar:
         s = text.strip().replace(" ", "")
         if not s:
             raise ParseError("empty scalar")
-        if not s.endswith("i"):
-            try:
-                return Scalar(Fraction(s), Fraction(0))
-            except ValueError as exc:
-                raise ParseError(f"bad scalar {text!r}") from exc
-        body = s[:-1]
-        split = None
-        for i in range(1, len(body)):
-            if body[i] in "+-" and body[i - 1].isdigit():
-                split = i
         try:
+            if not s.endswith("i"):
+                return Scalar(Fraction(s), Fraction(0))
+            body = s[:-1]
+            split = None
+            for i in range(1, len(body)):
+                if body[i] in "+-" and body[i - 1].isdigit():
+                    split = i
             if split is None:
                 if body in ("", "+", "-"):
                     body += "1"
                 return Scalar(Fraction(0), Fraction(body))
             return Scalar(Fraction(body[:split]), Fraction(body[split:]))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {text!r}") from exc
 
 
@@ -143,12 +143,10 @@ class PiecewiseConstant:
         return self + (-other)
 
     def __mul__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
-        out = {}
-        for u, a in self.pieces:
-            for v, b in other.pieces:
-                if u.startswith(v) or v.startswith(u):
-                    out[u if len(u) >= len(v) else v] = a * b
-        return PiecewiseConstant(tuple(out.items()))
+        pairs = prefix_join(self.pieces, other.pieces, itemgetter(0), itemgetter(0))
+        return PiecewiseConstant(
+            tuple((u + v[len(u):], a * b) for (u, a), (v, b) in pairs)
+        )
 
     def scale(self, c: Scalar) -> "PiecewiseConstant":
         return PiecewiseConstant(tuple((w, c * v) for w, v in self.pieces))
@@ -183,11 +181,5 @@ def compose_with_map(f: PiecewiseConstant, m) -> PiecewiseConstant:
     Supported inside the preimage of f's support; pieces outside the image of m
     contribute nothing.
     """
-    out = {}
-    for w, c in f.pieces:
-        for u, v in m.rules:
-            if w.startswith(v):
-                out[u + w[len(v):]] = c
-            elif v.startswith(w) and v != w:
-                out[u] = c
-    return PiecewiseConstant(tuple(out.items()))
+    pairs = prefix_join(m.rules, f.pieces, itemgetter(1), itemgetter(0))
+    return PiecewiseConstant(tuple((u + w[len(v):], c) for (u, v), (w, c) in pairs))

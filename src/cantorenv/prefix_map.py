@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .cantor import ClopenSet, Point, check_word
+from .cantor import ClopenSet, Point, check_word, prefix_join
 from .errors import NotInDomain, ParseError
 
 
@@ -69,14 +70,8 @@ class PrefixMap:
         raise NotInDomain(f"{x} is outside {self}")
 
     def image_set(self, s: ClopenSet) -> ClopenSet:
-        found = []
-        for u, v in self.rules:
-            for w in s.words:
-                if w.startswith(u):
-                    found.append(v + w[len(u):])
-                elif u.startswith(w):
-                    found.append(v)
-        return ClopenSet(tuple(found))
+        pairs = prefix_join(self.rules, s.words, itemgetter(0))
+        return ClopenSet(tuple(v + w[len(u):] for (u, v), w in pairs))
 
     def preimage_set(self, s: ClopenSet) -> ClopenSet:
         return self.inverse().image_set(s)
@@ -113,14 +108,10 @@ IDENTITY = PrefixMap((("", ""),))
 
 def compose(g: PrefixMap, f: PrefixMap) -> PrefixMap:
     """g after f, as the coarsest common prefix refinement of the rule sets."""
-    out = []
-    for u, v in f.rules:
-        for p, q in g.rules:
-            if p.startswith(v):
-                out.append((u + p[len(v):], q))
-            elif v.startswith(p):
-                out.append((u, q + v[len(p):]))
-    return PrefixMap(tuple(out))
+    pairs = prefix_join(f.rules, g.rules, itemgetter(1), itemgetter(0))
+    return PrefixMap(
+        tuple((u + p[len(v):], q + v[len(p):]) for (u, v), (p, q) in pairs)
+    )
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,43 @@ def overlaps(ws):
             if i != j and v.startswith(u)]
 
 
+def antichain(ws):
+    """The words of ws overlapping no earlier kept word, sorted; siblings unmerged."""
+    kept = []
+    for w in ws:
+        if not overlaps(kept + [w]):
+            kept.append(w)
+    return sorted(kept)
+
+
+def comparable_pairs(xs, ys):
+    """All (x, y), x in xs and y in ys, in which one word is a prefix of the other."""
+    return [(x, y) for x in xs for y in ys if x.startswith(y) or y.startswith(x)]
+
+
+def image_cells(rules, ws, d):
+    """The one-step images of the depth-d cells inside the union of [w], w in ws."""
+    images = (step(rules, c) for c in cells_covered(ws, d))
+    return {v for v in images if v is not None}
+
+
+def pullback_values(pieces, rules, d):
+    """Depth-d cell c -> value of the pieces on [step(rules, c)], where nonzero.
+
+    d must be deep enough that each such cylinder lies inside one piece or
+    misses them all.
+    """
+    out = {}
+    for c in words(d):
+        v = step(rules, c)
+        for w, val in pieces if v is not None else ():
+            if len(w) > len(v) and w.startswith(v):
+                raise ValueError(f"cell {c!r} too shallow for piece {w!r}")
+            if v.startswith(w):
+                out[c] = val
+    return out
+
+
 def equal_siblings(pieces):
     """Words w whose halves w0 and w1 are both pieces, with equal values."""
     table = dict(pieces)

@@ -74,6 +74,19 @@ class TestContainers:
         k = to_kernel(f)
         assert KernelElement.from_json(k.to_json()) == k
 
+    def test_from_json_rejects_zero_denominator(self):
+        for cls in (GroupoidFunction, KernelElement):
+            with pytest.raises(ParseError, match="bad scalar"):
+                cls.from_json([[[0, 0], {"0": "1/0"}]])
+
+    def test_slots_must_be_ints(self):
+        for slot in ([0.7, 1.9], ["2", True], [True, 0], [0, 1.0]):
+            for cls in (GroupoidFunction, KernelElement):
+                with pytest.raises(ParseError, match="slot"):
+                    cls.from_json([[slot, {"0": "1"}]])
+        with pytest.raises(ParseError, match="slot"):
+            blocks(((0, 1.0), ONE_1))
+
     def test_json_scalars_are_strings(self):
         f = blocks(((0, 1), indicator(ClopenSet.parse("{1}"), Scalar(0, -1))))
         [(idx, table)] = f.to_json()

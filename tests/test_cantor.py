@@ -14,10 +14,12 @@ from cantorenv.cantor import (
     common_prefix_length,
     extensions,
     normalize_words,
+    prefix_join,
     sibling,
 )
 from cantorenv.errors import ParseError
-from oracles import cells_covered, equal_siblings, overlaps
+from oracles import cells_covered, comparable_pairs, equal_siblings, overlaps
+from strategies import antichains, short_words
 
 w = st.text(alphabet="01", max_size=6)
 nonempty_w = st.text(alphabet="01", min_size=1, max_size=6)
@@ -118,12 +120,43 @@ def test_normalize_words_is_canonical(ws):
     assert equal_siblings((u, None) for u in out) == []
 
 
+class TestPrefixJoin:
+    def test_small_cases(self):
+        assert list(prefix_join([], ["0", "1"])) == []
+        assert list(prefix_join(["0"], [])) == []
+        assert list(prefix_join([""], ["00", "01", "1"])) == [
+            ("", "00"), ("", "01"), ("", "1")
+        ]
+        assert list(prefix_join(["011", "1"], [""])) == [("011", ""), ("1", "")]
+        assert list(prefix_join(["01", "01"], ["0", "10"])) == [
+            ("01", "0"), ("01", "0")
+        ]
+
+    @given(a=short_words, b=antichains)
+    def test_yields_exactly_the_comparable_pairs(self, a, b):
+        assert sorted(prefix_join(a, b)) == sorted(comparable_pairs(a, b))
+
+    @given(a=antichains, b=antichains)
+    def test_keys_pick_the_words(self, a, b):
+        xs = list(enumerate(a))
+        ys = [(v, -j) for j, v in enumerate(b)]
+        got = prefix_join(xs, ys, lambda x: x[1], lambda y: y[0])
+        assert sorted((x[1], y[0]) for x, y in got) == sorted(comparable_pairs(a, b))
+
+
 class TestClopenSet:
     def test_parse_and_str(self):
         s = ClopenSet.parse("{0,10}")
         assert str(s) == "{0,10}"
         assert str(EMPTY) == "{}"
         assert str(FULL) == "{ε}"
+
+    def test_parse_rejects_blank_items(self):
+        for text in ("{0,}", "{0, ,1}", "{,}", "{ , }"):
+            with pytest.raises(ParseError, match="blank"):
+                ClopenSet.parse(text)
+        assert ClopenSet.parse("{ε, 0}") == FULL
+        assert ClopenSet.parse("{ }") == EMPTY
 
     def test_union_intersect_complement(self):
         a = ClopenSet.parse("{0}")
@@ -160,6 +193,14 @@ class TestClopenSet:
         a = ClopenSet(tuple(normalize_words(ws)))
         b = ClopenSet(tuple(normalize_words(vs)))
         assert a.union(b).complement() == a.complement().intersect(b.complement())
+
+    @given(a=antichains, b=antichains)
+    def test_intersect_and_subset_match_cells(self, a, b):
+        sa, sb = ClopenSet(tuple(a)), ClopenSet(tuple(b))
+        ca, cb = cells_covered(a, 4), cells_covered(b, 4)
+        assert cells_covered((sa & sb).words, 4) == ca & cb
+        assert sa.subset_of(sb) == (ca <= cb)
+        assert sa.subset_of(sa | sb) and (sa & sb).subset_of(sb)
 
     @given(ws=st.lists(w, max_size=4), pre=w, per=nonempty_w)
     def test_membership_matches_word_prefixes(self, ws, pre, per):

@@ -162,6 +162,12 @@ class TestCommands:
                         "--t", "1", "--s", "0", "--base", "{1}")
         assert code == 1 and "error" in out
 
+    def test_etale_blank_base_item(self, sysfile, capsys):
+        for base in ("{0,}", "{0, ,1}"):
+            code, out = run(capsys, "etale", sysfile(FLIP_DEF),
+                            "--t", "0", "--s", "0", "--base", base)
+            assert code == 1 and "blank" in out["error"]
+
     def test_quotient(self, sysfile, capsys):
         code, out = run(capsys, "quotient", sysfile(FLIP_DEF),
                         "--bound", "1", "--depth", "1")

@@ -17,7 +17,8 @@ from cantorenv.functions import (
     indicator,
 )
 from cantorenv.prefix_map import PrefixMap
-from oracles import cell_values, equal_siblings, overlaps
+from oracles import cell_values, equal_siblings, overlaps, pullback_values
+from strategies import rule_lists
 
 rat = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -60,6 +61,11 @@ class TestScalar:
         assert Scalar.parse("1/2 - 2/3 i") == Scalar(Fraction(1, 2), Fraction(-2, 3))
         with pytest.raises(ParseError):
             Scalar.parse("one")
+
+    def test_parse_rejects_zero_denominators(self):
+        for text in ("1/0", "3/0i", "1+1/0i", "1/0-2i"):
+            with pytest.raises(ParseError, match="bad scalar"):
+                Scalar.parse(text)
 
     @given(s=scalars)
     def test_str_parse_roundtrip(self, s):
@@ -124,6 +130,13 @@ class TestPiecewiseConstant:
         want = {c: v for c, v in sums.items() if not v.is_zero()}
         assert cell_values((f + g).pieces, 6) == want
 
+    @given(a=raw_pieces, b=raw_pieces)
+    def test_product_multiplies_cell_values(self, a, b):
+        f, g = PiecewiseConstant(prefix_free(a)), PiecewiseConstant(prefix_free(b))
+        fv, gv = cell_values(f.pieces, 6), cell_values(g.pieces, 6)
+        want = {c: fv[c] * gv[c] for c in fv.keys() & gv.keys()}
+        assert cell_values((f * g).pieces, 6) == want
+
     def test_sum_cuts_only_where_pieces_meet(self):
         # refining every piece to the deepest word would need 2^40 cells
         deep = "0" * 40
@@ -184,6 +197,13 @@ class TestPiecewiseConstant:
         m = PrefixMap.parse("[0 -> 1]")
         f = indicator(ClopenSet.parse("{0}"), Scalar(9))
         assert compose_with_map(f, m).is_zero()
+
+    @given(rules=rule_lists(), raw=raw_pieces)
+    def test_compose_with_map_matches_cellwise_pullback(self, rules, raw):
+        f = PiecewiseConstant(prefix_free(raw))
+        g = compose_with_map(f, PrefixMap(tuple(rules)))
+        # sources and piece words have at most 4 and 5 symbols
+        assert cell_values(g.pieces, 9) == pullback_values(f.pieces, rules, 9)
 
     @given(a=scalars, b=scalars)
     @settings(max_examples=40, deadline=None)

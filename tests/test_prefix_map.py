@@ -15,7 +15,16 @@ from cantorenv.prefix_map import (
 from cantorenv.action import ZPartialAction
 from cantorenv.sampling import Sampler
 
-from oracles import odometer_rules, step, transport, value, words
+from oracles import (
+    cells_covered,
+    image_cells,
+    odometer_rules,
+    step,
+    transport,
+    value,
+    words,
+)
+from strategies import antichains, rule_lists
 
 
 def pm(text):
@@ -63,6 +72,12 @@ class TestApplication:
         assert m.image() == ClopenSet.parse("{1,01}")
         assert m.image_set(ClopenSet.parse("{10}")) == ClopenSet.parse("{01}")
         assert m.preimage_set(ClopenSet.parse("{01}")) == ClopenSet.parse("{10}")
+
+    @given(rules=rule_lists(), ws=antichains)
+    def test_image_set_matches_cellwise_transport(self, rules, ws):
+        got = PrefixMap(tuple(rules)).image_set(ClopenSet(tuple(ws)))
+        want = image_cells(rules, ws, 4)
+        assert cells_covered(got.words, 8) == cells_covered(want, 8)
 
     def test_inverse_swaps_rules(self):
         m = pm("[0 -> 1]")
