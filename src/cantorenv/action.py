@@ -44,8 +44,10 @@ class ZPartialAction:
     An action of a prefix map is clopen and acts directly.  An action of an
     enumeration acts only through its clopen stages: stage k keeps the first
     count(k) rules, one more per stage unless `counts` gives the schedule.
-    Powers are cached per t and stages per rule count; entries are
-    immutable, so a lost cache race only recomputes the same value.
+    Powers h_t and domains X_t are cached per t, support verdicts per
+    (t, support) and stages per rule count.  Every cache lives on the action
+    and dies with it; entries are immutable, so a lost cache race only
+    recomputes the same value, and a call that raises caches nothing.
     """
 
     def __init__(self, generator: PrefixMap | GeneratedMap, counts=None):
@@ -59,6 +61,8 @@ class ZPartialAction:
                 raise ParseError("rule counts must be nondecreasing and >= 1")
         self.counts = counts
         self._powers: dict[int, PrefixMap] = {}
+        self._domains: dict[int, ClopenSet] = {}
+        self._verdicts: dict[tuple[int, ClopenSet], bool] = {}
         self._stages: dict[int, ZPartialAction] = {}
 
     @property
@@ -108,7 +112,18 @@ class ZPartialAction:
 
     def domain(self, t: int) -> ClopenSet:
         """X_t: the set where t backward steps (equivalently -t forward) live."""
-        return self.h(t).image()
+        out = self._domains.get(t)
+        if out is None:
+            out = self._domains[t] = self.h(t).image()
+        return out
+
+    def supports(self, t: int, support: ClopenSet) -> bool:
+        """Whether `support` lies inside X_t, decided once per (t, support)."""
+        key = (t, support)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = support.subset_of(self.domain(t))
+        return verdict
 
     def apply(self, t: int, x: Point) -> Point:
         return self.h(t).apply_point(x)
@@ -237,10 +252,9 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
 
 def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:
     """Transport f supported in X_{-t} to the function f o h_t^{-1} on X_t."""
-    dom = a.domain(-t)
-    if not f.support().subset_of(dom):
+    if not a.supports(-t, f.support()):
         raise SupportViolation(
-            f"support {f.support()} escapes X_{-t} = {dom}"
+            f"support {f.support()} escapes X_{-t} = {a.domain(-t)}"
         )
     return compose_with_map(f, a.h(-t))
 

@@ -140,12 +140,17 @@ ZERO_KERNEL = KernelElement()
 
 
 def _check_supports(table, a: ZPartialAction, index, what: str) -> None:
+    """Raise SupportViolation unless every slot (r, s) lives on X_{index(r, s)}.
+
+    The check is never skipped: every slot of every table is asked on every
+    call.  Only the answer is remembered, by the action, per (t, support).
+    """
     for (r, s), func in table:
-        dom = a.domain(index(r, s))
-        if not func.support().subset_of(dom):
+        t = index(r, s)
+        if not a.supports(t, func.support()):
             raise SupportViolation(
                 f"{what} ({r},{s}) supported on {func.support()}, "
-                f"outside X_{index(r, s)} = {dom}"
+                f"outside X_{t} = {a.domain(t)}"
             )
 
 

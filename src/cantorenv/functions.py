@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from .cantor import (
@@ -30,6 +31,8 @@ class Scalar:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if type(self.re) is Fraction and type(self.im) is Fraction:
+            return  # already canonical: arithmetic on Fractions yields these
         if not isinstance(self.re, _Rat) or not isinstance(self.im, _Rat):
             raise TypeError("scalar parts must be integers or Fractions")
         object.__setattr__(self, "re", Fraction(self.re))
@@ -118,6 +121,11 @@ class PiecewiseConstant:
         return not self.pieces
 
     def support(self) -> ClopenSet:
+        return self._support
+
+    @cached_property
+    def _support(self) -> ClopenSet:
+        # computed once per value; the pieces never change after __post_init__
         return ClopenSet(tuple(w for w, _ in self.pieces))
 
     def value_at(self, x: Point) -> Scalar:

@@ -99,6 +99,10 @@ class PrefixMap:
                 raise ParseError(f"rule syntax is 'u->v': {part!r}")
             u, v = part.split("->", 1)
             u, v = u.strip(), v.strip()
+            if not u or not v:
+                raise ParseError(
+                    f"blank side in rule {part.strip()!r}; the empty word is ε"
+                )
             rules.append(("" if u == "ε" else u, "" if v == "ε" else v))
         return PrefixMap(tuple(rules))
 

@@ -6,6 +6,7 @@ A fixed seed fixes the sampled elements, so failures replay exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .action import ZPartialAction
@@ -68,11 +69,16 @@ def isomorphism_suite(
     failures: list[str] = []
     checked = 0
 
-    def expect(cond: bool, msg: str) -> None:
+    def expect(cond: bool, msg: Callable[[], str]) -> None:
+        """Count one check; on failure keep msg(), for the first 10 only.
+
+        The check is never skipped.  Only the message is deferred: `msg` is
+        called at once, while the loop variables it names are current.
+        """
         nonlocal checked
         checked += 1
         if not cond and len(failures) < 10:
-            failures.append(msg)
+            failures.append(msg())
 
     for _ in range(trials):
         f = sampler.groupoid_function(a, max_index, depth)
@@ -83,31 +89,31 @@ def isomorphism_suite(
 
         expect(
             to_kernel(fg) == kernel_multiply(kf, kg, a),
-            f"products disagree for f={f} and g={g}",
+            lambda: f"products disagree for f={f} and g={g}",
         )
         expect(
             to_kernel(adjoint(f, a)) == kernel_adjoint(kf, a),
-            f"adjoints disagree for f={f}",
+            lambda: f"adjoints disagree for f={f}",
         )
-        expect(from_kernel(kf) == f, f"reindexing does not invert on {f}")
+        expect(from_kernel(kf) == f, lambda: f"reindexing does not invert on {f}")
         expect(
             adjoint(adjoint(f, a), a) == f,
-            f"double adjoint moved {f}",
+            lambda: f"double adjoint moved {f}",
         )
         expect(
             adjoint(fg, a)
             == convolve(adjoint(g, a), adjoint(f, a), a),
-            f"(fg)* != g*f* for f={f}, g={g}",
+            lambda: f"(fg)* != g*f* for f={f}, g={g}",
         )
         expect(
             convolve(fg, h, a) == convolve(f, convolve(g, h, a), a),
-            f"block product not associative on f={f}, g={g}, h={h}",
+            lambda: f"block product not associative on f={f}, g={g}, h={h}",
         )
         kh = to_kernel(h)
         expect(
             kernel_multiply(kernel_multiply(kf, kg, a), kh, a)
             == kernel_multiply(kf, kernel_multiply(kg, kh, a), a),
-            "kernel product not associative",
+            lambda: "kernel product not associative",
         )
 
         total = ZERO_KERNEL
@@ -115,26 +121,26 @@ def isomorphism_suite(
             total = total + corner(kf, r, s)
             expect(
                 corner(kf, r, s) == to_kernel(f.restrict_block(-r, -s)),
-                f"corner ({r},{s}) does not match the block restriction",
+                lambda: f"corner ({r},{s}) does not match the block restriction",
             )
             expect(
                 corner(kf, r, s) == col_part(row_part(kf, r), s),
-                f"row/column compressions disagree at ({r},{s})",
+                lambda: f"row/column compressions disagree at ({r},{s})",
             )
-        expect(total == kf, f"corners do not sum back to {kf}")
+        expect(total == kf, lambda: f"corners do not sum back to {kf}")
 
         for t in (-1, 0, 1):
             c1, c2 = corner(kf, t, t), corner(kg, t, t)
             p12 = kernel_multiply(c1, c2, a)
             p21 = kernel_multiply(c2, c1, a)
-            expect(p12 == p21, f"diagonal corners at {t} do not commute")
+            expect(p12 == p21, lambda: f"diagonal corners at {t} do not commute")
             expect(
                 p12.indices in ((), ((t, t),)),
-                f"diagonal corner product left the diagonal at {t}",
+                lambda: f"diagonal corner product left the diagonal at {t}",
             )
             expect(
                 p12.entry(t, t) == c1.entry(t, t) * c2.entry(t, t),
-                f"diagonal corner product at {t} is not pointwise",
+                lambda: f"diagonal corner product at {t} is not pointwise",
             )
 
         for t in (-2, 1):
@@ -143,16 +149,16 @@ def isomorphism_suite(
                 == kernel_multiply(
                     shift_kernel(kf, t), shift_kernel(kg, t), a
                 ),
-                f"slot shift by {t} is not multiplicative",
+                lambda: f"slot shift by {t} is not multiplicative",
             )
             expect(
                 shift_kernel(kernel_adjoint(kf, a), t)
                 == kernel_adjoint(shift_kernel(kf, t), a),
-                f"slot shift by {t} does not respect the adjoint",
+                lambda: f"slot shift by {t} does not respect the adjoint",
             )
             expect(
                 norm_squared(shift_kernel(kf, t)) == norm_squared(kf),
-                f"slot shift by {t} changed the norm",
+                lambda: f"slot shift by {t} changed the norm",
             )
     return VerifyReport(trials, checked, tuple(failures))
 

@@ -54,6 +54,31 @@ class TestZPartialAction:
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
         assert a.h(0) == IDENTITY
 
+    def test_domains_are_cached_per_t(self):
+        a = ZPartialAction(ODOMETER).stage(2)
+        fresh = ZPartialAction(ODOMETER).stage(2)
+        for t in range(-3, 4):
+            first = a.domain(t)
+            assert a.domain(t) is first
+            assert first == a.h(t).image() == fresh.h(t).image()
+
+    def test_domain_errors_are_not_cached(self):
+        a = ZPartialAction(ODOMETER)
+        for _ in range(3):
+            with pytest.raises(LevelRequired):
+                a.domain(1)
+            with pytest.raises(LevelRequired):
+                a.supports(1, FULL)
+        assert a.domain(0) == FULL
+
+    def test_support_verdicts_are_keyed_on_t_and_support(self):
+        a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        one = ClopenSet.parse("{1}")
+        for _ in range(2):
+            assert a.supports(1, one) and a.supports(0, one)
+            assert not a.supports(-1, one)
+            assert not a.supports(1, FULL)
+
     def test_negative_powers_invert(self):
         a = ZPartialAction(ODOMETER)
         x = Point.parse("10(0)")

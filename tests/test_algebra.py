@@ -124,6 +124,22 @@ class TestConvolve:
         f = blocks(((1, 0), ONE_0))
         assert adjoint(f, FLIP) == blocks(((0, 1), ONE_1))
 
+    def test_support_check_survives_an_earlier_verdict(self):
+        # {1} is accepted for block (0, 1) in X_1 and must still be refused
+        # for block (1, 0) in X_-1 = {0}, on every call
+        a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        good = blocks(((0, 1), ONE_1))
+        bad = blocks(((1, 0), ONE_1))
+        assert convolve(good, good, a).is_zero()
+        for f, g in ((bad, good), (good, bad), (bad, good)):
+            with pytest.raises(SupportViolation) as exc:
+                convolve(f, g, a)
+            assert str(exc.value) == (
+                "block (1,0) supported on {1}, outside X_-1 = {0}"
+            )
+        with pytest.raises(SupportViolation):
+            adjoint(bad, a)
+
     def test_adjoint_is_involutive(self):
         s = Sampler(3)
         for _ in range(10):
@@ -183,6 +199,20 @@ class TestKernelAlgebra:
         k2 = kernel(((-1, 0), ONE_0))
         out = kernel_multiply(k1, k2, FLIP)
         assert out == kernel(((0, 0), ONE_1))
+
+    def test_entry_check_survives_an_earlier_verdict(self):
+        a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        good = kernel(((1, 0), ONE_1))
+        bad = kernel(((0, 1), ONE_1))
+        assert kernel_multiply(good, good, a).is_zero()
+        for _ in range(2):
+            with pytest.raises(SupportViolation) as exc:
+                kernel_multiply(bad, good, a)
+            assert str(exc.value) == (
+                "entry (0,1) supported on {1}, outside X_-1 = {0}"
+            )
+            with pytest.raises(SupportViolation):
+                kernel_adjoint(bad, a)
 
     def test_kernel_adjoint_is_involutive(self):
         s = Sampler(5)

@@ -67,6 +67,14 @@ class TestScalar:
             with pytest.raises(ParseError, match="bad scalar"):
                 Scalar.parse(text)
 
+    def test_parts_must_be_exact(self):
+        for re, im in ((1.5, 0), (0, 1.5), (Fraction(1), 0.5), ("1", 0)):
+            with pytest.raises(TypeError):
+                Scalar(re, im)
+        s = Scalar(2, Fraction(1, 3))
+        assert type(s.re) is Fraction and type(s.im) is Fraction
+        assert Scalar(s.re, s.im) == s
+
     @given(s=scalars)
     def test_str_parse_roundtrip(self, s):
         assert Scalar.parse(str(s)) == s
@@ -88,6 +96,14 @@ class TestPiecewiseConstant:
     def test_zero_values_dropped(self):
         f = PiecewiseConstant((("0", ZERO), ("1", ONE)))
         assert f.pieces == (("1", ONE),)
+
+    def test_support_is_computed_once_per_value(self):
+        f = PiecewiseConstant((("00", ONE), ("01", Scalar(2)), ("1", ONE)))
+        assert f.support() is f.support()
+        assert f.support() == FULL
+        g = PiecewiseConstant(f.pieces)
+        assert g == f and hash(g) == hash(f)
+        assert ZERO_FUNC.support().is_empty()
 
     def test_equal_siblings_merge(self):
         f = PiecewiseConstant((("0", ONE), ("1", ONE)))

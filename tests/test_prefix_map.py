@@ -54,6 +54,14 @@ class TestValidity:
             with pytest.raises(ParseError):
                 pm(bad)
 
+    def test_parse_rejects_blank_sides(self):
+        # the empty word is written ε; a blank side is a typo, not ε
+        for bad in ("[->1]", "[0->]", "[ -> ]", "[0->1, ->0]"):
+            with pytest.raises(ParseError, match="blank"):
+                pm(bad)
+        assert pm("[ε->1]") == PrefixMap((("", "1"),))
+        assert pm("[0->ε]") == PrefixMap((("0", ""),))
+
     def test_str_parse_roundtrip(self):
         m = pm("[10 -> 01, 0 -> 1]")
         assert PrefixMap.parse(str(m)) == m
