@@ -16,14 +16,11 @@ from .algebra import (
     adjoint,
     col_part,
     convolve,
-    corner,
     from_kernel,
     kernel_adjoint,
     kernel_multiply,
     norm_squared,
     row_part,
-    shift_blocks,
-    shift_kernel,
     to_kernel,
 )
 from .cantor import EMPTY, FULL, MAX, MIN, ClopenSet, Point

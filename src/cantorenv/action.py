@@ -38,6 +38,20 @@ def kernel_tag(r: int, s: int) -> int:
     return r - s
 
 
+def exhaustion_counts(generator: PrefixMap | GeneratedMap, counts) -> tuple[int, ...]:
+    """A schedule's rule counts: nondecreasing ints >= 1, for an open enumeration."""
+    if not isinstance(generator, GeneratedMap):
+        raise ParseError("an exhaustion schedule needs an open enumeration")
+    if (
+        not isinstance(counts, (list, tuple))
+        or not counts
+        or any(type(c) is not int or c < 1 for c in counts)
+        or list(counts) != sorted(counts)
+    ):
+        raise ParseError("exhaustion must be a nondecreasing list of rule counts >= 1")
+    return tuple(counts)
+
+
 class ZPartialAction:
     """The family {X_t, h_t} generated by a prefix map or an enumeration.
 
@@ -55,11 +69,7 @@ class ZPartialAction:
         if bad:
             raise ParseError("invalid generator: " + "; ".join(bad))
         self.generator = generator
-        if counts is not None:
-            counts = tuple(int(c) for c in counts)
-            if any(c < 1 for c in counts) or list(counts) != sorted(counts):
-                raise ParseError("rule counts must be nondecreasing and >= 1")
-        self.counts = counts
+        self.counts = None if counts is None else exhaustion_counts(generator, counts)
         self._powers: dict[int, PrefixMap] = {}
         self._domains: dict[int, ClopenSet] = {}
         self._verdicts: dict[tuple[int, ClopenSet], bool] = {}

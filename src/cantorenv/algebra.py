@@ -1,11 +1,14 @@
 """Finitely supported block and kernel algebras over a clopen action.
 
-A block function carries finitely many blocks f_{r,s}, each a piecewise
-constant function living on X_{s-r}, multiplied by the convolution that sums
-over the middle slot and transports the second factor.  A kernel carries
-entries k(r,s) living on X_{r-s}, multiplied matrix-style with the fiber
-product alpha_p(alpha_{-p}(f) g) on each term.  Reindexing blocks by slot
-negation exchanges the two pictures; every identity here is exact.
+Both pictures hold the same data: a table of finitely many slots (r, s), each
+carrying a piecewise constant function, read through two index conventions.
+A block function's slot (r, s) lives on X_{s-r}; blocks multiply by the
+convolution that sums over the middle slot and transports the second factor.
+A kernel's slot (r, s) lives on X_{r-s}; kernels multiply matrix-style with
+the fiber product alpha_p(alpha_{-p}(f) g) on each term.  Either kind reads a
+slot with `at(r, s)`, translates both slots with `shift(t)` and compresses to
+one slot with `corner(r, s)`.  Reindexing blocks by slot negation exchanges
+the two pictures; every identity here is exact.
 """
 
 from __future__ import annotations
@@ -21,25 +24,21 @@ from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map
 Index = tuple[int, int]
 
 
+@dataclass(frozen=True)
 class _IndexedTable:
     """Finitely many slots (r, s) -> function, kept canonical and sorted.
 
-    A subclass is a frozen dataclass whose one field, named by `_field`,
-    holds the table; `_what` names one slot in messages.  Dataclass equality
-    compares the class too, so tables of different kinds are never equal.
+    `_what` names one slot in messages.  Dataclass equality compares the
+    class too, so tables of different kinds are never equal.
     """
 
-    _field: ClassVar[str]
+    table: tuple[tuple[Index, PiecewiseConstant], ...] = ()
     _what: ClassVar[str]
-
-    @property
-    def _table(self) -> tuple[tuple[Index, PiecewiseConstant], ...]:
-        return getattr(self, self._field)
 
     def __post_init__(self):
         seen = set()
         out = []
-        for key, func in self._table:
+        for key, func in self.table:
             if type(key[0]) is not int or type(key[1]) is not int:
                 raise ParseError(f"{self._what} slot {key!r} is not a pair of ints")
             if key in seen:
@@ -47,38 +46,46 @@ class _IndexedTable:
             seen.add(key)
             if not func.is_zero():
                 out.append((key, func))
-        object.__setattr__(self, self._field, tuple(sorted(out)))
+        object.__setattr__(self, "table", tuple(sorted(out)))
         object.__setattr__(self, "_lookup", dict(out))
 
-    def _at(self, r: int, s: int) -> PiecewiseConstant:
+    def at(self, r: int, s: int) -> PiecewiseConstant:
         return self._lookup.get((r, s), ZERO_FUNC)
 
     @property
     def indices(self) -> tuple[Index, ...]:
-        return tuple(key for key, _ in self._table)
+        return tuple(key for key, _ in self.table)
 
     def is_zero(self) -> bool:
-        return not self._table
+        return not self.table
+
+    def shift(self, t: int):
+        """Translate both slots: new slot (r, s) reads the old slot (r+t, s+t)."""
+        return type(self)(tuple(((r - t, s - t), f) for (r, s), f in self.table))
+
+    def corner(self, r: int, s: int):
+        """Compression to the single slot (r, s)."""
+        return type(self)((((r, s), self.at(r, s)),))
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        acc = self._lookup | {k: self._at(*k) + f for k, f in other._table}
+        acc = self._lookup | {k: self.at(*k) + f for k, f in other.table}
         return type(self)(tuple(acc.items()))
 
     def __neg__(self):
-        return type(self)(tuple((k, -f) for k, f in self._table))
+        return type(self)(tuple((k, -f) for k, f in self.table))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Scalar):
-        return type(self)(tuple((k, f.scale(c)) for k, f in self._table))
+        return type(self)(tuple((k, f.scale(c)) for k, f in self.table))
 
     def to_json(self) -> list:
         return [
             [[r, s], {w: str(c) for w, c in func.pieces}]
-            for (r, s), func in self._table
+            for (r, s), func in self.table
         ]
 
     @classmethod
@@ -98,40 +105,27 @@ class _IndexedTable:
         return cls(tuple(table))
 
 
-@dataclass(frozen=True)
 class GroupoidFunction(_IndexedTable):
     """Finitely many blocks (r, s) -> function supported in X_{s-r}."""
 
-    blocks: tuple[tuple[Index, PiecewiseConstant], ...] = ()
-    _field = "blocks"
     _what = "block"
 
-    block = _IndexedTable._at
-
-    def restrict_block(self, r: int, s: int) -> "GroupoidFunction":
-        return GroupoidFunction((((r, s), self.block(r, s)),))
-
     def __str__(self) -> str:
-        if not self.blocks:
+        if not self.table:
             return "0"
-        return " + ".join(f"[{f}]@({r},{s})" for (r, s), f in self.blocks)
+        return " + ".join(f"[{f}]@({r},{s})" for (r, s), f in self.table)
 
 
-@dataclass(frozen=True)
 class KernelElement(_IndexedTable):
     """Finitely many entries (r, s) -> function supported in X_{r-s}."""
 
-    entries: tuple[tuple[Index, PiecewiseConstant], ...] = ()
-    _field = "entries"
     _what = "entry"
 
-    entry = _IndexedTable._at
-
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.table:
             return "0"
         return " + ".join(
-            f"[{f}]d{kernel_tag(r, s)}@({r},{s})" for (r, s), f in self.entries
+            f"[{f}]d{kernel_tag(r, s)}@({r},{s})" for (r, s), f in self.table
         )
 
 
@@ -155,11 +149,11 @@ def _check_supports(table, a: ZPartialAction, index, what: str) -> None:
 
 
 def validate_blocks(f: GroupoidFunction, a: ZPartialAction) -> None:
-    _check_supports(f.blocks, a, germ_index, "block")
+    _check_supports(f.table, a, germ_index, "block")
 
 
 def validate_entries(k: KernelElement, a: ZPartialAction) -> None:
-    _check_supports(k.entries, a, kernel_tag, "entry")
+    _check_supports(k.table, a, kernel_tag, "entry")
 
 
 # --------------------------------------------------------------------------
@@ -173,8 +167,8 @@ def convolve(
     validate_blocks(f, a)
     validate_blocks(g, a)
     acc: dict[Index, PiecewiseConstant] = {}
-    for (r, s), fb in f.blocks:
-        for (s2, u), gb in g.blocks:
+    for (r, s), fb in f.table:
+        for (s2, u), gb in g.table:
             if s2 != s:
                 continue
             moved = compose_with_map(gb, a.h(transport_index(r, s)))
@@ -192,19 +186,12 @@ def adjoint(f: GroupoidFunction, a: ZPartialAction) -> GroupoidFunction:
     """Block (s, r) of f* = conjugate of f_{r,s}, transported by h_{s-r}."""
     validate_blocks(f, a)
     table = []
-    for (r, s), func in f.blocks:
+    for (r, s), func in f.table:
         moved = compose_with_map(func.conj(), a.h(transport_index(s, r)))
         table.append(((s, r), moved))
     out = GroupoidFunction(tuple(table))
     validate_blocks(out, a)
     return out
-
-
-def shift_blocks(f: GroupoidFunction, t: int) -> GroupoidFunction:
-    """Translate both slots: new block (r, s) reads the old block (r+t, s+t)."""
-    return GroupoidFunction(
-        tuple(((r - t, s - t), func) for (r, s), func in f.blocks)
-    )
 
 
 # --------------------------------------------------------------------------
@@ -227,8 +214,8 @@ def kernel_multiply(
     validate_entries(k1, a)
     validate_entries(k2, a)
     acc: dict[Index, PiecewiseConstant] = {}
-    for (r, t), e1 in k1.entries:
-        for (t2, s), e2 in k2.entries:
+    for (r, t), e1 in k1.table:
+        for (t2, s), e2 in k2.table:
             if t2 != t:
                 continue
             term = fiber_product(e1, kernel_tag(r, t), e2, kernel_tag(t, s), a)
@@ -245,7 +232,7 @@ def kernel_adjoint(k: KernelElement, a: ZPartialAction) -> KernelElement:
     """Entry (r, s) of k* = conjugate of k(s, r), transported by h_{s-r}."""
     validate_entries(k, a)
     table = []
-    for (s, r), func in k.entries:
+    for (s, r), func in k.table:
         moved = compose_with_map(func.conj(), a.h(germ_index(r, s)))
         table.append(((r, s), moved))
     out = KernelElement(tuple(table))
@@ -253,32 +240,17 @@ def kernel_adjoint(k: KernelElement, a: ZPartialAction) -> KernelElement:
     return out
 
 
-def shift_kernel(k: KernelElement, t: int) -> KernelElement:
-    """Translate both slots: new entry (r, s) reads the old entry (r+t, s+t)."""
-    return KernelElement(
-        tuple(((r - t, s - t), func) for (r, s), func in k.entries)
-    )
-
-
-def corner(k: KernelElement, r: int, s: int) -> KernelElement:
-    """Compression to the single entry (r, s)."""
-    func = k.entry(r, s)
-    if func.is_zero():
-        return ZERO_KERNEL
-    return KernelElement((((r, s), func),))
-
-
 def row_part(k: KernelElement, t: int) -> KernelElement:
-    return KernelElement(tuple(e for e in k.entries if e[0][0] == t))
+    return KernelElement(tuple(e for e in k.table if e[0][0] == t))
 
 
 def col_part(k: KernelElement, t: int) -> KernelElement:
-    return KernelElement(tuple(e for e in k.entries if e[0][1] == t))
+    return KernelElement(tuple(e for e in k.table if e[0][1] == t))
 
 
 def norm_squared(k: KernelElement) -> Fraction:
     """Sum over entries of the squared sup of |value|; exact, never rooted."""
-    return sum((func.sup_norm_sq() for _, func in k.entries), Fraction(0))
+    return sum((func.sup_norm_sq() for _, func in k.table), Fraction(0))
 
 
 # --------------------------------------------------------------------------
@@ -287,13 +259,9 @@ def norm_squared(k: KernelElement) -> Fraction:
 
 def to_kernel(f: GroupoidFunction) -> KernelElement:
     """Entry (r, s) of the kernel = block (-r, -s) of f, tagged d_{r-s}."""
-    return KernelElement(
-        tuple(((-r, -s), func) for (r, s), func in f.blocks)
-    )
+    return KernelElement(tuple(((-r, -s), func) for (r, s), func in f.table))
 
 
 def from_kernel(k: KernelElement) -> GroupoidFunction:
     """Inverse reindexing: block (r, s) = entry (-r, -s)."""
-    return GroupoidFunction(
-        tuple(((-r, -s), func) for (r, s), func in k.entries)
-    )
+    return GroupoidFunction(tuple(((-r, -s), func) for (r, s), func in k.table))

@@ -15,11 +15,12 @@ from pathlib import Path
 from .action import (
     ZPartialAction,
     axioms_check,
+    exhaustion_counts,
     generated_family,
     germ_index,
     transport_index,
 )
-from .cantor import ClopenSet, Point, check_word
+from .cantor import ClopenSet, Point
 from .cells import adapted_depth, cell_partition
 from .envelope import GermPair, etale_probe, hausdorff_decide, nonseparable_pair
 from .errors import (
@@ -103,7 +104,7 @@ def load_system(path: str) -> SystemDefinition:
             not isinstance(pair, list) or len(pair) != 2 for pair in raw
         ):
             raise ParseError("rules must be a list of [source, target] pairs")
-        rules = tuple((check_word(u), check_word(v)) for u, v in raw)
+        rules = tuple(map(tuple, raw))
         if gen["exhausts"] == "clopen":
             generator = PrefixMap(rules)
         elif gen["exhausts"] == "open":
@@ -113,27 +114,14 @@ def load_system(path: str) -> SystemDefinition:
     else:
         raise ParseError(f"unknown generator kind {kind!r}")
 
-    counts = None
-    if "exhaustion" in obj:
-        if not isinstance(generator, GeneratedMap):
-            raise ParseError("an exhaustion schedule needs an open enumeration")
-        sched = obj["exhaustion"]
-        if (
-            not isinstance(sched, list)
-            or not sched
-            or any(not isinstance(c, int) or c < 1 for c in sched)
-            or sched != sorted(sched)
-        ):
-            raise ParseError(
-                "exhaustion must be a nondecreasing list of rule counts >= 1"
-            )
-        counts = tuple(sched)
+    has_schedule = "exhaustion" in obj
+    counts = exhaustion_counts(generator, obj["exhaustion"]) if has_schedule else None
 
     defaults = obj.get("defaults", {})
     if not isinstance(defaults, dict) or set(defaults) - _DEFAULT_KEYS:
         raise ParseError(f"defaults may only set {sorted(_DEFAULT_KEYS)}")
     for key, val in defaults.items():
-        if not isinstance(val, int):
+        if type(val) is not int:
             raise ParseError(f"default {key!r} must be an integer")
     return SystemDefinition(name, generator, counts, dict(defaults))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 
 from .action import ZPartialAction
 from .algebra import (
@@ -15,17 +16,14 @@ from .algebra import (
     adjoint,
     col_part,
     convolve,
-    corner,
     from_kernel,
     kernel_adjoint,
     kernel_multiply,
     norm_squared,
     row_part,
-    shift_blocks,
-    shift_kernel,
     to_kernel,
 )
-from .errors import EngineError
+from .errors import EngineError, SupportViolation
 from .sampling import Sampler
 
 
@@ -52,6 +50,28 @@ class VerifyReport:
         return out
 
 
+class _Tally:
+    """Counts checks and keeps the first 10 failure messages.
+
+    A check is never skipped.  Its condition runs inside the check, so a
+    SupportViolation on the way fails that check and is appended to its
+    message; `msg` runs at once, while the loop variables it names are current.
+    """
+
+    def __init__(self):
+        self.checked = 0
+        self.failures: list[str] = []
+
+    def __call__(self, cond: Callable[[], bool], msg: Callable[[], str]) -> None:
+        self.checked += 1
+        try:
+            ok, why = cond(), ""
+        except SupportViolation as exc:
+            ok, why = False, f": {exc}"
+        if not ok and len(self.failures) < 10:
+            self.failures.append(msg() + why)
+
+
 def isomorphism_suite(
     a: ZPartialAction,
     trials: int = 100,
@@ -66,101 +86,90 @@ def isomorphism_suite(
     if level is not None:
         a = a.stage(level)
     sampler = Sampler(seed)
-    failures: list[str] = []
-    checked = 0
-
-    def expect(cond: bool, msg: Callable[[], str]) -> None:
-        """Count one check; on failure keep msg(), for the first 10 only.
-
-        The check is never skipped.  Only the message is deferred: `msg` is
-        called at once, while the loop variables it names are current.
-        """
-        nonlocal checked
-        checked += 1
-        if not cond and len(failures) < 10:
-            failures.append(msg())
-
+    expect = _Tally()
     for _ in range(trials):
         f = sampler.groupoid_function(a, max_index, depth)
         g = sampler.groupoid_function(a, max_index, depth)
         h = sampler.groupoid_function(a, max_index, depth)
-        kf, kg = to_kernel(f), to_kernel(g)
+        kf, kg, kh = to_kernel(f), to_kernel(g), to_kernel(h)
         fg = convolve(f, g, a)
 
         expect(
-            to_kernel(fg) == kernel_multiply(kf, kg, a),
+            lambda: to_kernel(fg) == kernel_multiply(kf, kg, a),
             lambda: f"products disagree for f={f} and g={g}",
         )
         expect(
-            to_kernel(adjoint(f, a)) == kernel_adjoint(kf, a),
+            lambda: to_kernel(adjoint(f, a)) == kernel_adjoint(kf, a),
             lambda: f"adjoints disagree for f={f}",
         )
-        expect(from_kernel(kf) == f, lambda: f"reindexing does not invert on {f}")
         expect(
-            adjoint(adjoint(f, a), a) == f,
+            lambda: from_kernel(kf) == f,
+            lambda: f"reindexing does not invert on {f}",
+        )
+        expect(
+            lambda: adjoint(adjoint(f, a), a) == f,
             lambda: f"double adjoint moved {f}",
         )
         expect(
-            adjoint(fg, a)
-            == convolve(adjoint(g, a), adjoint(f, a), a),
+            lambda: adjoint(fg, a) == convolve(adjoint(g, a), adjoint(f, a), a),
             lambda: f"(fg)* != g*f* for f={f}, g={g}",
         )
         expect(
-            convolve(fg, h, a) == convolve(f, convolve(g, h, a), a),
+            lambda: convolve(fg, h, a) == convolve(f, convolve(g, h, a), a),
             lambda: f"block product not associative on f={f}, g={g}, h={h}",
         )
-        kh = to_kernel(h)
         expect(
-            kernel_multiply(kernel_multiply(kf, kg, a), kh, a)
+            lambda: kernel_multiply(kernel_multiply(kf, kg, a), kh, a)
             == kernel_multiply(kf, kernel_multiply(kg, kh, a), a),
             lambda: "kernel product not associative",
         )
 
         total = ZERO_KERNEL
         for r, s in kf.indices:
-            total = total + corner(kf, r, s)
+            total = total + kf.corner(r, s)
             expect(
-                corner(kf, r, s) == to_kernel(f.restrict_block(-r, -s)),
+                lambda: kf.corner(r, s) == to_kernel(f.corner(-r, -s)),
                 lambda: f"corner ({r},{s}) does not match the block restriction",
             )
             expect(
-                corner(kf, r, s) == col_part(row_part(kf, r), s),
+                lambda: kf.corner(r, s) == col_part(row_part(kf, r), s),
                 lambda: f"row/column compressions disagree at ({r},{s})",
             )
-        expect(total == kf, lambda: f"corners do not sum back to {kf}")
+        expect(lambda: total == kf, lambda: f"corners do not sum back to {kf}")
 
         for t in (-1, 0, 1):
-            c1, c2 = corner(kf, t, t), corner(kg, t, t)
-            p12 = kernel_multiply(c1, c2, a)
-            p21 = kernel_multiply(c2, c1, a)
-            expect(p12 == p21, lambda: f"diagonal corners at {t} do not commute")
+            c1, c2 = kf.corner(t, t), kg.corner(t, t)
+            # built once, by the first check that asks; a raise is not cached
+            p12 = cache(lambda: kernel_multiply(c1, c2, a))
             expect(
-                p12.indices in ((), ((t, t),)),
+                lambda: p12() == kernel_multiply(c2, c1, a),
+                lambda: f"diagonal corners at {t} do not commute",
+            )
+            expect(
+                lambda: p12().indices in ((), ((t, t),)),
                 lambda: f"diagonal corner product left the diagonal at {t}",
             )
             expect(
-                p12.entry(t, t) == c1.entry(t, t) * c2.entry(t, t),
+                lambda: p12().at(t, t) == c1.at(t, t) * c2.at(t, t),
                 lambda: f"diagonal corner product at {t} is not pointwise",
             )
 
         for t in (-2, 1):
             expect(
-                shift_kernel(kernel_multiply(kf, kg, a), t)
-                == kernel_multiply(
-                    shift_kernel(kf, t), shift_kernel(kg, t), a
-                ),
+                lambda: kernel_multiply(kf, kg, a).shift(t)
+                == kernel_multiply(kf.shift(t), kg.shift(t), a),
                 lambda: f"slot shift by {t} is not multiplicative",
             )
             expect(
-                shift_kernel(kernel_adjoint(kf, a), t)
-                == kernel_adjoint(shift_kernel(kf, t), a),
+                lambda: kernel_adjoint(kf, a).shift(t)
+                == kernel_adjoint(kf.shift(t), a),
                 lambda: f"slot shift by {t} does not respect the adjoint",
             )
             expect(
-                norm_squared(shift_kernel(kf, t)) == norm_squared(kf),
+                lambda: norm_squared(kf.shift(t)) == norm_squared(kf),
                 lambda: f"slot shift by {t} changed the norm",
             )
-    return VerifyReport(trials, checked, tuple(failures))
+    return VerifyReport(trials, expect.checked, tuple(expect.failures))
 
 
 def equivariance_sign(
@@ -184,9 +193,8 @@ def equivariance_sign(
     eps = None
     for f in samples:
         for t in range(1, max_t + 1):
-            target = to_kernel(shift_blocks(f, t))
-            plus = shift_kernel(to_kernel(f), t) == target
-            minus = shift_kernel(to_kernel(f), -t) == target
+            target = to_kernel(f.shift(t))
+            plus, minus = (to_kernel(f).shift(u) == target for u in (t, -t))
             if plus != minus:
                 eps = 1 if plus else -1
                 break
@@ -195,12 +203,11 @@ def equivariance_sign(
     if eps is None:
         raise EngineError("no sample distinguishes the two intertwining signs")
 
-    failures: list[str] = []
-    checked = 0
+    expect = _Tally()
     for f in samples:
         for t in range(-max_t, max_t + 1):
-            checked += 1
-            if to_kernel(shift_blocks(f, t)) != shift_kernel(to_kernel(f), eps * t):
-                if len(failures) < 10:
-                    failures.append(f"sign {eps} fails at t={t} on {f}")
-    return eps, VerifyReport(trials, checked, tuple(failures), epsilon=eps)
+            expect(
+                lambda: to_kernel(f.shift(t)) == to_kernel(f).shift(eps * t),
+                lambda: f"sign {eps} fails at t={t} on {f}",
+            )
+    return eps, VerifyReport(trials, expect.checked, tuple(expect.failures), eps)

@@ -134,6 +134,15 @@ class TestZPartialAction:
         with pytest.raises(ParseError):
             ZPartialAction(ODOMETER, counts=(0,))
 
+    @pytest.mark.parametrize("counts", [(1.9, "3"), (), (True, 2), [1, 1.0]])
+    def test_counts_must_be_ints(self, counts):
+        with pytest.raises(ParseError, match="nondecreasing list of rule counts"):
+            ZPartialAction(ODOMETER, counts=counts)
+
+    def test_counts_need_an_open_enumeration(self):
+        with pytest.raises(ParseError, match="needs an open enumeration"):
+            ZPartialAction(PrefixMap.parse("[0 -> 1]"), counts=(1,))
+
     @given(t=st.integers(-3, 3), k=st.integers(0, 2))
     @settings(max_examples=40, deadline=None)
     def test_powers_match_stepwise_oracle(self, t, k):

@@ -14,15 +14,12 @@ from cantorenv.algebra import (
     adjoint,
     col_part,
     convolve,
-    corner,
     fiber_product,
     from_kernel,
     kernel_adjoint,
     kernel_multiply,
     norm_squared,
     row_part,
-    shift_blocks,
-    shift_kernel,
     to_kernel,
     validate_blocks,
     validate_entries,
@@ -222,24 +219,24 @@ class TestKernelAlgebra:
 
     def test_shift_group_law(self):
         k = kernel(((0, 1), ONE_0))
-        assert shift_kernel(shift_kernel(k, 1), 2) == shift_kernel(k, 3)
-        assert shift_kernel(k, 0) == k
-        assert shift_kernel(k, 1).indices == ((-1, 0),)
+        assert k.shift(1).shift(2) == k.shift(3)
+        assert k.shift(0) == k
+        assert k.shift(1).indices == ((-1, 0),)
 
     def test_corner_row_col(self):
         k = kernel(((0, 1), ONE_0), ((1, 1), ONE_0), ((0, 0), ONE_1))
-        assert corner(k, 0, 1) == kernel(((0, 1), ONE_0))
-        assert corner(k, 2, 2) == ZERO_KERNEL
+        assert k.corner(0, 1) == kernel(((0, 1), ONE_0))
+        assert k.corner(2, 2) == ZERO_KERNEL
         assert row_part(k, 0).indices == ((0, 0), (0, 1))
         assert col_part(k, 1).indices == ((0, 1), (1, 1))
-        assert corner(k, 0, 1) == col_part(row_part(k, 0), 1)
+        assert k.corner(0, 1) == col_part(row_part(k, 0), 1)
 
     def test_corners_sum_back(self):
         s = Sampler(6)
         k = to_kernel(s.groupoid_function(ODO1, max_index=2, depth=4))
         total = ZERO_KERNEL
         for r, sx in k.indices:
-            total = total + corner(k, r, sx)
+            total = total + k.corner(r, sx)
         assert total == k
 
     def test_norm_squared_exact(self):
@@ -248,7 +245,7 @@ class TestKernelAlgebra:
             ((1, 0), indicator(ClopenSet.parse("{1}"), Scalar(0, 2))),
         )
         assert norm_squared(k) == Fraction(1, 9) + 4
-        assert norm_squared(shift_kernel(k, 2)) == norm_squared(k)
+        assert norm_squared(k.shift(2)) == norm_squared(k)
         assert norm_squared(ZERO_KERNEL) == 0
 
 
@@ -289,6 +286,4 @@ class TestReindexing:
         for _ in range(10):
             f = s.groupoid_function(ODO1, max_index=2, depth=4)
             for t in (-2, -1, 1, 2):
-                assert to_kernel(shift_blocks(f, t)) == shift_kernel(
-                    to_kernel(f), -t
-                )
+                assert to_kernel(f.shift(t)) == to_kernel(f).shift(-t)

@@ -269,6 +269,24 @@ class TestRejections:
         code, out = run(capsys, "hausdorff", sysfile(bad))
         assert code == 2 and out["ok"] is False
 
+    @pytest.mark.parametrize("system", [
+        {**FLIP_DEF, "defaults": {"bound": True}},
+        {**OPEN_DEF, "exhaustion": [True, 2]},
+    ])
+    def test_bools_are_not_numbers(self, sysfile, capsys, system):
+        code, out = run(capsys, "axioms", sysfile(system), "--level", "1")
+        assert code == 1 and "error" in out
+
+    def test_validate_lists_violations_under_a_valid_schedule(self, sysfile,
+                                                              capsys):
+        bad = {"name": "x", "generator": {"kind": "rules",
+                                          "rules": [["0", "1"], ["00", "0"]],
+                                          "exhausts": "open"},
+               "exhaustion": [1, 2]}
+        code, out = run(capsys, "validate", sysfile(bad))
+        assert code == 2 and out["ok"] is False
+        assert any("prefix-free" in v for v in out["violations"])
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):

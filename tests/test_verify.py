@@ -79,12 +79,28 @@ def test_report_serialization():
 
 def test_failures_name_the_failing_element_and_slots(monkeypatch):
     monkeypatch.setattr(
-        cantorenv.verify, "to_kernel", lambda f: KernelElement(f.blocks)
+        cantorenv.verify, "to_kernel", lambda f: KernelElement(f.table)
     )
     rep = isomorphism_suite(SWAP, trials=4, seed=0, max_index=1, depth=1)
     assert rep.ok is False
     assert len(rep.failures) <= 10
     assert (rep.checked, rep.failures) == SIGNS_KEPT
+
+
+def test_support_violation_fails_its_check(monkeypatch):
+    # on the flip X_t differ, so kernels that keep slot signs leave their
+    # supports; every check still runs and reports instead of raising
+    clean = isomorphism_suite(FLIP, trials=4, seed=0)
+    monkeypatch.setattr(
+        cantorenv.verify, "to_kernel", lambda f: KernelElement(f.table)
+    )
+    rep = isomorphism_suite(FLIP, trials=4, seed=0)
+    assert clean.ok and rep.ok is False
+    assert rep.checked == clean.checked
+    assert rep.failures[0].startswith("products disagree for f=")
+    assert rep.failures[0].endswith(
+        ": entry (-3,-2) supported on {111001,111111}, outside X_-1 = {0}"
+    )
 
 
 def test_check_counts_are_pinned():
