@@ -21,7 +21,8 @@ ALPHABET = "01"
 
 
 def check_word(word: str) -> str:
-    if not isinstance(word, str) or any(c not in ALPHABET for c in word):
+    # strip leaves nothing exactly when every character is 0 or 1
+    if not isinstance(word, str) or word.strip(ALPHABET):
         raise ParseError(f"not a binary word: {word!r}")
     return word
 

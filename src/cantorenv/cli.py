@@ -7,6 +7,7 @@ problems, 2 for a violated property, 3 for a blown resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -174,7 +175,10 @@ def _violations(sd: SystemDefinition):
 
 def _axioms_report(args, sd: SystemDefinition):
     bound = _resolve(args, sd, "bound", 4)
-    level = _resolve(args, sd, "level", bound if sd.is_generated else None)
+    fallback = bound if sd.is_generated else None
+    if sd.counts is not None:  # a schedule may stop before stage `bound`
+        fallback = min(bound, len(sd.counts) - 1)
+    level = _resolve(args, sd, "level", fallback)
     return axioms_check(generated_family(_action(sd, level), bound), bound)
 
 
@@ -321,7 +325,13 @@ def cmd_verify_psi(args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use.
+
+    Sharing it is safe: `parse_args` returns a fresh namespace and leaves
+    the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="cantorenv",
         description="Exact analysis of partial integer actions on binary Cantor space.",

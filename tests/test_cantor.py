@@ -1,7 +1,7 @@
 """Points and clopen sets: canonical forms, parsing, boolean algebra."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cantorenv.cantor import (
     EMPTY,
@@ -29,6 +29,30 @@ def test_check_word_rejects_other_symbols():
     with pytest.raises(ParseError):
         check_word("012")
     assert check_word("0101") == "0101"
+
+
+def _check_word_verdict(word):
+    try:
+        return check_word(word) is word
+    except ParseError as exc:
+        assert str(exc) == f"not a binary word: {word!r}"
+        return False
+
+
+@given(st.text() | st.text(alphabet="01") | st.text(alphabet="01 \n\x00"))
+@example("0 1")
+@example("01\n")
+@example("\x00")
+@example("\u0660")  # Arabic-Indic digit zero
+@example("\uff10")  # fullwidth digit zero
+@example("")
+def test_check_word_accepts_exactly_binary_words(word):
+    assert _check_word_verdict(word) == (set(word) <= {"0", "1"})
+
+
+@pytest.mark.parametrize("value", [b"01", None, 1, ["0"]])
+def test_check_word_rejects_non_strings(value):
+    assert _check_word_verdict(value) is False
 
 
 def test_sibling_flips_last_symbol():

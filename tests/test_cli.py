@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import cantorenv
-from cantorenv.cli import load_system, main
+from cantorenv.cli import build_parser, load_system, main
 from cantorenv.errors import ParseError
+from test_readme import ROOT, readme_commands
 
 ODOMETER_DEF = {"name": "odo", "generator": {"kind": "odometer"}}
 FLIP_DEF = {
@@ -22,6 +24,13 @@ OPEN_DEF = {
     "generator": {"kind": "rules", "rules": [["0", "1"], ["10", "01"]],
                   "exhausts": "open"},
 }
+# valid schedules with fewer than bound + 1 = 5 stages
+SHORT_SCHEDULES = [
+    {"name": "chain", "exhaustion": [1, 2, 3], "generator": {
+        "kind": "rules", "rules": [["0", "1"], ["10", "01"], ["110", "001"]],
+        "exhausts": "open"}},
+    {**ODOMETER_DEF, "exhaustion": [1, 2, 4, 8]},
+]
 
 
 @pytest.fixture
@@ -32,6 +41,17 @@ def sysfile(tmp_path):
         return str(p)
 
     return write
+
+
+def fresh_run(*argv):
+    """Exit code and stdout bytes of `python -m cantorenv.cli` in a new process."""
+    src = str(Path(cantorenv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantorenv.cli", *argv],
+        capture_output=True, env=env, cwd=ROOT, timeout=60,
+    )
+    return proc.returncode, proc.stdout
 
 
 def run(capsys, *argv):
@@ -132,6 +152,20 @@ class TestCommands:
         scheduled = run(capsys, "hausdorff",
                         sysfile({**ODOMETER_DEF, "exhaustion": [1, 2, 4]}, "s.json"))
         assert scheduled == plain and plain[1]["pair"] is not None
+
+    @pytest.mark.parametrize("command", ["validate", "axioms"])
+    @pytest.mark.parametrize("system", SHORT_SCHEDULES)
+    def test_level_defaults_to_last_scheduled_stage(self, sysfile, capsys,
+                                                    command, system):
+        path = sysfile(system)
+        code, out = run(capsys, command, path)
+        assert code == 0 and out["ok"] is True
+        last = str(len(system["exhaustion"]) - 1)
+        assert run(capsys, command, path, "--level", last) == (code, out)
+        missing = (1, {"error": "exhaustion schedule has no stage 4"})
+        assert run(capsys, command, path, "--level", "4") == missing
+        withdef = sysfile({**system, "defaults": {"level": 4}}, "d.json")
+        assert run(capsys, command, withdef) == missing
 
     def test_related(self, sysfile, capsys):
         code, out = run(capsys, "related", sysfile(ODOMETER_DEF),
@@ -305,14 +339,38 @@ class TestExitCodes:
         assert code == 1 and "line" in out["error"]
 
     def test_module_invocation_matches_main(self, capsys):
-        flip = Path(__file__).resolve().parent.parent / "systems" / "flip.json"
-        code = main(["validate", str(flip)])
+        flip = str(ROOT / "systems" / "flip.json")
+        code = main(["validate", flip])
         out = capsys.readouterr().out
-        src = str(Path(cantorenv.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cantorenv.cli", "validate", str(flip)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
         assert out
-        assert (proc.returncode, proc.stdout) == (code, out)
+        assert fresh_run("validate", flip) == (code, out.encode())
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cantorenv.__file__).resolve().parent.parent)
+        probe = "import cantorenv.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_readme_commands_in_one_process_match_fresh_runs(self, monkeypatch,
+                                                             capsys):
+        monkeypatch.chdir(ROOT)
+        for line in reversed(readme_commands()):
+            argv = shlex.split(line)[1:]
+            code = main(argv)
+            assert (code, capsys.readouterr().out.encode()) == fresh_run(*argv), line
+        assert build_parser() is build_parser()
+
+    def test_refusal_leaves_the_parser_clean(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(["etale", "systems/flip.json"]) == 1
+        assert capsys.readouterr().out == ""
+        argv = ["etale", "systems/flip.json", "--t", "1", "--s", "0"]
+        code = main(argv)
+        assert (code, capsys.readouterr().out.encode()) == fresh_run(*argv)
