@@ -94,7 +94,17 @@ def equal_siblings(pieces):
 
 
 def brute_partition(rules, n, d):
-    """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport."""
+    """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport.
+
+    `rules` are the rules of one map, whose powers transport, or a dict from
+    each t != 0 to the rules of h_t, for a family that need not be powers.
+    """
+    if isinstance(rules, dict):
+        def move(t, w):
+            return w if t == 0 else step(rules[t], w)
+    else:
+        def move(t, w):
+            return transport(rules, t, w)
     units = [(t, w) for t in range(-n, n + 1) for w in words(d)]
     parent = list(range(len(units)))
 
@@ -107,7 +117,7 @@ def brute_partition(rules, n, d):
     idx = {u: i for i, u in enumerate(units)}
     for r, w in units:
         for s, w2 in units:
-            if transport(rules, r - s, w) == w2:
+            if move(r - s, w) == w2:
                 ri, rj = find(idx[(r, w)]), find(idx[(s, w2)])
                 if ri != rj:
                     parent[ri] = rj

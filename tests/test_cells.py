@@ -1,14 +1,17 @@
 """Cell partitions: the guard on the gluing sets and the brute-force oracle."""
 
+import ast
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorenv.action import ZPartialAction
-from cantorenv.cells import adapted_depth, cell_partition
-from cantorenv.errors import EngineError
+from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition
+from cantorenv.errors import CapExceeded, EngineError
 from cantorenv.prefix_map import IDENTITY, PrefixMap
 
-from oracles import brute_partition, words
+from oracles import brute_partition, step, words
 
 
 class InconsistentPowers:
@@ -31,9 +34,9 @@ def test_guard_rejects_inconsistent_powers():
 
 
 @st.composite
-def length_preserving_rules(draw):
+def length_preserving_rules(draw, lengths=st.integers(1, 3)):
     """A partial injection between words of one length, as rewrite rules."""
-    pool = words(draw(st.integers(1, 3)))
+    pool = words(draw(lengths))
     sources = draw(st.lists(st.sampled_from(pool), unique=True))
     targets = draw(st.permutations(pool))
     return list(zip(sources, targets))
@@ -45,3 +48,100 @@ def test_partition_matches_brute_force(rules, n, extra):
     a = ZPartialAction(PrefixMap(tuple(rules)))
     d = adapted_depth(a, n) + extra
     assert cell_partition(a, n, d).classes == brute_partition(rules, n, d)
+
+
+class Family:
+    """Each h_t, t != 0, given by its own rules; h_0 is the identity."""
+
+    def __init__(self, rules_of):
+        self.rules_of = rules_of
+
+    def h(self, t):
+        return PrefixMap(tuple(self.rules_of[t])) if t else IDENTITY
+
+
+@st.composite
+def families(draw):
+    """Powers of one partial injection with up to three h_t redrawn at will.
+
+    A redrawn h_t is an arbitrary partial injection, possibly on the empty
+    word, so the family is in general no set of powers of one map.
+    """
+    n = draw(st.sampled_from([1, 2]))
+    lengths = st.integers(0, 3)
+    a = ZPartialAction(PrefixMap(tuple(draw(length_preserving_rules(lengths)))))
+    rules_of = {t: a.h(t).rules for t in range(-2 * n, 2 * n + 1) if t}
+    for t in draw(st.lists(st.sampled_from(sorted(rules_of)), unique=True, max_size=3)):
+        rules_of[t] = draw(length_preserving_rules(lengths))
+    d = draw(st.integers(adapted_depth(Family(rules_of), n), 3))
+    return rules_of, n, d
+
+
+CELL = r"\(-?\d+, '[01]*'\)"
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_guard_fails_exactly_when_a_gluing_set_differs_from_its_class(family):
+    rules_of, n, d = family
+    slots = range(-n, n + 1)
+    glue = {}
+    for r in slots:
+        for w in words(d):
+            images = ((s, step(rules_of[r - s], w)) for s in slots if s != r)
+            members = {(s, v) for s, v in images if v is not None}
+            glue[r, w] = frozenset({(r, w), *members})
+    broken = {(x, c) for c, g in glue.items() for x in g if glue[x] != g}
+    if broken:
+        with pytest.raises(EngineError) as err:
+            cell_partition(Family(rules_of), n, d)
+        named = re.search(f"({CELL}) is glued to ({CELL})", str(err.value))
+        assert named, str(err.value)
+        assert tuple(map(ast.literal_eval, named.groups())) in broken
+    else:
+        classes = cell_partition(Family(rules_of), n, d).classes
+        assert classes == brute_partition(rules_of, n, d)
+        assert classes == tuple(sorted(tuple(sorted(g)) for g in set(glue.values())))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("rules, d", [
+    ([("", "")], 0),  # IDENTITY: the empty word is the one cell
+    ([("", "")], 2),
+    ([("0", "1"), ("1", "0")], 1),  # a rule set whose domain is the full space
+    ([("0", "1"), ("1", "0")], 3),
+])
+def test_empty_and_full_domain_rules_match_brute_force(rules, d, n):
+    a = ZPartialAction(PrefixMap(tuple(rules)))
+    assert cell_partition(a, n, d).classes == brute_partition(rules, n, d)
+
+
+def test_empty_word_rules_per_index():
+    # h_{+-1} move the whole space (source and target the empty word), h_{+-2} nothing
+    rules_of = {1: [("", "")], -1: [("", "")], 2: [], -2: []}
+    with pytest.raises(EngineError, match=f"{CELL} is glued to {CELL}"):
+        cell_partition(Family(rules_of), 1, 0)
+    rules_of[2] = rules_of[-2] = [("", "")]
+    for d in (0, 2):
+        assert cell_partition(Family(rules_of), 1, d).classes == brute_partition(
+            rules_of, 1, d)
+
+
+class Untouchable:
+    """An action whose maps must not be read: the budget check comes first."""
+
+    def h(self, t):
+        raise AssertionError("the partition started before its budget check")
+
+
+@pytest.mark.parametrize("n, d", [(0, 21), (1, 19), (2, 40), (0, 10**9)])
+def test_budget_refuses_before_any_work(n, d):
+    with pytest.raises(CapExceeded, match="budget"):
+        cell_partition(Untouchable(), n, d)
+
+
+@pytest.mark.parametrize("n, d", [(0, 20), (1, 18)])
+def test_budget_admits_partitions_within_it(n, d):
+    assert (2 * n + 1) * 2**d <= CELL_BUDGET
+    with pytest.raises(AssertionError, match="before its budget check"):
+        cell_partition(Untouchable(), n, d)

@@ -207,6 +207,16 @@ class TestCommands:
                         "--bound", "1", "--depth", "1")
         assert code == 0 and out["count"] == 4
 
+    def test_quotient_over_the_cell_budget(self, monkeypatch, capsys):
+        # 9 slots x 2^40 cells: refused before the partition reads a map
+        def unreachable(a, n):
+            raise AssertionError("the partition started before its budget check")
+
+        monkeypatch.setattr(cantorenv.cells, "adapted_depth", unreachable)
+        code, out = run(capsys, "quotient", str(ROOT / "systems" / "flip.json"),
+                        "--depth", "40")
+        assert code == 3 and "budget" in out["error"]
+
     def test_filtrate_witness(self, sysfile, capsys):
         code, out = run(capsys, "filtrate", sysfile(ODOMETER_DEF),
                         "--p", "2:(0)", "--q", "0:01(0)")
