@@ -82,28 +82,6 @@ class _IndexedTable:
     def scale(self, c: Scalar):
         return type(self)(tuple((k, f.scale(c)) for k, f in self.table))
 
-    def to_json(self) -> list:
-        return [
-            [[r, s], {w: str(c) for w, c in func.pieces}]
-            for (r, s), func in self.table
-        ]
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, list):
-            raise ParseError(f"{cls._what} serialization must be a list")
-        table = []
-        for item in obj:
-            try:
-                (r, s), pieces = item
-                func = PiecewiseConstant(
-                    tuple((w, Scalar.parse(c)) for w, c in pieces.items())
-                )
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad {cls._what} item {item!r}: {exc}") from exc
-            table.append(((r, s), func))
-        return cls(tuple(table))
-
 
 class GroupoidFunction(_IndexedTable):
     """Finitely many blocks (r, s) -> function supported in X_{s-r}."""

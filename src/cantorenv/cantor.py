@@ -41,15 +41,21 @@ def extensions(word: str, depth: int) -> list[str]:
         raise DepthTooSmall(f"depth {depth} is below |{word!r}|")
     if gap == 0:
         return [word]
-    return [word + format(i, f"0{gap}b") for i in range(2**gap)]
+    spec = f"0{gap}b"
+    return [word + format(i, spec) for i in range(2**gap)]
+
+
+def proper_prefixes(words) -> set[str]:
+    """The inner nodes of the prefix tree that the words span."""
+    return {w[:i] for w in words for i in range(len(w))}
 
 
 def leaves_below(word: str, inner) -> list[str]:
     """Leaves below [word] of the prefix tree whose inner nodes are `inner`.
 
-    With `inner` the proper prefixes of some words, this cuts [word] only
-    where one of them lies deeper, into at most one more cylinder per inner
-    node below it, in sorted order.
+    With `inner = proper_prefixes(words)`, this cuts [word] only where one of
+    the words lies deeper, into at most one more cylinder per inner node below
+    it, in sorted order.
     """
     out: list[str] = []
     stack = [word]
@@ -234,9 +240,6 @@ class ClopenSet:
     def complement(self) -> "ClopenSet":
         return ClopenSet(tuple(_complement_words(list(self.words))))
 
-    def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
-
     def subset_of(self, other: "ClopenSet") -> bool:
         # canonical forms are sibling-merged, and u has at most one prefix v
         pairs = prefix_join(self.words, other.words)
@@ -259,9 +262,6 @@ class ClopenSet:
 
     __or__ = union
     __and__ = intersect
-
-    def __le__(self, other: "ClopenSet") -> bool:
-        return self.subset_of(other)
 
     def __str__(self) -> str:
         if not self.words:

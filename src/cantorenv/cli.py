@@ -128,7 +128,7 @@ def load_system(path: str) -> SystemDefinition:
 
 
 # least accepted value of each numeric option, whether given or defaulted
-_LEAST = {"bound": 0, "depth": 0, "cap": 0, "levels": 1, "trials": 1}
+_LEAST = {"bound": 0, "depth": 0, "cap": 0, "levels": 1, "trials": 1, "support": 0}
 
 
 def _checked(name: str, val):
@@ -311,7 +311,8 @@ def cmd_verify_psi(args):
     a = _action(sd, _level(args, sd))
     trials = _checked("trials", args.trials)
     seed = _resolve(args, sd, "seed", 0)
-    opts = dict(seed=seed, max_index=args.support, depth=_resolve(args, sd, "depth", 6))
+    support = _checked("support", args.support)
+    opts = dict(seed=seed, max_index=support, depth=_resolve(args, sd, "depth", 6))
     report = isomorphism_suite(a, trials=trials, **opts)
     _, ereport = equivariance_sign(a, trials=min(trials, 50), **opts)
     ok = report.ok and ereport.ok

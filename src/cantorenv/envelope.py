@@ -7,7 +7,8 @@ relation is Hausdorff exactly when every domain X_t is clopen, so the
 decision procedure either materializes the domains as canonical clopen sets
 or hunts for a limit point sitting on the boundary of the union U_k of an
 exhaustion.  Probes for the range/source bijections and for the groupoid
-laws on triples live here too.
+laws on triples live here too; the etale probe decides on cylinder words
+with `PrefixMap.image_word`, cutting its base only at rule boundaries.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .action import ZPartialAction, germ_index, transport_index
-from .cantor import ClopenSet, Point, common_prefix_length
+from .cantor import (
+    ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes
+)
 from .errors import BaseNotInDomain, NoWitness, NotInDomain
-from .prefix_map import PrefixMap
 
 
 @dataclass(frozen=True)
@@ -264,26 +266,15 @@ class EtaleReport:
         }
 
 
-def cell_image_word(h: PrefixMap, w: str) -> str | None:
-    """Image of the cylinder [w] under h, as a word of the same length.
-
-    None when [w] is outside dom(h); len(w) must be at least the longest
-    source, so that one matching source decides membership.
-    """
-    for u, v in h.rules:
-        if w.startswith(u):
-            return v + w[len(u):]
-    return None
-
-
 def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleReport:
     """Range/source bijectivity over one basic open.
 
     The basic open over (t, s) with the given base consists of the pairs
     ((t, x), (s, y)) with x in the base and y its transport; the range map
     keeps (t, x) and the source map keeps (s, y).  Bijectivity is checked
-    cell by cell: transported cells must be pairwise distinct and union up
-    to exactly the transported base.
+    cell by cell, each word of the base cut only at the rule boundaries of
+    the transport below it: transported cells must be pairwise distinct and
+    union up to exactly the transported base.
     """
     if not base.subset_of(a.domain(germ_index(t, s))):
         raise BaseNotInDomain(
@@ -293,12 +284,8 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
     image = h.image_set(base)
     bad: list[str] = []
 
-    d = max(
-        base.max_depth(),
-        max((len(u) for u, _ in h.rules), default=0),
-    )
-    cells = base.refine_to_depth(d) if not base.is_empty() else ()
-    moved = [cell_image_word(h, w) for w in cells]
+    inner = proper_prefixes(u for u, _ in h.rules)
+    moved = [h.image_word(c) for w in base.words for c in leaves_below(w, inner)]
     if len(set(moved)) != len(moved):
         bad.append("transport is not injective on cells")
     if ClopenSet(tuple(moved)) != image:

@@ -16,7 +16,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .cantor import (
-    ClopenSet, Point, check_word, leaves_below, merge_siblings, prefix_join
+    ClopenSet, check_word, leaves_below, merge_siblings, prefix_join, proper_prefixes
 )
 from .errors import ParseError
 
@@ -128,16 +128,10 @@ class PiecewiseConstant:
         # computed once per value; the pieces never change after __post_init__
         return ClopenSet(tuple(w for w, _ in self.pieces))
 
-    def value_at(self, x: Point) -> Scalar:
-        for w, c in self.pieces:
-            if x.starts_with(w):
-                return c
-        return ZERO
-
     def __add__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
         # cut each piece only at the words of the other pieces below it
         both = self.pieces + other.pieces
-        inner = {w[:i] for w, _ in both for i in range(len(w))}
+        inner = proper_prefixes(w for w, _ in both)
         acc: dict[str, Scalar] = {}
         for w, c in both:
             for cell in leaves_below(w, inner):

@@ -51,23 +51,28 @@ class PrefixMap:
                     msgs.append(f"targets not prefix-free: {v1!r} vs {v2!r}")
         return tuple(msgs)
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
     def domain(self) -> ClopenSet:
         return ClopenSet(tuple(u for u, _ in self.rules))
 
     def image(self) -> ClopenSet:
         return ClopenSet(tuple(v for _, v in self.rules))
 
-    def maps_point(self, x: Point) -> bool:
-        return any(x.starts_with(u) for u, _ in self.rules)
-
     def apply_point(self, x: Point) -> Point:
         for u, v in self.rules:
             if x.starts_with(u):
                 return x.shift(len(u)).with_prefix(v)
         raise NotInDomain(f"{x} is outside {self}")
+
+    def image_word(self, w: str) -> str | None:
+        """The image of [w] when [w] lies inside one source cylinder, else None.
+
+        The first source in sorted order that prefixes w decides, as for
+        `apply_point` on every point of [w].
+        """
+        for u, v in self.rules:
+            if w.startswith(u):
+                return v + w[len(u):]
+        return None
 
     def image_set(self, s: ClopenSet) -> ClopenSet:
         pairs = prefix_join(self.rules, s.words, itemgetter(0))

@@ -159,6 +159,42 @@ def brute_diagram(rules_of_stage, schedule):
     return {"levels": levels, "edges": edges}
 
 
+def axiom3_failures(family, bound):
+    """The (t, s) with |t|, |s|, |t + s| <= bound where h_t h_s != h_{t+s}.
+
+    `family` maps t to (words of X_t, rules of h_t), the rules with
+    prefix-free sources.  The maps are compared on the cells of X_{-s} and
+    X_{-s-t}, taken deep enough that every step is decisive; a cell where
+    either side is undefined counts as a failure.
+    """
+    def longest(ws):
+        return max((len(w) for w in ws), default=0)
+
+    def sources(t):
+        return [u for u, _ in family[t][1]]
+
+    span = range(-bound, bound + 1)
+    out = set()
+    for t, s in itertools.product(span, span):
+        if abs(t + s) > bound:
+            continue
+        xa, xb = family[-s][0], family[-s - t][0]
+        d = max(longest(xa), longest(xb), longest(sources(t + s)),
+                longest(sources(s)) + longest(sources(t)))
+        for c in sorted(cells_covered(xa, d) & cells_covered(xb, d)):
+            mid = step(family[s][1], c)
+            via = None if mid is None else step(family[t][1], mid)
+            if via is None or via != step(family[t + s][1], c):
+                out.add((t, s))
+                break
+    return out
+
+
+def deep_identity_rules(k):
+    """The identity written as rules 0^i 1 -> 0^i 1 (i < k) and 0^k -> 0^k."""
+    return [("0" * i + "1",) * 2 for i in range(k)] + [("0" * k,) * 2]
+
+
 def odometer_rules(k):
     """Carry rules 1^i 0 -> 0^i 1 for i = 0..k."""
     return [("1" * i + "0", "0" * i + "1") for i in range(k + 1)]

@@ -19,7 +19,14 @@ from cantorenv.functions import Scalar, indicator
 from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
 
-from oracles import FLIP_RULES, odometer_rules, transport, words
+from oracles import (
+    FLIP_RULES,
+    axiom3_failures,
+    deep_identity_rules,
+    odometer_rules,
+    transport,
+    words,
+)
 
 
 def test_index_conventions_are_consistent():
@@ -161,9 +168,7 @@ class TestZPartialAction:
 
 
 def deep_identity(k):
-    """The identity written as rules 0^i 1 -> 0^i 1 (i < k) and 0^k -> 0^k."""
-    rules = [("0" * i + "1",) * 2 for i in range(k)] + [("0" * k,) * 2]
-    return ZPartialAction(PrefixMap(tuple(rules)))
+    return ZPartialAction(PrefixMap(tuple(deep_identity_rules(k))))
 
 
 class TestAxioms:
@@ -221,6 +226,31 @@ class TestAxioms:
         rep = axioms_check(fam)
         assert rep.violations
         assert {v.axiom for v in rep.violations} == {3}
+
+    def test_axiom3_names_the_cell_and_both_images(self):
+        fam = {t: (FULL, IDENTITY) for t in range(-1, 2)}
+        fam[1] = (FULL, PrefixMap((("0", ""),)))
+        details = [v.detail for v in axioms_check(fam).violations if v.axiom == 3]
+        assert sorted(details) == [
+            "h_-1h_1[0] = ε but h_0[0] = 0",
+            "h_-1h_1[1] = undefined but h_0[1] = 1",
+            "h_0h_1[1] = undefined but h_1[1] = undefined",
+            "h_1h_-1[0] = ε but h_0[0] = 0",
+            "h_1h_-1[1] = undefined but h_0[1] = 1",
+            "h_1h_0[1] = undefined but h_1[1] = undefined",
+        ]
+
+    @given(seed=st.integers(0, 10**6), redraw=st.sets(st.integers(-2, 2), max_size=2))
+    @settings(max_examples=40, deadline=None)
+    def test_axiom3_matches_brute_force_on_redrawn_powers(self, seed, redraw):
+        # redrawn powers are arbitrary valid maps, length-changing ones too
+        sampler = Sampler(seed)
+        fam = generated_family(ZPartialAction(sampler.prefix_map()), 2)
+        for t in sorted(redraw):
+            fam[t] = (fam[t][0], sampler.prefix_map())
+        got = {(v.t, v.s) for v in axioms_check(fam).violations if v.axiom == 3}
+        plain = {t: (x.words, h.rules) for t, (x, h) in fam.items()}
+        assert got == axiom3_failures(plain, 2)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

@@ -18,7 +18,7 @@ from cantorenv.cantor import (
     sibling,
 )
 from cantorenv.errors import ParseError
-from oracles import cells_covered, comparable_pairs, equal_siblings, overlaps
+from oracles import cells_covered, comparable_pairs, equal_siblings, overlaps, words
 from strategies import antichains, short_words
 
 w = st.text(alphabet="01", max_size=6)
@@ -66,6 +66,12 @@ def test_extensions():
     assert extensions("", 0) == [""]
     assert extensions("1", 1) == ["1"]
     assert extensions("1", 3) == ["100", "101", "110", "111"]
+
+
+@given(word=w, gap=st.integers(1, 8))
+def test_extensions_match_format_per_word(word, gap):
+    want = [word + format(i, f"0{gap}b") for i in range(2**gap)]
+    assert extensions(word, len(word) + gap) == want == [word + z for z in words(gap)]
 
 
 class TestPoint:
@@ -191,7 +197,7 @@ class TestClopenSet:
 
     def test_difference_and_subset(self):
         a = ClopenSet.parse("{0}")
-        assert a.difference(ClopenSet.parse("{00}")) == ClopenSet.parse("{01}")
+        assert a & ClopenSet.parse("{00}").complement() == ClopenSet.parse("{01}")
         assert ClopenSet.parse("{00}").subset_of(a)
         assert not a.subset_of(ClopenSet.parse("{00}"))
 

@@ -12,6 +12,8 @@ import pytest
 import cantorenv
 from cantorenv.cli import build_parser, load_system, main
 from cantorenv.errors import ParseError
+from cantorenv.prefix_map import PrefixMap
+from oracles import deep_identity_rules
 from test_readme import ROOT, readme_commands
 
 ODOMETER_DEF = {"name": "odo", "generator": {"kind": "odometer"}}
@@ -191,6 +193,16 @@ class TestCommands:
                         "--t", "1", "--s", "0", "--base", "{0}")
         assert code == 0 and out["image"] == "{1}"
 
+    def test_deep_identity_system(self, capsys):
+        # the identity cut at depth 30: refining to cells would list 2^30 words
+        path = str(ROOT / "systems" / "deep_identity.json")
+        rules = tuple(deep_identity_rules(30))
+        assert load_system(path).generator == PrefixMap(rules)
+        code, out = run(capsys, "etale", path, "--t", "1", "--s", "0")
+        assert code == 0 and out["ok"] and out["image"] == "{ε}"
+        code, out = run(capsys, "axioms", path, "--bound", "2")
+        assert code == 0 and out["ok"]
+
     def test_etale_bad_base(self, sysfile, capsys):
         code, out = run(capsys, "etale", sysfile(FLIP_DEF),
                         "--t", "1", "--s", "0", "--base", "{1}")
@@ -294,6 +306,7 @@ class TestRejections:
                         "--cap", "-1")),
         (FLIP_DEF, ("bratteli", "--levels", "0")),
         (FLIP_DEF, ("verify-psi", "--trials", "0")),
+        (FLIP_DEF, ("verify-psi", "--support", "-1")),
     ])
     def test_degenerate_numbers(self, sysfile, capsys, system, argv):
         code, out = run(capsys, argv[0], sysfile(system), *argv[1:])

@@ -18,7 +18,7 @@ from cantorenv.envelope import (
     related,
     symmetry_transitivity_probe,
 )
-from cantorenv.action import ZPartialAction, germ_index
+from cantorenv.action import ZPartialAction, germ_index, transport_index
 from cantorenv.cells import cell_partition
 from cantorenv.errors import (
     BaseNotInDomain,
@@ -29,7 +29,13 @@ from cantorenv.errors import (
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
 
-from oracles import odometer_rules, transport
+from oracles import (
+    cells_covered,
+    deep_identity_rules,
+    image_cells,
+    odometer_rules,
+    transport,
+)
 
 FLIP = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
 ODO = ZPartialAction(ODOMETER)
@@ -158,6 +164,29 @@ class TestEtale:
                     if base.is_empty():
                         continue
                     assert etale_probe(a, t, s, base).ok
+
+    def test_deep_identity_cuts_only_at_rule_boundaries(self):
+        # refining [ε] to all depth-30 cells would list 2^30 words
+        a = ZPartialAction(PrefixMap(tuple(deep_identity_rules(30))))
+        rep = etale_probe(a, 1, 0, a.domain(germ_index(1, 0)))
+        assert rep.ok and rep.base == rep.image == ClopenSet.parse("{ε}")
+
+    @given(seed=st.integers(0, 10**6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bases_above_rule_boundaries(self, seed, data):
+        a = ZPartialAction(Sampler(seed).prefix_map())
+        t, s = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        germs = a.domain(germ_index(t, s)).words
+        # merged germ words lie above the rule sources they cover
+        picked = data.draw(st.sets(st.sampled_from(germs))) if germs else ()
+        base = ClopenSet(tuple(picked))
+        rules = a.h(transport_index(t, s)).rules
+        d = max(base.max_depth(), max((len(u) for u, _ in rules), default=0))
+        rep = etale_probe(a, t, s, base)
+        assert rep.ok
+        want = image_cells(rules, base.words, d)
+        deep = d + max((len(v) for _, v in rules), default=0)
+        assert cells_covered(rep.image.words, deep) == cells_covered(want, deep)
 
 
 class TestArrows:

@@ -33,20 +33,20 @@ def pm(text):
 
 class TestValidity:
     def test_identity_is_valid(self):
-        assert IDENTITY.is_valid()
+        assert not IDENTITY.violations()
         assert IDENTITY.domain() == ClopenSet.parse("{ε}")
 
     def test_overlapping_sources_flagged(self):
         m = PrefixMap((("0", "1"), ("01", "00")))
-        assert not m.is_valid()
+        assert m.violations()
         assert any("source" in v for v in m.violations())
 
     def test_overlapping_targets_flagged(self):
         m = PrefixMap((("00", "1"), ("01", "10")))
-        assert not m.is_valid()
+        assert m.violations()
 
     def test_empty_map_is_valid(self):
-        assert PrefixMap(()).is_valid()
+        assert not PrefixMap(()).violations()
         assert PrefixMap(()).domain().is_empty()
 
     def test_parse_rejects_bad_syntax(self):
@@ -74,6 +74,15 @@ class TestApplication:
         with pytest.raises(NotInDomain):
             m.apply_point(Point.parse("(1)"))
 
+    def test_image_word_needs_one_source_above(self):
+        m = pm("[10 -> 01, 0 -> ε]")
+        assert m.image_word("100") == "010"
+        assert m.image_word("01") == "1"
+        assert m.image_word("0") == ""
+        # [1] is cut by the source 10, and [11] misses every source
+        for w in ("", "1", "11"):
+            assert m.image_word(w) is None
+
     def test_image_and_preimage_sets(self):
         m = pm("[10 -> 01, 0 -> 1]")
         assert m.domain() == ClopenSet.parse("{0,10}")
@@ -99,9 +108,10 @@ class TestApplication:
         depth = max((len(u) for u, _ in m.rules), default=0) + 1
         for w in extensions("", depth):
             got = None
-            if m.maps_point(Point(w, "0")):
+            if m.domain().contains_point(Point(w, "0")):
                 got = m.apply_point(Point(w, "1")).unroll(depth + 2)
             want = step(list(m.rules), w)
+            assert m.image_word(w) == want
             if want is None:
                 assert got is None
             else:
@@ -180,7 +190,7 @@ class TestGeneratedMap:
         for w in words(4):
             want = transport(rules, 1, w)
             if want is None:
-                assert not t3.maps_point(Point(w, "0"))
+                assert not t3.domain().contains_point(Point(w, "0"))
             else:
                 got = t3.apply_point(Point(w, "0")).unroll(4)
                 assert got == want
