@@ -4,10 +4,11 @@ Clopen subsets are finite unions of cylinders [w] = {x : x starts with w}.  The
 canonical form is a lexicographically sorted prefix-free antichain in which every
 sibling pair {w0, w1} has been merged to w, so set equality is tuple equality and
 [w] is a subset of a canonical union exactly when some listed word is a prefix
-of w.  `merge_siblings` alone merges siblings and `prefix_join` alone pairs
-two antichains, here and in `prefix_map` and `functions`.  Points
-are eventually periodic sequences pre.per^infinity, stored with a primitive
-period and a minimal preperiod, so point equality is field equality.
+of w.  `merge_siblings` alone merges siblings, `prefix_join` alone pairs two
+antichains and `leaves_below` alone walks the prefix tree, here and in
+`prefix_map`, `functions`, `action` and `envelope`.  Points are eventually
+periodic sequences pre.per^infinity, stored with a primitive period and a
+minimal preperiod, so point equality is field equality.
 """
 
 from __future__ import annotations
@@ -195,19 +196,6 @@ def normalize_words(words) -> tuple[str, ...]:
     return tuple(w for w, _ in merge_siblings(kept))
 
 
-def _complement_words(words: list[str]) -> list[str]:
-    # words are suffixes relative to the current node of the binary tree
-    if any(w == "" for w in words):
-        return []
-    if not words:
-        return [""]
-    out = []
-    for b in ALPHABET:
-        tails = [w[1:] for w in words if w[0] == b]
-        out.extend(b + t for t in _complement_words(tails))
-    return out
-
-
 @dataclass(frozen=True)
 class ClopenSet:
     """A clopen subset of the Cantor space in canonical antichain form."""
@@ -238,7 +226,9 @@ class ClopenSet:
         return ClopenSet(tuple(u + v[len(u):] for u, v in pairs))  # the deeper word
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(tuple(_complement_words(list(self.words))))
+        """The leaves of the prefix tree the words span, minus the words."""
+        leaves = leaves_below("", proper_prefixes(self.words))
+        return ClopenSet(tuple(set(leaves).difference(self.words)))
 
     def subset_of(self, other: "ClopenSet") -> bool:
         # canonical forms are sibling-merged, and u has at most one prefix v

@@ -60,9 +60,6 @@ class SystemDefinition:
     def is_generated(self) -> bool:
         return isinstance(self.generator, GeneratedMap)
 
-    def default(self, key: str, fallback=None):
-        return self.defaults.get(key, fallback)
-
 
 def load_system(path: str) -> SystemDefinition:
     try:
@@ -140,7 +137,7 @@ def _checked(name: str, val):
 
 def _resolve(args, sd: SystemDefinition, name: str, fallback=None):
     val = getattr(args, name, None)
-    return _checked(name, val if val is not None else sd.default(name, fallback))
+    return _checked(name, val if val is not None else sd.defaults.get(name, fallback))
 
 
 def _action(sd: SystemDefinition, stage: int | None = None) -> ZPartialAction:
@@ -165,12 +162,9 @@ def _germ(text: str) -> GermPair:
         raise ParseError(f"germ {text!r} must look like 'index:point'") from exc
 
 
-def _violations(sd: SystemDefinition):
-    return list(sd.generator.violations())
-
-
 # --------------------------------------------------------------------------
-# Commands: each returns (exit code, payload); dict payloads print as JSON.
+# Commands: each takes the parsed arguments and the loaded system and
+# returns (exit code, payload); dict payloads print as JSON.
 
 
 def _axioms_report(args, sd: SystemDefinition):
@@ -182,9 +176,8 @@ def _axioms_report(args, sd: SystemDefinition):
     return axioms_check(generated_family(_action(sd, level), bound), bound)
 
 
-def cmd_validate(args):
-    sd = load_system(args.system)
-    bad = _violations(sd)
+def cmd_validate(args, sd: SystemDefinition):
+    bad = list(sd.generator.violations())
     if bad:
         return 2, {"ok": False, "name": sd.name, "violations": bad}
     report = _axioms_report(args, sd)
@@ -196,18 +189,16 @@ def cmd_validate(args):
     }
 
 
-def cmd_axioms(args):
-    sd = load_system(args.system)
-    bad = _violations(sd)
+def cmd_axioms(args, sd: SystemDefinition):
+    bad = list(sd.generator.violations())
     if bad:
         return 2, {"ok": False, "violations": bad}
     report = _axioms_report(args, sd)
     return (0 if report.ok else 2), report.to_json()
 
 
-def cmd_hausdorff(args):
-    sd = load_system(args.system)
-    bad = _violations(sd)
+def cmd_hausdorff(args, sd: SystemDefinition):
+    bad = list(sd.generator.violations())
     if bad:
         return 2, {"ok": False, "violations": bad}
     bound = _resolve(args, sd, "bound", 4)
@@ -224,8 +215,7 @@ def cmd_hausdorff(args):
     return 0, payload
 
 
-def cmd_related(args):
-    sd = load_system(args.system)
+def cmd_related(args, sd: SystemDefinition):
     p, q = _germ(args.p), _germ(args.q)
     a = _action(sd, _resolve(args, sd, "level"))
     dom = a.domain(germ_index(p.index, q.index))
@@ -243,8 +233,7 @@ def cmd_related(args):
     }
 
 
-def cmd_etale(args):
-    sd = load_system(args.system)
+def cmd_etale(args, sd: SystemDefinition):
     a = _action(sd, _resolve(args, sd, "level"))
     t, s = args.t, args.s
     if args.base is not None:
@@ -255,8 +244,7 @@ def cmd_etale(args):
     return (0 if report.ok else 2), report.to_json()
 
 
-def cmd_quotient(args):
-    sd = load_system(args.system)
+def cmd_quotient(args, sd: SystemDefinition):
     a = _action(sd, _level(args, sd))
     bound = _resolve(args, sd, "bound", 2)
     depth = _resolve(args, sd, "depth")
@@ -272,8 +260,7 @@ def cmd_quotient(args):
     }
 
 
-def cmd_filtrate(args):
-    sd = load_system(args.system)
+def cmd_filtrate(args, sd: SystemDefinition):
     if (args.p is None) != (args.q is None):
         raise ParseError("--p and --q must be given together")
     if args.p is not None:
@@ -299,15 +286,13 @@ def cmd_filtrate(args):
     return 0, payload
 
 
-def cmd_bratteli(args):
-    sd = load_system(args.system)
+def cmd_bratteli(args, sd: SystemDefinition):
     levels = _resolve(args, sd, "levels", 3)
     a = _action(sd)
     return 0, export(bratteli_build(a, default_schedule(a, levels)), args.out)
 
 
-def cmd_verify_psi(args):
-    sd = load_system(args.system)
+def cmd_verify_psi(args, sd: SystemDefinition):
     a = _action(sd, _level(args, sd))
     trials = _checked("trials", args.trials)
     seed = _resolve(args, sd, "seed", 0)
@@ -401,7 +386,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        code, payload = args.func(args)
+        code, payload = args.func(args, load_system(args.system))
     except (
         ParseError,
         LevelRequired,

@@ -6,9 +6,11 @@ generator carries it to the other point.  The quotient of all germs by this
 relation is Hausdorff exactly when every domain X_t is clopen, so the
 decision procedure either materializes the domains as canonical clopen sets
 or hunts for a limit point sitting on the boundary of the union U_k of an
-exhaustion.  Probes for the range/source bijections and for the groupoid
-laws on triples live here too; the etale probe decides on cylinder words
-with `PrefixMap.image_word`, cutting its base only at rule boundaries.
+exhaustion.  Both sides of a witness are read from the stages of one
+action: U_k is the X_t of stage k, and the other side is its X_{-t}.
+Probes for the range/source bijections and for the groupoid laws on
+triples live here too; the etale probe decides on cylinder words with
+`PrefixMap.image_word`, cutting its base only at rule boundaries.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class HausdorffCertificate:
         return out
 
 
-def _union_sets(a: ZPartialAction, depth: int) -> list[ClopenSet]:
-    """U_0 .. U_depth: domains of one forward step of each stage."""
-    return [a.stage(k).domain(-1) for k in range(depth + 1)]
+def _union_sets(a: ZPartialAction, t: int, depth: int) -> list[ClopenSet]:
+    """U_0 .. U_depth: the domains X_t of stages 0 .. depth."""
+    return [a.stage(k).domain(t) for k in range(depth + 1)]
 
 
 def _chain_limit(residuals) -> Point | None:
@@ -131,37 +133,33 @@ def _witness_soundness(x: Point, unions) -> bool:
     return True
 
 
-def _clopen_certificate(full: ZPartialAction, bound: int) -> HausdorffCertificate:
-    doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
-    return HausdorffCertificate("clopen", bound=bound, domains=doms)
-
-
 def hausdorff_decide(
     a: ZPartialAction, bound: int = 4, depth: int = 10
 ) -> HausdorffCertificate:
     """Certify every X_t clopen, or exhibit a boundary point of the union.
 
-    Actions of a plain prefix map are settled exactly: each X_t for |t| up
-    to the bound is computed as a canonical clopen set and shipped in the
-    certificate.  For a generated enumeration the residuals X minus U_k are
-    inspected for k up to the depth; a chain of strictly shrinking single
-    cylinders pins down a limit point, which is then verified to avoid
-    every U_k while its cylinders all meet U_depth.  Anything else is an
-    honest "unknown".  Hausdorffness belongs to the enumeration, so a
-    schedule is dropped: stage k keeps the first k+1 rules.
+    Actions of a plain prefix map, and of a finite enumeration, are settled
+    exactly: each X_t for |t| up to the bound is computed as a canonical
+    clopen set and shipped in the certificate.  For an infinite enumeration
+    the verdict is never "clopen": X_{-1} is a union of infinitely many
+    disjoint nonempty source cylinders, which no compact set can be, and
+    rule depth+1 has its source outside U_depth, the X_{-1} of stage depth.
+    The residuals X minus U_k are inspected for k up to the depth; a chain
+    of strictly shrinking single cylinders pins down a limit point, which
+    is then verified to avoid every U_k while its cylinders all meet
+    U_depth.  Anything else is an honest "unknown".  Hausdorffness belongs
+    to the enumeration, so a schedule is dropped: stage k keeps the first
+    k+1 rules.
     """
     if a.counts is not None:
         a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
         full = a if a.clopen else a.stage(a.generator.rule_count - 1)
-        return _clopen_certificate(full, bound)
+        doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
+        return HausdorffCertificate("clopen", bound=bound, domains=doms)
 
-    unions = _union_sets(a, depth)
-    residuals = [u.complement() for u in unions]
-    if residuals and residuals[-1].is_empty():
-        return _clopen_certificate(a.stage(depth), bound)
-
-    x = _chain_limit(residuals)
+    unions = _union_sets(a, -1, depth)
+    x = _chain_limit([u.complement() for u in unions])
     if x is not None and _witness_soundness(x, unions):
         return HausdorffCertificate(
             "non-clopen-witness", t=-1, point=x, depth=depth
@@ -188,12 +186,13 @@ def nonseparable_pair(
 ) -> NonSeparablePair:
     """Two distinct germ classes with no disjoint neighborhoods.
 
-    Valid when X_t fails to be clopen for the generator index t = -1 (or
-    its inverse t = +1): the witness limit x gives the class [-t, x], the
-    transported limit y gives [0, y], and the approach points x_j in U_depth
-    agree with x to depth j while their images agree with y to depth j.
-    Every claimed property is re-verified before the pair is returned.  As
-    in hausdorff_decide, a schedule is dropped.
+    Valid when X_t fails to be clopen for t = -1 or t = +1.  Both sides come
+    from the stages of the one action: the limit x of the residuals of X_t
+    gives the class [-t, x], the limit y of the residuals of X_{-t} gives
+    [0, y], and the approach points x_j in U_depth = X_t of stage depth
+    agree with x to depth j while their images under h_{-t} agree with y to
+    depth j.  Every claimed property is re-verified before the pair is
+    returned.  As in hausdorff_decide, a schedule is dropped.
     """
     if a.counts is not None:
         a = ZPartialAction(a.generator)
@@ -202,14 +201,11 @@ def nonseparable_pair(
     if t not in (-1, 1):
         raise NoWitness(f"witness search only covers the generator index, not t={t}")
 
-    side = a if t == -1 else ZPartialAction(a.generator.inverse())
-    other = ZPartialAction(side.generator.inverse())
-
-    unions = _union_sets(side, depth)
+    unions = _union_sets(a, t, depth)
     x = _chain_limit([u.complement() for u in unions])
     if x is None or not _witness_soundness(x, unions):
         raise NoWitness(f"no single-cylinder residual chain for t={t}")
-    y = _chain_limit([u.complement() for u in _union_sets(other, depth)])
+    y = _chain_limit([u.complement() for u in _union_sets(a, -t, depth)])
     if y is None:
         raise NoWitness("transported limit is not a single-cylinder chain")
 
@@ -220,8 +216,7 @@ def nonseparable_pair(
         if meet.is_empty():
             raise NoWitness(f"cylinder of depth {j} around {x} misses the union")
         xj = Point(meet.words[0], "0")
-        yj = side.stage(depth).apply(1, xj)
-        approach.append((xj, yj))
+        approach.append((xj, a.stage(depth).apply(-t, xj)))
 
     first, second = GermPair(-t, x), GermPair(0, y)
     for j, (xj, yj) in enumerate(approach, start=1):

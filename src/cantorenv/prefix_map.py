@@ -10,7 +10,6 @@ expose clopen truncations consisting of the first rules of the enumeration.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -129,12 +128,13 @@ class GeneratedMap:
 
     kind "odometer" is the built-in infinite family 1^k 0 -> 0^k 1 (add one,
     carry to the right); kind "rules" is an explicit finite enumeration whose
-    domain is taken to be exhausted by the listed source cylinders.
+    domain is taken to be exhausted by the listed source cylinders.  Only the
+    forward direction is enumerated: the inverse of a truncation is its
+    `PrefixMap.inverse`, which is what h_{-t} of a stage uses.
     """
 
     kind: str
     rules: tuple[tuple[str, str], ...] = ()
-    inverted: bool = False
 
     def __post_init__(self):
         if self.kind not in ("odometer", "rules"):
@@ -167,10 +167,8 @@ class GeneratedMap:
         if not self.has_rule(i):
             raise IndexError(f"enumeration has no rule {i}")
         if self.kind == "odometer":
-            u, v = "1" * i + "0", "0" * i + "1"
-        else:
-            u, v = self.rules[i]
-        return (v, u) if self.inverted else (u, v)
+            return "1" * i + "0", "0" * i + "1"
+        return self.rules[i]
 
     def truncation(self, k: int) -> PrefixMap:
         """The clopen map made of rules 0..k (capped for finite enumerations)."""
@@ -179,17 +177,11 @@ class GeneratedMap:
         top = k if self.kind == "odometer" else min(k, len(self.rules) - 1)
         return PrefixMap(tuple(self.rule(i) for i in range(top + 1)))
 
-    def inverse(self) -> "GeneratedMap":
-        return dataclasses.replace(self, inverted=not self.inverted)
-
     def rule_index_for(self, x: Point) -> int | None:
         if self.kind == "odometer":
-            symbol = "1" if self.inverted else "0"
-            window = x.preperiod + x.period
-            pos = window.find(symbol)
+            pos = (x.preperiod + x.period).find("0")
             return pos if pos >= 0 else None
-        for i in range(len(self.rules)):
-            u, _ = self.rule(i)
+        for i, (u, _) in enumerate(self.rules):
             if x.starts_with(u):
                 return i
         return None

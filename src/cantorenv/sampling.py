@@ -112,30 +112,10 @@ class Sampler:
     def related_triple(self, a: ZPartialAction, max_index: int = 2):
         """A germ chain p ~ q ~ w when a feasible base exists, else random germs."""
         for _ in range(20):
-            slots = [
-                self.rng.randint(-max_index, max_index) for _ in range(3)
-            ]
-            feas, maps = self._feasible(a, slots)
-            if feas.is_empty():
-                continue
-            x = self.point_in(feas)
-            pts = [x] + [m.apply_point(x) for m in maps]
-            return tuple(GermPair(t, p) for t, p in zip(slots, pts))
+            chain = self._chain(a, 3, max_index)
+            if chain is not None:
+                return tuple(GermPair(t, p) for t, p in zip(*chain))
         return tuple(self.germ(max_index) for _ in range(3))
-
-    def _feasible(self, a: ZPartialAction, slots):
-        """Base set whose points thread through every consecutive transport."""
-        feas = a.domain(germ_index(slots[0], slots[1]))
-        acc = None
-        maps = []
-        for i in range(len(slots) - 1):
-            step = a.h(transport_index(slots[i], slots[i + 1]))
-            acc = step if acc is None else compose(step, acc)
-            if i + 2 < len(slots):
-                nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]))
-                feas = feas & acc.preimage_set(nxt)
-            maps.append(acc)
-        return feas, maps
 
     def arrow_triples(self, a: ZPartialAction, count: int, max_index: int = 2):
         """Composable triples (z1, z2, z3) of arrows, exactly `count` of them."""
@@ -145,22 +125,32 @@ class Sampler:
             guard += 1
             if guard > 200 * count:
                 raise EngineError("arrow sampling starved; domains too thin")
-            slots = [
-                self.rng.randint(-max_index, max_index) for _ in range(4)
-            ]
-            feas, maps = self._feasible(a, slots)
-            if feas.is_empty():
-                continue
-            x = self.point_in(feas)
-            pts = [x] + [m.apply_point(x) for m in maps]
-            out.append(
-                (
-                    GroupoidElement(pts[0], slots[0], slots[1]),
-                    GroupoidElement(pts[1], slots[1], slots[2]),
-                    GroupoidElement(pts[2], slots[2], slots[3]),
-                )
-            )
+            chain = self._chain(a, 4, max_index)
+            if chain is not None:
+                slots, pts = chain
+                out.append(tuple(map(GroupoidElement, pts, slots, slots[1:])))
         return out
+
+    def _chain(self, a: ZPartialAction, length: int, max_index: int):
+        """Random slots and points threading through each consecutive transport.
+
+        None when no point of the first germ set threads through them all.
+        """
+        slots = [self.rng.randint(-max_index, max_index) for _ in range(length)]
+        feas = a.domain(germ_index(slots[0], slots[1]))
+        acc = None
+        maps = []
+        for i in range(length - 1):
+            step = a.h(transport_index(slots[i], slots[i + 1]))
+            acc = step if acc is None else compose(step, acc)
+            if i + 2 < length:
+                nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]))
+                feas = feas & acc.preimage_set(nxt)
+            maps.append(acc)
+        if feas.is_empty():
+            return None
+        x = self.point_in(feas)
+        return slots, [x] + [m.apply_point(x) for m in maps]
 
     # -- enumeration orbits ------------------------------------------------
 

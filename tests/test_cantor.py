@@ -218,6 +218,16 @@ class TestClopenSet:
         s = ClopenSet(tuple(normalize_words(ws)))
         assert s.complement().complement() == s
 
+    @given(ws=st.lists(w, max_size=6))
+    def test_complement_splits_every_cell(self, ws):
+        s = ClopenSet(tuple(ws))
+        comp = s.complement()
+        # no complement word lies below depth 6, so depth-6 cells see all of it
+        assert comp.max_depth() <= 6
+        inside, outside = cells_covered(s.words, 6), cells_covered(comp.words, 6)
+        assert not inside & outside
+        assert inside | outside == set(words(6))
+
     @given(ws=st.lists(w, max_size=4), vs=st.lists(w, max_size=4))
     def test_de_morgan(self, ws, vs):
         a = ClopenSet(tuple(normalize_words(ws)))

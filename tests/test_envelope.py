@@ -132,6 +132,20 @@ class TestNonSeparablePair:
         for k in range(5):
             assert not related(ODO.stage(k), pair.first, pair.second)
 
+    @pytest.mark.parametrize("depth", [2, 5, 8])
+    def test_positive_side_reads_the_same_action(self, depth):
+        pair = nonseparable_pair(ODO, 1, depth)
+        assert (str(pair.first.point), str(pair.second.point)) == ("(0)", "(1)")
+        rules = odometer_rules(depth)
+        n = depth + 2  # deeper than every source and target of stage depth
+        for xj, yj in pair.approach:
+            assert transport(rules, -1, xj.unroll(n)) == yj.unroll(n)
+
+    @pytest.mark.parametrize("t", [-1, 1])
+    def test_schedule_leaves_the_pair_unchanged(self, t):
+        scheduled = ZPartialAction(ODOMETER, (1, 2, 4))
+        assert nonseparable_pair(scheduled, t, 6) == nonseparable_pair(ODO, t, 6)
+
     def test_clopen_action_has_no_witness(self):
         with pytest.raises(NoWitness):
             nonseparable_pair(FLIP, -1, depth=6)

@@ -168,11 +168,6 @@ class TestGeneratedMap:
         t2 = ODOMETER.truncation(2)
         assert list(t2.rules) == odometer_rules(2)
 
-    def test_inverse_swaps_direction(self):
-        inv = ODOMETER.inverse()
-        assert inv.rule(1) == ("01", "10")
-        assert inv.inverse().rule(1) == ("10", "01")
-
     def test_apply_point_reports_rule_index(self):
         y, idx = ODOMETER.apply_point(Point.parse("110(1)"))
         assert (str(y), idx) == ("00(1)", 2)
