@@ -6,8 +6,10 @@ stages 1 and 2, `--trials` trials each) and one pass shaped like the
 benchmark's psi_suite workload: 32 small maps (flip, odometer stages, seeded
 two-rule and chain maps), three trials of `isomorphism_suite` and
 `equivariance_sign` each.  For every case it prints the best of `--repeat`
-wall-clock times, then the `ZPartialAction.domain` calls of one more run
-against the distinct (generator, schedule, t) keys they asked for:
+wall-clock times, then, for one more run, the `ZPartialAction.domain` calls
+against the distinct (generator, schedule, t) keys they asked for, and the
+calls the suites made to `convolve`, `kernel_multiply`, `adjoint` and
+`kernel_adjoint`:
 
     PYTHONPATH=src python3 scripts/psi_timing.py --trials 250 --seed 707
 
@@ -18,9 +20,13 @@ import argparse
 import random
 import sys
 import time
+from collections import Counter
 
+import cantorenv.verify
 from cantorenv import ZPartialAction, equivariance_sign, isomorphism_suite
 from cantorenv.prefix_map import ODOMETER, PrefixMap
+
+PRODUCTS = ("convolve", "kernel_multiply", "adjoint", "kernel_adjoint")
 
 
 def words(depth: int) -> list[str]:
@@ -74,21 +80,34 @@ def best(fn, repeat: int) -> float:
     return min(times)
 
 
-def domain_counts(fn) -> tuple[int, int]:
-    """Calls of ZPartialAction.domain made by fn(), and their distinct keys."""
+def call_counts(fn) -> tuple[int, int, Counter]:
+    """Calls of ZPartialAction.domain made by fn(), their distinct keys, and
+    the calls of each product the suites make (as bound in cantorenv.verify)."""
     orig = ZPartialAction.domain
     keys = []
+    products = Counter()
 
     def counted(self, t):
         keys.append((self.generator, self.counts, t))
         return orig(self, t)
 
+    def counting(name, product):
+        def counted_product(*args):
+            products[name] += 1
+            return product(*args)
+        return counted_product
+
+    originals = {name: getattr(cantorenv.verify, name) for name in PRODUCTS}
     ZPartialAction.domain = counted
+    for name, product in originals.items():
+        setattr(cantorenv.verify, name, counting(name, product))
     try:
         fn()
     finally:
         ZPartialAction.domain = orig
-    return len(keys), len(set(keys))
+        for name, product in originals.items():
+            setattr(cantorenv.verify, name, product)
+    return len(keys), len(set(keys)), products
 
 
 def main(argv=None) -> int:
@@ -105,9 +124,10 @@ def main(argv=None) -> int:
     ]
     for name, fn in cases:
         dt = best(fn, args.repeat)
-        calls, distinct = domain_counts(fn)
+        calls, distinct, products = call_counts(fn)
         print(f"{name:<30} {dt * 1e3:9.1f} ms   "
               f"domain calls {calls:>7,}  distinct keys {distinct:>5,}")
+        print(" " * 33 + "  ".join(f"{p} {products[p]:,}" for p in PRODUCTS))
     return 0
 
 

@@ -59,7 +59,7 @@ class ZPartialAction:
     enumeration acts only through its clopen stages: stage k keeps the first
     count(k) rules, one more per stage unless `counts` gives the schedule.
     Powers h_t and domains X_t are cached per t, support verdicts per
-    (t, support) and stages per rule count.  Every cache lives on the action
+    (t, words) and stages per rule count.  Every cache lives on the action
     and dies with it; entries are immutable, so a lost cache race only
     recomputes the same value, and a call that raises caches nothing.
     """
@@ -72,7 +72,7 @@ class ZPartialAction:
         self.counts = None if counts is None else exhaustion_counts(generator, counts)
         self._powers: dict[int, PrefixMap] = {}
         self._domains: dict[int, ClopenSet] = {}
-        self._verdicts: dict[tuple[int, ClopenSet], bool] = {}
+        self._verdicts: dict[tuple[int, tuple[str, ...]], bool] = {}
         self._stages: dict[int, ZPartialAction] = {}
 
     @property
@@ -127,12 +127,16 @@ class ZPartialAction:
             out = self._domains[t] = self.h(t).image()
         return out
 
-    def supports(self, t: int, support: ClopenSet) -> bool:
-        """Whether `support` lies inside X_t, decided once per (t, support)."""
-        key = (t, support)
+    def supports(self, t: int, words: tuple[str, ...]) -> bool:
+        """Whether every cylinder [w], w in `words`, lies inside X_t.
+
+        `words` are the piece words of a function, or of a clopen set: no
+        support set is built.  Decided once per (t, words).
+        """
+        key = (t, words)
         verdict = self._verdicts.get(key)
         if verdict is None:
-            verdict = self._verdicts[key] = support.subset_of(self.domain(t))
+            verdict = self._verdicts[key] = self.domain(t).covers(words)
         return verdict
 
     def apply(self, t: int, x: Point) -> Point:
@@ -257,7 +261,7 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
 
 def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:
     """Transport f supported in X_{-t} to the function f o h_t^{-1} on X_t."""
-    if not a.supports(-t, f.support()):
+    if not a.supports(-t, f.words):
         raise SupportViolation(
             f"support {f.support()} escapes X_{-t} = {a.domain(-t)}"
         )

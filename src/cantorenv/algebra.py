@@ -9,6 +9,16 @@ the fiber product alpha_p(alpha_{-p}(f) g) on each term.  Either kind reads a
 slot with `at(r, s)`, translates both slots with `shift(t)` and compresses to
 one slot with `corner(r, s)`.  Reindexing blocks by slot negation exchanges
 the two pictures; every identity here is exact.
+
+The public constructors check, sort and filter their slots.  The trusted
+constructor `_IndexedTable._canonical(items)` only drops zero slots and
+builds the lookup: its caller guarantees that `items` are sorted by slot,
+with distinct int-pair slots and canonical functions.  It is called where
+that holds by construction: `shift` translates both slots alike and
+`__neg__`, `scale`, `corner`, `row_part` and `col_part` keep or filter
+slots in order; reindexing negates both slots and so reverses the order;
+sums, products and adjoints sort the slots they build.  Supports are
+checked on piece words (`_check_supports`), not on fresh clopen sets.
 """
 
 from __future__ import annotations
@@ -22,6 +32,11 @@ from .errors import ParseError, SupportViolation
 from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map
 
 Index = tuple[int, int]
+
+
+def _check_slot(what: str, key) -> None:
+    if type(key[0]) is not int or type(key[1]) is not int:
+        raise ParseError(f"{what} slot {key!r} is not a pair of ints")
 
 
 @dataclass(frozen=True)
@@ -39,8 +54,7 @@ class _IndexedTable:
         seen = set()
         out = []
         for key, func in self.table:
-            if type(key[0]) is not int or type(key[1]) is not int:
-                raise ParseError(f"{self._what} slot {key!r} is not a pair of ints")
+            _check_slot(self._what, key)
             if key in seen:
                 raise ParseError(f"duplicate {self._what} at {key}")
             seen.add(key)
@@ -48,6 +62,15 @@ class _IndexedTable:
                 out.append((key, func))
         object.__setattr__(self, "table", tuple(sorted(out)))
         object.__setattr__(self, "_lookup", dict(out))
+
+    @classmethod
+    def _canonical(cls, items):
+        """Trusted constructor: slots sorted, distinct int pairs, canonical functions."""
+        out = object.__new__(cls)
+        table = tuple(e for e in items if e[1].pieces)
+        object.__setattr__(out, "table", table)
+        object.__setattr__(out, "_lookup", dict(table))
+        return out
 
     def at(self, r: int, s: int) -> PiecewiseConstant:
         return self._lookup.get((r, s), ZERO_FUNC)
@@ -61,26 +84,29 @@ class _IndexedTable:
 
     def shift(self, t: int):
         """Translate both slots: new slot (r, s) reads the old slot (r+t, s+t)."""
-        return type(self)(tuple(((r - t, s - t), f) for (r, s), f in self.table))
+        if type(t) is not int:
+            raise ParseError(f"{self._what} slot shift {t!r} is not an int")
+        return self._canonical([((r - t, s - t), f) for (r, s), f in self.table])
 
     def corner(self, r: int, s: int):
         """Compression to the single slot (r, s)."""
-        return type(self)((((r, s), self.at(r, s)),))
+        _check_slot(self._what, (r, s))
+        return self._canonical([((r, s), self.at(r, s))])
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         acc = self._lookup | {k: self.at(*k) + f for k, f in other.table}
-        return type(self)(tuple(acc.items()))
+        return self._canonical(sorted(acc.items()))
 
     def __neg__(self):
-        return type(self)(tuple((k, -f) for k, f in self.table))
+        return self._canonical([(k, -f) for k, f in self.table])
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: Scalar):
-        return type(self)(tuple((k, f.scale(c)) for k, f in self.table))
+        return self._canonical([(k, f.scale(c)) for k, f in self.table])
 
 
 class GroupoidFunction(_IndexedTable):
@@ -115,11 +141,11 @@ def _check_supports(table, a: ZPartialAction, index, what: str) -> None:
     """Raise SupportViolation unless every slot (r, s) lives on X_{index(r, s)}.
 
     The check is never skipped: every slot of every table is asked on every
-    call.  Only the answer is remembered, by the action, per (t, support).
+    call, on its piece words (`ZPartialAction.supports`).
     """
     for (r, s), func in table:
         t = index(r, s)
-        if not a.supports(t, func.support()):
+        if not a.supports(t, func.words):
             raise SupportViolation(
                 f"{what} ({r},{s}) supported on {func.support()}, "
                 f"outside X_{t} = {a.domain(t)}"
@@ -155,7 +181,7 @@ def convolve(
                 continue
             key = (r, u)
             acc[key] = acc.get(key, ZERO_FUNC) + term
-    out = GroupoidFunction(tuple(sorted(acc.items())))
+    out = GroupoidFunction._canonical(sorted(acc.items()))
     validate_blocks(out, a)
     return out
 
@@ -167,7 +193,7 @@ def adjoint(f: GroupoidFunction, a: ZPartialAction) -> GroupoidFunction:
     for (r, s), func in f.table:
         moved = compose_with_map(func.conj(), a.h(transport_index(s, r)))
         table.append(((s, r), moved))
-    out = GroupoidFunction(tuple(table))
+    out = GroupoidFunction._canonical(sorted(table))
     validate_blocks(out, a)
     return out
 
@@ -201,7 +227,7 @@ def kernel_multiply(
                 continue
             key = (r, s)
             acc[key] = acc.get(key, ZERO_FUNC) + term
-    out = KernelElement(tuple(sorted(acc.items())))
+    out = KernelElement._canonical(sorted(acc.items()))
     validate_entries(out, a)
     return out
 
@@ -213,17 +239,17 @@ def kernel_adjoint(k: KernelElement, a: ZPartialAction) -> KernelElement:
     for (s, r), func in k.table:
         moved = compose_with_map(func.conj(), a.h(germ_index(r, s)))
         table.append(((r, s), moved))
-    out = KernelElement(tuple(table))
+    out = KernelElement._canonical(sorted(table))
     validate_entries(out, a)
     return out
 
 
 def row_part(k: KernelElement, t: int) -> KernelElement:
-    return KernelElement(tuple(e for e in k.table if e[0][0] == t))
+    return KernelElement._canonical([e for e in k.table if e[0][0] == t])
 
 
 def col_part(k: KernelElement, t: int) -> KernelElement:
-    return KernelElement(tuple(e for e in k.table if e[0][1] == t))
+    return KernelElement._canonical([e for e in k.table if e[0][1] == t])
 
 
 def norm_squared(k: KernelElement) -> Fraction:
@@ -237,9 +263,14 @@ def norm_squared(k: KernelElement) -> Fraction:
 
 def to_kernel(f: GroupoidFunction) -> KernelElement:
     """Entry (r, s) of the kernel = block (-r, -s) of f, tagged d_{r-s}."""
-    return KernelElement(tuple(((-r, -s), func) for (r, s), func in f.table))
+    # negating both slots reverses their order
+    return KernelElement._canonical(
+        [((-r, -s), func) for (r, s), func in reversed(f.table)]
+    )
 
 
 def from_kernel(k: KernelElement) -> GroupoidFunction:
     """Inverse reindexing: block (r, s) = entry (-r, -s)."""
-    return GroupoidFunction(tuple(((-r, -s), func) for (r, s), func in k.table))
+    return GroupoidFunction._canonical(
+        [((-r, -s), func) for (r, s), func in reversed(k.table)]
+    )

@@ -108,15 +108,19 @@ class Point:
         reps = (n - len(self.preperiod)) // len(self.period) + 1
         return (self.preperiod + self.period * reps)[:n]
 
+    def replace_prefix(self, n: int, word: str) -> "Point":
+        """Drop the first n symbols and put `word` in front, as one new Point."""
+        if n <= len(self.preperiod):
+            return Point(word + self.preperiod[n:], self.period)
+        k = (n - len(self.preperiod)) % len(self.period)
+        return Point(word, self.period[k:] + self.period[:k])
+
     def shift(self, n: int) -> "Point":
         """Drop the first n symbols."""
-        if n <= len(self.preperiod):
-            return Point(self.preperiod[n:], self.period)
-        k = (n - len(self.preperiod)) % len(self.period)
-        return Point("", self.period[k:] + self.period[:k])
+        return self.replace_prefix(n, "")
 
     def with_prefix(self, word: str) -> "Point":
-        return Point(word + self.preperiod, self.period)
+        return self.replace_prefix(0, word)
 
     def starts_with(self, word: str) -> bool:
         return self.unroll(len(word)) == word
@@ -230,10 +234,17 @@ class ClopenSet:
         leaves = leaves_below("", proper_prefixes(self.words))
         return ClopenSet(tuple(set(leaves).difference(self.words)))
 
+    def covers(self, words) -> bool:
+        """Whether every cylinder [w], w in `words`, lies inside this set.
+
+        `words` need not be sibling-merged.  This set is, so [w] lies inside
+        it exactly when one of its words prefixes w, and that word is unique.
+        """
+        pairs = prefix_join(words, self.words)
+        return sum(len(v) <= len(u) for u, v in pairs) == len(words)
+
     def subset_of(self, other: "ClopenSet") -> bool:
-        # canonical forms are sibling-merged, and u has at most one prefix v
-        pairs = prefix_join(self.words, other.words)
-        return sum(len(v) <= len(u) for u, v in pairs) == len(self.words)
+        return other.covers(self.words)
 
     def contains_word(self, word: str) -> bool:
         """Whole-cylinder membership: [word] inside this set."""

@@ -6,6 +6,17 @@ constant function is a finite assignment of nonzero scalars to a prefix-free
 antichain of cylinders; the canonical form merges sibling cylinders carrying
 equal values through `cantor.merge_siblings`, as clopen sets do, which makes
 function equality structural as well.
+
+The public constructor checks, sorts and merges whatever it is given.  The
+trusted constructor `PiecewiseConstant._canonical(live)` only merges
+siblings: its caller guarantees that `live` holds checked words, sorted,
+prefix-free and distinct, each with a nonzero Scalar.  The arithmetic here
+calls it where that holds by construction: a product pairs two antichains
+into their common refinement and multiplies nonzero values; a sum sorts its
+cells and drops zero sums; `scale`, `conj` and negation keep the words and
+map nonzero values to nonzero values; and `compose_with_map` pulls a sorted
+antichain back along a valid map, whose sorted, prefix-free sources keep it
+sorted and prefix-free.  No other module calls it.
 """
 
 from __future__ import annotations
@@ -117,16 +128,28 @@ class PiecewiseConstant:
                 raise ValueError(f"pieces overlap: {u!r} and {v!r}")
         object.__setattr__(self, "pieces", tuple(merge_siblings(live)))
 
+    @classmethod
+    def _canonical(cls, live) -> "PiecewiseConstant":
+        """Trusted constructor: sorted, prefix-free, checked, nonzero pieces."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "pieces", tuple(merge_siblings(live)))
+        return out
+
     def is_zero(self) -> bool:
         return not self.pieces
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The piece words: sorted and prefix-free, siblings possibly unmerged."""
+        return tuple(w for w, _ in self.pieces)
 
     def support(self) -> ClopenSet:
         return self._support
 
     @cached_property
     def _support(self) -> ClopenSet:
-        # computed once per value; the pieces never change after __post_init__
-        return ClopenSet(tuple(w for w, _ in self.pieces))
+        # for messages and callers; support checks read `words` instead
+        return ClopenSet(self.words)
 
     def __add__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
         # cut each piece only at the words of the other pieces below it
@@ -136,25 +159,31 @@ class PiecewiseConstant:
         for w, c in both:
             for cell in leaves_below(w, inner):
                 acc[cell] = acc.get(cell, ZERO) + c
-        return PiecewiseConstant(tuple(acc.items()))
+        return PiecewiseConstant._canonical(
+            sorted((w, c) for w, c in acc.items() if not c.is_zero())
+        )
 
     def __neg__(self) -> "PiecewiseConstant":
-        return PiecewiseConstant(tuple((w, -c) for w, c in self.pieces))
+        return PiecewiseConstant._canonical([(w, -c) for w, c in self.pieces])
 
     def __sub__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
         return self + (-other)
 
     def __mul__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
+        # the deeper word of each comparable pair; products of nonzero
+        # Gaussian rationals are nonzero
         pairs = prefix_join(self.pieces, other.pieces, itemgetter(0), itemgetter(0))
-        return PiecewiseConstant(
-            tuple((u + v[len(u):], a * b) for (u, a), (v, b) in pairs)
+        return PiecewiseConstant._canonical(
+            [(u + v[len(u):], a * b) for (u, a), (v, b) in pairs]
         )
 
     def scale(self, c: Scalar) -> "PiecewiseConstant":
-        return PiecewiseConstant(tuple((w, c * v) for w, v in self.pieces))
+        if c.is_zero():
+            return ZERO_FUNC
+        return PiecewiseConstant._canonical([(w, c * v) for w, v in self.pieces])
 
     def conj(self) -> "PiecewiseConstant":
-        return PiecewiseConstant(tuple((w, c.conj()) for w, c in self.pieces))
+        return PiecewiseConstant._canonical([(w, c.conj()) for w, c in self.pieces])
 
     def restrict(self, s: ClopenSet) -> "PiecewiseConstant":
         return self * indicator(s)
@@ -181,7 +210,11 @@ def compose_with_map(f: PiecewiseConstant, m) -> PiecewiseConstant:
     """The pullback x -> f(m(x)) along a prefix map, computed exactly.
 
     Supported inside the preimage of f's support; pieces outside the image of m
-    contribute nothing.
+    contribute nothing.  m must be valid (see `PrefixMap`): the words of rule
+    u -> v all extend u, in the order of f's words, and the sources are
+    sorted and prefix-free, so the pulled-back pieces are too.
     """
     pairs = prefix_join(m.rules, f.pieces, itemgetter(1), itemgetter(0))
-    return PiecewiseConstant(tuple((u + w[len(v):], c) for (u, v), (w, c) in pairs))
+    return PiecewiseConstant._canonical(
+        [(u + w[len(v):], c) for (u, v), (w, c) in pairs]
+    )

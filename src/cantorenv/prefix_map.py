@@ -59,7 +59,7 @@ class PrefixMap:
     def apply_point(self, x: Point) -> Point:
         for u, v in self.rules:
             if x.starts_with(u):
-                return x.shift(len(u)).with_prefix(v)
+                return x.replace_prefix(len(u), v)
         raise NotInDomain(f"{x} is outside {self}")
 
     def image_word(self, w: str) -> str | None:
@@ -192,7 +192,7 @@ class GeneratedMap:
         if i is None:
             raise NotInDomain(f"{x} matches no rule of the enumeration")
         u, v = self.rule(i)
-        return x.shift(len(u)).with_prefix(v), i
+        return x.replace_prefix(len(u), v), i
 
 
 ODOMETER = GeneratedMap("odometer")

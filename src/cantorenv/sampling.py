@@ -20,8 +20,15 @@ from .prefix_map import ODOMETER, GeneratedMap, PrefixMap, compose
 
 
 class Sampler:
+    """Seeded draws.  The populations that `groupoid_function` and `pwc` draw
+    from depend only on their arguments, so each is built once per sampler:
+    the nonempty slots per (action, max_index), the cells per (support, depth).
+    """
+
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
+        self._slots: dict[tuple[ZPartialAction, int], list[tuple[int, int]]] = {}
+        self._cells: dict[tuple[ClopenSet, int], list[str]] = {}
 
     # -- words and maps ----------------------------------------------------
 
@@ -75,9 +82,11 @@ class Sampler:
         if support.is_empty():
             return ZERO_FUNC
         d = max(depth, support.max_depth())
-        cells = support.refine_to_depth(d)
+        cells = self._cells.get((support, d))
+        if cells is None:
+            cells = self._cells[support, d] = list(support.refine_to_depth(d))
         take = min(len(cells), self.rng.randint(1, max_pieces))
-        chosen = self.rng.sample(list(cells), take)
+        chosen = self.rng.sample(cells, take)
         return PiecewiseConstant(
             tuple((w, self.scalar(nonzero=True)) for w in chosen)
         )
@@ -89,13 +98,15 @@ class Sampler:
         depth: int = 6,
         max_blocks: int = 3,
     ) -> GroupoidFunction:
-        span = range(-max_index, max_index + 1)
-        keys = [
-            (r, s)
-            for r in span
-            for s in span
-            if not a.domain(germ_index(r, s)).is_empty()
-        ]
+        keys = self._slots.get((a, max_index))
+        if keys is None:
+            span = range(-max_index, max_index + 1)
+            keys = self._slots[a, max_index] = [
+                (r, s)
+                for r in span
+                for s in span
+                if not a.domain(germ_index(r, s)).is_empty()
+            ]
         take = min(len(keys), self.rng.randint(1, max_blocks))
         chosen = self.rng.sample(keys, take)
         blocks = tuple(

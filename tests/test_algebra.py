@@ -30,6 +30,9 @@ from cantorenv.functions import ONE, PiecewiseConstant, Scalar, indicator
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
 
+from oracles import antichain, cells_covered
+from strategies import rule_lists, short_words
+
 FLIP = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
 ODO1 = ZPartialAction(ODOMETER).stage(1)
 
@@ -90,6 +93,12 @@ class TestContainers:
                     cls(((slot, ONE_0),))
         with pytest.raises(ParseError, match="slot"):
             blocks(((0, 1.0), ONE_1))
+        # the trusted paths move slots without the constructor's check
+        f = blocks(((0, 1), ONE_1))
+        for bad in (lambda: f.shift(1.0), lambda: f.corner(0, 1.0),
+                    lambda: f.corner(True, 1)):
+            with pytest.raises(ParseError, match="slot"):
+                bad()
 
     def test_json_scalars_are_strings(self):
         f = blocks(((0, 1), indicator(ClopenSet.parse("{1}"), Scalar(0, -1))))
@@ -108,6 +117,33 @@ class TestContainers:
         validate_entries(kernel(((0, 1), ONE_0)), FLIP)
         with pytest.raises(SupportViolation):
             validate_entries(kernel(((0, 1), ONE_1)), FLIP)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_piece_words_decide_containment(self, data):
+        # accepted exactly when every depth-d cell of the support lies in X_t;
+        # the halves of a word of X_t carry different values, so they stay
+        # unmerged siblings below that merged word
+        a = ZPartialAction(PrefixMap(tuple(data.draw(rule_lists()))))
+        t = data.draw(st.integers(-2, 2))
+        x = a.domain(t).words
+        split = data.draw(st.lists(st.sampled_from(x), unique=True)) if x else []
+        ws = antichain(
+            [w + b for w in split for b in "01"] + data.draw(short_words)
+        )
+        f = PiecewiseConstant(tuple((w, Scalar(i + 1)) for i, w in enumerate(ws)))
+        d = max(map(len, ws + list(x)), default=0)
+        inside = cells_covered(ws, d) <= cells_covered(x, d)
+        for validate, table in (
+            (validate_blocks, blocks(((0, t), f))),
+            (validate_entries, kernel(((t, 0), f))),
+        ):
+            try:
+                validate(table, a)
+            except SupportViolation:
+                assert not inside
+            else:
+                assert inside
 
 
 class TestConvolve:

@@ -113,6 +113,15 @@ class TestPiecewiseConstant:
     def test_equal_siblings_merge(self):
         f = PiecewiseConstant((("0", ONE), ("1", ONE)))
         assert f.pieces == (("", ONE),)
+        # so do a sum, a product and a pullback, which skip the constructor
+        two = Scalar(2)
+        zero, one = PiecewiseConstant((("0", ONE),)), PiecewiseConstant((("1", ONE),))
+        assert (zero + one).pieces == (("", ONE),)
+        g = PiecewiseConstant((("0", two), ("1", ONE)))
+        h = PiecewiseConstant((("0", ONE), ("1", two)))
+        assert (g * h).pieces == (("", two),)
+        swap = PrefixMap.parse("[0 -> 1, 1 -> 0]")
+        assert compose_with_map(f, swap).pieces == (("", ONE),)
 
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,23 @@ class TestApplication:
         with pytest.raises(NotInDomain):
             m.apply_point(Point.parse("(1)"))
 
+    def test_apply_point_matches_oracle_transport_on_seeded_points(self):
+        # short preperiods, so many sources end inside the period; equal
+        # 24-symbol prefixes decide equality of points this short
+        for seed in range(40):
+            sampler = Sampler(seed)
+            m = sampler.prefix_map()
+            for _ in range(10):
+                x = sampler.point(max_pre=2, max_per=3)
+                want = transport(list(m.rules), 1, x.unroll(24))
+                if want is None:
+                    with pytest.raises(NotInDomain):
+                        m.apply_point(x)
+                    continue
+                y = m.apply_point(x)
+                assert y.unroll(len(want)) == want
+                assert Point(y.preperiod, y.period) == y
+
     def test_image_word_needs_one_source_above(self):
         m = pm("[10 -> 01, 0 -> ε]")
         assert m.image_word("100") == "010"
