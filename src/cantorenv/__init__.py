@@ -27,7 +27,6 @@ from .cantor import EMPTY, FULL, MAX, MIN, ClopenSet, Point
 from .cells import CellPartition, adapted_depth, cell_partition
 from .envelope import (
     GermPair,
-    GroupoidElement,
     HausdorffCertificate,
     NonSeparablePair,
     etale_probe,
@@ -56,7 +55,6 @@ from .filtration import (
     TruncatedRelation,
     bratteli_build,
     default_schedule,
-    diagram_from_json,
     diagram_to_dot,
     diagram_to_json,
     export,

@@ -8,20 +8,22 @@ decision procedure either materializes the domains as canonical clopen sets
 or hunts for a limit point sitting on the boundary of the union U_k of an
 exhaustion.  Both sides of a witness are read from the stages of one
 action: U_k is the X_t of stage k, and the other side is its X_{-t}.
-Probes for the range/source bijections and for the groupoid laws on
-triples live here too; the etale probe decides on cylinder words with
+The arrows of the groupoid of this relation are the related pairs of germs
+(p, q), composing as (p, q)(q, r) = (p, r); the groupoid probe checks its
+laws on such pairs through `related` alone.  The probe for the range/source
+bijections lives here too; it decides on cylinder words with
 `PrefixMap.image_word`, cutting its base only at rule boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
     ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes
 )
-from .errors import BaseNotInDomain, NoWitness, NotInDomain
+from .errors import BaseNotInDomain, NoWitness
 
 
 @dataclass(frozen=True)
@@ -101,25 +103,22 @@ class HausdorffCertificate:
         return out
 
 
-def _union_sets(a: ZPartialAction, t: int, depth: int) -> list[ClopenSet]:
-    """U_0 .. U_depth: the domains X_t of stages 0 .. depth."""
-    return [a.stage(k).domain(t) for k in range(depth + 1)]
-
-
-def _chain_limit(residuals) -> Point | None:
-    """Limit point of a strictly growing nested chain of single cylinders."""
-    words = []
-    for res in residuals:
-        if len(res.words) != 1:
-            return None
-        words.append(res.words[0])
-    if len(words) < 2:
-        return None
+def _residual_limit(
+    a: ZPartialAction, t: int, depth: int
+) -> tuple[Point | None, list[ClopenSet]]:
+    """The unions U_0 .. U_depth, the domains X_t of stages 0 .. depth, and
+    the limit point of their residuals when those form a strictly shrinking
+    nested chain of single cylinders (else None)."""
+    unions = [a.stage(k).domain(t) for k in range(depth + 1)]
+    residuals = [u.complement().words for u in unions]
+    if len(residuals) < 2 or any(len(ws) != 1 for ws in residuals):
+        return None, unions
+    words = [ws[0] for ws in residuals]
     for prev, cur in zip(words, words[1:]):
         if not (cur.startswith(prev) and len(cur) > len(prev)):
-            return None
+            return None, unions
     # repeat the last observed increment forever
-    return Point(words[-1], words[-1][len(words[-2]):])
+    return Point(words[-1], words[-1][len(words[-2]):]), unions
 
 
 def _witness_soundness(x: Point, unions) -> bool:
@@ -158,8 +157,7 @@ def hausdorff_decide(
         doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
         return HausdorffCertificate("clopen", bound=bound, domains=doms)
 
-    unions = _union_sets(a, -1, depth)
-    x = _chain_limit([u.complement() for u in unions])
+    x, unions = _residual_limit(a, -1, depth)
     if x is not None and _witness_soundness(x, unions):
         return HausdorffCertificate(
             "non-clopen-witness", t=-1, point=x, depth=depth
@@ -201,11 +199,10 @@ def nonseparable_pair(
     if t not in (-1, 1):
         raise NoWitness(f"witness search only covers the generator index, not t={t}")
 
-    unions = _union_sets(a, t, depth)
-    x = _chain_limit([u.complement() for u in unions])
+    x, unions = _residual_limit(a, t, depth)
     if x is None or not _witness_soundness(x, unions):
         raise NoWitness(f"no single-cylinder residual chain for t={t}")
-    y = _chain_limit([u.complement() for u in _union_sets(a, -t, depth)])
+    y, _ = _residual_limit(a, -t, depth)
     if y is None:
         raise NoWitness("transported limit is not a single-cylinder chain")
 
@@ -293,82 +290,40 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
     return EtaleReport(t, s, base, image, t == s, tuple(bad))
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
-    """An arrow (x, r, s): the point x in X_{s-r} seen from slots r and s."""
-
-    point: Point
-    left: int
-    right: int
-
-    def __str__(self) -> str:
-        return f"({self.point}, {self.left}, {self.right})"
-
-
-def element_valid(a: ZPartialAction, z: GroupoidElement) -> bool:
-    return a.domain(germ_index(z.left, z.right)).contains_point(z.point)
-
-
-def composable(a: ZPartialAction, z1: GroupoidElement, z2: GroupoidElement) -> bool:
-    if z1.right != z2.left:
-        return False
-    return z2.point == a.apply(transport_index(z1.left, z1.right), z1.point)
-
-
-def compose_elements(
-    a: ZPartialAction, z1: GroupoidElement, z2: GroupoidElement
-) -> GroupoidElement:
-    if not composable(a, z1, z2):
-        raise NotInDomain(f"{z1} and {z2} do not compose")
-    return GroupoidElement(z1.point, z1.left, z2.right)
-
-
-def invert_element(a: ZPartialAction, z: GroupoidElement) -> GroupoidElement:
-    moved = a.apply(transport_index(z.left, z.right), z.point)
-    return GroupoidElement(moved, z.right, z.left)
-
-
 def groupoid_probe(a: ZPartialAction, samples) -> ProbeReport:
-    """Groupoid laws on composable triples (z1, z2, z3).
+    """Groupoid laws on composable triples ((p, q), (q, r), (r, w)).
 
-    Per triple: membership of each arrow, the definedness criterion (both
-    positively and against a corrupted middle point), associativity of the
-    two bracketings, and the two inverse laws against range/source units.
+    An arrow is a pair of related germs.  It composes with the next arrow to
+    the pair of outer germs, its inverse is the swapped pair and the units
+    are the pairs (p, p), so both bracketings of a triple are (p, w):
+    associativity holds by construction, and only the relation can fail.
+    Per triple the probe checks that each arrow, each inverse (q, p), the
+    composites (p, r), (q, w) and (p, w) and each unit (p, p) are related
+    pairs, and that no arrow is related to its target with the first symbol
+    flipped (definedness).  A triple whose arrows do not share germs is
+    reported as not composable.
     """
     checked = 0
     bad: list[str] = []
     for z1, z2, z3 in samples:
         checked += 1
-        for z in (z1, z2, z3):
-            if not element_valid(a, z):
-                bad.append(f"{z} is not an arrow")
-        if not (composable(a, z1, z2) and composable(a, z2, z3)):
+        (p, q), (q2, r), (r2, w) = z1, z2, z3
+        if q != q2 or r != r2:
             bad.append(f"sample chain {z1}, {z2}, {z3} is not composable")
             continue
-
-        if z1.left != z1.right or z1.point != z2.point:
-            head = z2.point.shift(1)
-            flip = "1" if z2.point.unroll(1) == "0" else "0"
-            corrupt = replace(z2, point=head.with_prefix(flip))
-            if composable(a, z1, corrupt):
-                bad.append(f"{z1} composes with corrupted {corrupt}")
-
-        left = compose_elements(a, compose_elements(a, z1, z2), z3)
-        right = compose_elements(a, z1, compose_elements(a, z2, z3))
-        if left != right:
-            bad.append(f"associativity fails: {left} != {right}")
-
-        inv = invert_element(a, z1)
-        if compose_elements(a, z1, inv) != GroupoidElement(
-            z1.point, z1.left, z1.left
-        ):
-            bad.append(f"{z1} times its inverse is not the range unit")
-        if compose_elements(a, inv, z1) != GroupoidElement(
-            inv.point, z1.right, z1.right
-        ):
-            bad.append(f"inverse of {z1} times it is not the source unit")
-        unit = GroupoidElement(z1.point, z1.left, z1.left)
-        if compose_elements(a, unit, unit) != unit:
-            bad.append(f"unit {unit} is not idempotent")
+        laws = {
+            "arrow": (z1, z2, z3),
+            "inverse": ((q, p), (r, q), (w, r)),
+            "composite": ((p, r), (q, w), (p, w)),
+            "unit": ((p, p), (q, q), (r, r), (w, w)),
+        }
+        for kind, pairs in laws.items():
+            for x, y in pairs:
+                if not related(a, x, y):
+                    bad.append(f"{kind} ({x}, {y}) is not an arrow")
+        for x, y in (z1, z2, z3):
+            flip = "1" if y.point.unroll(1) == "0" else "0"
+            corrupt = GermPair(y.index, y.point.shift(1).with_prefix(flip))
+            if related(a, x, corrupt):
+                bad.append(f"{x} is related to both {y} and {corrupt}")
     return ProbeReport(checked, tuple(bad))
-

@@ -10,7 +10,6 @@ vertex sizes obey an exact counting identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .action import ZPartialAction
@@ -229,41 +228,6 @@ def diagram_to_json(d: BratteliDiagram) -> str:
         f'{{\n  "levels": {_json_list(levels, "  ")},\n'
         f'  "edges": {_json_list(edges, "  ")}\n}}\n'
     )
-
-
-def _require_keys(obj: dict, keys: set[str], what: str) -> None:
-    if not isinstance(obj, dict) or set(obj) != keys:
-        raise ParseError(f"{what} must have exactly the keys {sorted(keys)}")
-
-
-def diagram_from_json(text: str) -> BratteliDiagram:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad diagram JSON: {exc}") from exc
-    _require_keys(obj, {"levels", "edges"}, "diagram")
-    levels = []
-    for lv in obj["levels"]:
-        _require_keys(lv, {"m", "params", "vertices"}, "level")
-        _require_keys(lv["params"], {"k", "n", "d"}, "params")
-        verts = []
-        for v in lv["vertices"]:
-            _require_keys(v, {"id", "size", "fresh"}, "vertex")
-            verts.append((int(v["id"]), int(v["size"]), int(v["fresh"])))
-        p = lv["params"]
-        levels.append(
-            BratteliLevel(
-                int(lv["m"]), int(p["k"]), int(p["n"]), int(p["d"]), tuple(verts)
-            )
-        )
-    edges = []
-    for e in obj["edges"]:
-        _require_keys(e, {"from", "to", "mult"}, "edge")
-        (m, i), (m2, j) = e["from"], e["to"]
-        if m2 != m + 1:
-            raise ParseError(f"edge jumps from level {m} to {m2}")
-        edges.append((int(m), int(i), int(j), int(e["mult"])))
-    return BratteliDiagram(tuple(levels), tuple(edges))
 
 
 def diagram_to_dot(d: BratteliDiagram) -> str:

@@ -13,10 +13,19 @@ from fractions import Fraction
 from .action import ZPartialAction, germ_index, transport_index
 from .algebra import GroupoidFunction
 from .cantor import ClopenSet, Point
-from .envelope import GermPair, GroupoidElement
+from .envelope import GermPair
 from .errors import EngineError, NotInDomain
 from .functions import ZERO_FUNC, PiecewiseConstant, Scalar
-from .prefix_map import ODOMETER, GeneratedMap, PrefixMap, compose
+from .prefix_map import ODOMETER, PrefixMap, compose
+
+# Fixed sizes of the draws: at most this many halvings of an antichain, rules
+# of a prefix map, cells of a function and slot blocks of a groupoid function;
+# germ and chain slots lie in [-GERM_INDEX, GERM_INDEX].
+MAX_SPLITS = 3
+MAX_RULES = 3
+MAX_PIECES = 3
+MAX_BLOCKS = 3
+GERM_INDEX = 2
 
 
 class Sampler:
@@ -32,19 +41,19 @@ class Sampler:
 
     # -- words and maps ----------------------------------------------------
 
-    def antichain(self, max_splits: int = 3) -> list[str]:
+    def antichain(self) -> list[str]:
         """A random partition of the space into cylinders."""
         words = [""]
-        for _ in range(self.rng.randint(0, max_splits)):
+        for _ in range(self.rng.randint(0, MAX_SPLITS)):
             w = words.pop(self.rng.randrange(len(words)))
             words += [w + "0", w + "1"]
         return sorted(words)
 
-    def prefix_map(self, max_rules: int = 3) -> PrefixMap:
+    def prefix_map(self) -> PrefixMap:
         """A random valid map: prefix-free sources onto prefix-free targets."""
         src_pool = self.antichain()
         dst_pool = self.antichain()
-        k = self.rng.randint(1, min(max_rules, len(src_pool), len(dst_pool)))
+        k = self.rng.randint(1, min(MAX_RULES, len(src_pool), len(dst_pool)))
         sources = self.rng.sample(src_pool, k)
         targets = self.rng.sample(dst_pool, k)
         return PrefixMap(tuple(zip(sources, targets)))
@@ -59,44 +68,40 @@ class Sampler:
         per = self.word(self.rng.randint(1, max_per))
         return Point(pre, per)
 
-    def point_in(self, s: ClopenSet, max_pre: int = 2, max_per: int = 2) -> Point:
+    def point_in(self, s: ClopenSet) -> Point:
         if s.is_empty():
             raise ValueError("cannot pick a point of the empty set")
         w = self.rng.choice(s.words)
-        return self.point(max_pre, max_per).with_prefix(w)
+        return self.point(max_pre=2, max_per=2).with_prefix(w)
 
     # -- scalars and functions ---------------------------------------------
 
-    def scalar(self, nonzero: bool = False) -> Scalar:
+    def scalar(self) -> Scalar:
+        """A nonzero Gaussian rational."""
+
         def frac() -> Fraction:
             return Fraction(self.rng.randint(-4, 4), self.rng.randint(1, 4))
 
         c = Scalar(frac(), frac())
-        while nonzero and c.is_zero():
+        while c.is_zero():
             c = Scalar(frac(), frac())
         return c
 
-    def pwc(
-        self, support: ClopenSet, depth: int = 4, max_pieces: int = 3
-    ) -> PiecewiseConstant:
+    def pwc(self, support: ClopenSet, depth: int = 4) -> PiecewiseConstant:
         if support.is_empty():
             return ZERO_FUNC
         d = max(depth, support.max_depth())
         cells = self._cells.get((support, d))
         if cells is None:
             cells = self._cells[support, d] = list(support.refine_to_depth(d))
-        take = min(len(cells), self.rng.randint(1, max_pieces))
+        take = min(len(cells), self.rng.randint(1, MAX_PIECES))
         chosen = self.rng.sample(cells, take)
         return PiecewiseConstant(
-            tuple((w, self.scalar(nonzero=True)) for w in chosen)
+            tuple((w, self.scalar()) for w in chosen)
         )
 
     def groupoid_function(
-        self,
-        a: ZPartialAction,
-        max_index: int = 3,
-        depth: int = 6,
-        max_blocks: int = 3,
+        self, a: ZPartialAction, max_index: int = 3, depth: int = 6
     ) -> GroupoidFunction:
         keys = self._slots.get((a, max_index))
         if keys is None:
@@ -107,7 +112,7 @@ class Sampler:
                 for s in span
                 if not a.domain(germ_index(r, s)).is_empty()
             ]
-        take = min(len(keys), self.rng.randint(1, max_blocks))
+        take = min(len(keys), self.rng.randint(1, MAX_BLOCKS))
         chosen = self.rng.sample(keys, take)
         blocks = tuple(
             (key, self.pwc(a.domain(germ_index(*key)), depth))
@@ -117,37 +122,37 @@ class Sampler:
 
     # -- germs and arrows --------------------------------------------------
 
-    def germ(self, max_index: int = 3) -> GermPair:
-        return GermPair(self.rng.randint(-max_index, max_index), self.point())
+    def germ(self) -> GermPair:
+        return GermPair(self.rng.randint(-GERM_INDEX, GERM_INDEX), self.point())
 
-    def related_triple(self, a: ZPartialAction, max_index: int = 2):
+    def related_triple(self, a: ZPartialAction):
         """A germ chain p ~ q ~ w when a feasible base exists, else random germs."""
         for _ in range(20):
-            chain = self._chain(a, 3, max_index)
-            if chain is not None:
-                return tuple(GermPair(t, p) for t, p in zip(*chain))
-        return tuple(self.germ(max_index) for _ in range(3))
+            germs = self._chain(a, 3)
+            if germs is not None:
+                return tuple(germs)
+        return tuple(self.germ() for _ in range(3))
 
-    def arrow_triples(self, a: ZPartialAction, count: int, max_index: int = 2):
-        """Composable triples (z1, z2, z3) of arrows, exactly `count` of them."""
+    def arrow_triples(self, a: ZPartialAction, count: int):
+        """Composable triples ((p, q), (q, r), (r, w)) of arrows, exactly
+        `count` of them; an arrow is a pair of related germs."""
         out = []
         guard = 0
         while len(out) < count:
             guard += 1
             if guard > 200 * count:
                 raise EngineError("arrow sampling starved; domains too thin")
-            chain = self._chain(a, 4, max_index)
-            if chain is not None:
-                slots, pts = chain
-                out.append(tuple(map(GroupoidElement, pts, slots, slots[1:])))
+            germs = self._chain(a, 4)
+            if germs is not None:
+                out.append(tuple(zip(germs, germs[1:])))
         return out
 
-    def _chain(self, a: ZPartialAction, length: int, max_index: int):
-        """Random slots and points threading through each consecutive transport.
+    def _chain(self, a: ZPartialAction, length: int) -> list[GermPair] | None:
+        """Random germs, each related to the next by its transport.
 
         None when no point of the first germ set threads through them all.
         """
-        slots = [self.rng.randint(-max_index, max_index) for _ in range(length)]
+        slots = [self.rng.randint(-GERM_INDEX, GERM_INDEX) for _ in range(length)]
         feas = a.domain(germ_index(slots[0], slots[1]))
         acc = None
         maps = []
@@ -161,17 +166,14 @@ class Sampler:
         if feas.is_empty():
             return None
         x = self.point_in(feas)
-        return slots, [x] + [m.apply_point(x) for m in maps]
+        pts = [x] + [m.apply_point(x) for m in maps]
+        return list(map(GermPair, slots, pts))
 
     # -- enumeration orbits ------------------------------------------------
 
-    def enumeration_instance(
-        self,
-        g: GeneratedMap = ODOMETER,
-        max_index: int = 4,
-        max_desc: int = 8,
-    ):
-        """A true relation instance (r, x, s, y) plus the top rule index used."""
+    def enumeration_instance(self, max_index: int = 4, max_desc: int = 8):
+        """A true odometer relation instance (r, x, s, y) plus the top rule
+        index used."""
         for _ in range(500):
             r = self.rng.randint(-max_index, max_index)
             s = self.rng.randint(-max_index, max_index)
@@ -181,7 +183,7 @@ class Sampler:
             q = p
             try:
                 for _ in range(steps):
-                    q, idx = g.apply_point(q)
+                    q, idx = ODOMETER.apply_point(q)
                     top = max(top, idx)
             except NotInDomain:
                 continue

@@ -6,14 +6,9 @@ from hypothesis import given, settings, strategies as st
 from cantorenv.cantor import ClopenSet, Point, common_prefix_length
 from cantorenv.envelope import (
     GermPair,
-    GroupoidElement,
-    composable,
-    compose_elements,
-    element_valid,
     etale_probe,
     groupoid_probe,
     hausdorff_decide,
-    invert_element,
     nonseparable_pair,
     related,
     symmetry_transitivity_probe,
@@ -24,7 +19,6 @@ from cantorenv.errors import (
     BaseNotInDomain,
     LevelRequired,
     NoWitness,
-    NotInDomain,
 )
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
@@ -204,26 +198,23 @@ class TestEtale:
 
 
 class TestArrows:
-    def test_compose_and_invert(self):
-        # (x, 2, 1) then (h_1 x, 1, 0) composes to (x, 2, 0)
+    def test_probe_rejects_unshared_germs(self):
+        # ([2, x], [1, h_1 x]) is an arrow, but it does not compose with itself
         x = Point.parse("00(0)")
-        z1 = GroupoidElement(x, 2, 1)
-        hx = ODO.stage(1).apply(1, x)
-        z2 = GroupoidElement(hx, 1, 0)
-        assert element_valid(ODO.stage(1), z1)
-        assert composable(ODO.stage(1), z1, z2)
-        z = compose_elements(ODO.stage(1), z1, z2)
-        assert z == GroupoidElement(x, 2, 0)
-        zi = invert_element(ODO.stage(1), z1)
-        assert zi == GroupoidElement(hx, 1, 2)
+        z = (GermPair(2, x), GermPair(1, ODO.stage(1).apply(1, x)))
+        assert related(ODO.stage(1), *z)
+        rep = groupoid_probe(ODO.stage(1), [(z, z, z)])
+        assert rep.checked == 1
+        assert rep.violations == (
+            f"sample chain {z}, {z}, {z} is not composable",
+        )
 
-    def test_mismatched_slots_do_not_compose(self):
-        x = Point.parse("00(0)")
-        z1 = GroupoidElement(x, 2, 1)
-        z3 = GroupoidElement(x, 0, 1)
-        assert not composable(ODO.stage(1), z1, z3)
-        with pytest.raises(NotInDomain):
-            compose_elements(ODO.stage(1), z1, z3)
+    def test_probe_rejects_arrows_of_a_later_stage(self):
+        triples = Sampler(5).arrow_triples(ODO.stage(1), 25)
+        assert groupoid_probe(ODO.stage(1), triples).ok
+        rep = groupoid_probe(ODO.stage(0), triples)
+        assert not rep.ok and rep.checked == 25
+        assert any("is not an arrow" in v for v in rep.violations)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
