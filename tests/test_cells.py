@@ -33,6 +33,15 @@ def test_guard_rejects_inconsistent_powers():
         cell_partition(InconsistentPowers(), 1, 1)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_guard_names_the_zero_suffix_copies_below_the_adapted_depth(d):
+    # the adapted depth is 1; deeper, the named cells get d - 1 zeros appended
+    pad = "0" * (d - 1)
+    named = f"(0, '0{pad}') is glued to (-1, '0{pad}')"
+    with pytest.raises(EngineError, match=re.escape(named)):
+        cell_partition(InconsistentPowers(), 1, d)
+
+
 @st.composite
 def length_preserving_rules(draw, lengths=st.integers(1, 3)):
     """A partial injection between words of one length, as rewrite rules."""
@@ -48,6 +57,19 @@ def test_partition_matches_brute_force(rules, n, extra):
     a = ZPartialAction(PrefixMap(tuple(rules)))
     d = adapted_depth(a, n) + extra
     assert cell_partition(a, n, d).classes == brute_partition(rules, n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 4))
+def test_deep_classes_are_suffix_copies_of_the_adapted_classes(rules, n, extra):
+    a = ZPartialAction(PrefixMap(tuple(rules)))
+    d0 = adapted_depth(a, n)
+    classes = cell_partition(a, n, d0 + extra).classes
+    copies = tuple(tuple((t, w + z) for t, w in cls)
+                   for cls in cell_partition(a, n, d0).classes for z in words(extra))
+    assert classes == copies
+    if extra <= 2:
+        assert classes == brute_partition(rules, n, d0 + extra)
 
 
 class Family:

@@ -30,7 +30,7 @@ from cantorenv.filtration import (
 from cantorenv.action import ZPartialAction
 from cantorenv.cells import adapted_depth
 from cantorenv.envelope import GermPair, related
-from cantorenv.prefix_map import ODOMETER, GeneratedMap
+from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
 
 from oracles import brute_diagram, brute_partition, odometer_rules, words
@@ -141,6 +141,15 @@ class TestTruncatedRelation:
             inclusion_probe(ODO, (2, 2, 2), (1, 3, 3))
 
 
+class DroppingStages:
+    """Stage 0 glues (r, 1x) to (r + 1, 0x) by the flip 0 -> 1; stage 1
+    glues nothing.  The fine stage drops a gluing the coarse one has, so the
+    stages are no filtration and a refined copy of a class splits."""
+
+    def stage(self, k):
+        return ZPartialAction(PrefixMap((("0", "1"),) if k == 0 else ()))
+
+
 class TestBratteli:
     def test_default_schedule(self):
         assert default_schedule(ODO, 3) == ((0, 1, 1), (1, 2, 2), (2, 3, 3))
@@ -165,6 +174,17 @@ class TestBratteli:
     def test_schedule_must_be_nondecreasing(self):
         with pytest.raises(ParseError):
             bratteli_build(ODO, ((1, 2, 2), (0, 3, 3)))
+
+    def test_split_guard_rejects_a_stage_that_drops_a_gluing(self):
+        a = DroppingStages()
+        with pytest.raises(EngineError, match=r"refined copy of class \d+ splits"):
+            bratteli_build(a, ((0, 1, 1), (1, 1, 1)))
+        report = inclusion_probe(a, (0, 1, 1), (1, 1, 1))
+        assert report.to_json()["ok"] is False
+        assert report.violations == (
+            "class 1 ((-1, '1'), (0, '0')) splits with suffix ''",
+            "class 2 ((0, '1'), (1, '0')) splits with suffix ''",
+        )
 
     def test_json_roundtrip_and_determinism(self):
         sched = default_schedule(ODO, 4)
