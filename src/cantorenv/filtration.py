@@ -10,11 +10,14 @@ vertex sizes obey an exact counting identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, sub
 
 from .action import ZPartialAction
 from .cantor import Point, extensions
-from .cells import CellPartition, adapted_depth, cell_partition
+from .cells import CellPartition, adapted_depth, cell_partition, class_table
 from .envelope import GermPair, ProbeReport, related
 from .errors import CapExceeded, EngineError, NotInDomain, ParseError
 
@@ -78,14 +81,30 @@ def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> TruncatedRe
     return TruncatedRelation(part.n, part.d, part.classes, k)
 
 
-def _refined_copies(coarse: CellPartition, fine: CellPartition):
-    """Yield (i, z, ids): the fine classes met by class i of `coarse` once
-    the suffix z of the depth gap is appended to each of its cells."""
-    look = fine.lookup()
-    suffixes = extensions("", fine.d - coarse.d)
-    for i, cls in enumerate(coarse.classes):
-        for z in suffixes:
-            yield i, z, {look[(t, w + z)] for t, w in cls}
+def _copy_runs(coarse, fine) -> tuple[list[int], set]:
+    """The fine classes of the suffix copies of every coarse cell.
+
+    `coarse` and `fine` are (n, d, ids) with ids a `class_table`, fine
+    n and d no smaller.  Restricted to the slots |t| <= n of the coarse
+    table, the fine table lists the copies (t, wz) of each coarse cell
+    (t, w) as one contiguous run, in suffix order: the run of coarse cell c
+    is inner[c << gap : (c + 1) << gap], gap being the depth gap.  Returns
+    that restriction `inner` and the set of (coarse class, run) pairs.  The
+    copies of a coarse class for one suffix lie in one fine class exactly
+    when all its cells have the same run, so there are as many pairs as
+    coarse classes exactly when no copy of any class splits.
+    """
+    (n1, d1, ids1), (n2, d2, ids2) = coarse, fine
+    inner = ids2[(n2 - n1) << d2 : (n2 + n1 + 1) << d2]
+    return inner, set(zip(ids1, zip(*[iter(inner)] * (1 << (d2 - d1)))))
+
+
+def _split_runs(pairs: set) -> dict[int, list[tuple[int, ...]]]:
+    """The runs of each coarse class that has more than one, by class."""
+    runs: dict[int, list[tuple[int, ...]]] = {}
+    for i, run in pairs:
+        runs.setdefault(i, []).append(run)
+    return {i: rs for i, rs in sorted(runs.items()) if len(rs) > 1}
 
 
 def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
@@ -93,21 +112,26 @@ def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
 
     Each coarse class is pushed forward once per suffix of the depth gap by
     appending the suffix to all its cells; the fine partition must keep
-    every such copy inside one class.  `checked` counts the copies, and a
-    violation names the coarse class and the suffix that split it.
+    every such copy inside one class.  Both stages are read as class
+    tables, and `_copy_runs` decides every copy at once.  `checked` counts
+    the copies, and a violation names the coarse class, spelled out as its
+    cells, and the suffix that split it.
     """
     (k1, n1, d1), (k2, n2, d2) = first, second
     if k2 < k1 or n2 < n1 or d2 < d1:
         raise ParseError("second stage must refine the first")
-    coarse = truncated_relation(a, k1, n1, d1)
-    fine = truncated_relation(a, k2, n2, d2)
-    checked = 0
+    count, ids = class_table(a.stage(k1), n1, d1)
+    fine = class_table(a.stage(k2), n2, d2)[1]
+    _, pairs = _copy_runs((n1, d1, ids), (n2, d2, fine))
     bad: list[str] = []
-    for i, z, ids in _refined_copies(coarse, fine):
-        checked += 1
-        if len(ids) != 1:
-            bad.append(f"class {i} {coarse.classes[i]} splits with suffix {z!r}")
-    return ProbeReport(checked, tuple(bad))
+    if len(pairs) != count:
+        classes = truncated_relation(a, k1, n1, d1).classes
+        suffixes = extensions("", d2 - d1)
+        for i, runs in _split_runs(pairs).items():
+            for z, met in zip(suffixes, zip(*runs)):
+                if len(set(met)) != 1:
+                    bad.append(f"class {i} {classes[i]} splits with suffix {z!r}")
+    return ProbeReport(count << (d2 - d1), tuple(bad))
 
 
 # --------------------------------------------------------------------------
@@ -151,41 +175,54 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     inside a fine class.  Fresh units are those using slots beyond the
     previous bound; the identity size' = sum(mult * size) + fresh is
     enforced at every level.
+
+    Each stage is read as a `class_table` and no class is spelled out.  The
+    sizes are a count over the table and the fresh units that count minus
+    one over the slice of slots |t| <= the previous n.  `_copy_runs` gives
+    each coarse class the run of fine ids of its copies, one per suffix; the
+    split guard wants one run per class, and the multiplicities are a count
+    of the (coarse class, fine id) pairs of those runs.
     """
     schedule = tuple((int(k), int(n), int(d)) for k, n, d in schedule)
     for prev, cur in zip(schedule, schedule[1:]):
         if any(x > y for x, y in zip(prev, cur)):
             raise ParseError(f"schedule steps backwards from {prev} to {cur}")
 
-    parts = [truncated_relation(a, k, n, d) for k, n, d in schedule]
+    tables = [class_table(a.stage(k), n, d) for k, n, d in schedule]
     levels: list[BratteliLevel] = []
     edges: list[tuple[int, int, int, int]] = []
     incoming: dict[int, int] = {}  # units each class receives from below
-    for m, tr in enumerate(parts):
-        prev_n = parts[m - 1].n if m else -1
-        vertices = []
-        for j, cls in enumerate(tr.classes):
-            fresh = sum(1 for t, _ in cls if abs(t) > prev_n)
-            if len(cls) != incoming.get(j, 0) + fresh:
-                raise EngineError(
-                    f"dimension identity fails at level {m} vertex {j}: "
-                    f"{len(cls)} != {incoming.get(j, 0)} + {fresh}"
-                )
-            vertices.append((j, len(cls), fresh))
-        levels.append(BratteliLevel(m, tr.k, tr.n, tr.d, tuple(vertices)))
-        if m + 1 == len(parts):
-            continue
-        mult: dict[tuple[int, int], int] = {}
-        incoming = {}
-        for i, _, ids in _refined_copies(tr, parts[m + 1]):
-            if len(ids) != 1:
-                raise EngineError(
-                    f"refined copy of class {i} splits across fine classes"
-                )
-            j = ids.pop()
-            mult[(i, j)] = mult.get((i, j), 0) + 1
-            incoming[j] = incoming.get(j, 0) + len(tr.classes[i])
+    inside: Counter = Counter()  # cells of each class on the previous slots
+    for m, ((k, n, d), (count, ids)) in enumerate(zip(schedule, tables)):
+        vertices = range(count)
+        size = [*map(Counter(ids).__getitem__, vertices)]
+        fresh = [*map(sub, size, map(inside.get, vertices, repeat(0)))]
+        inflow = [*map(incoming.get, vertices, repeat(0))]
+        if size != [*map(add, inflow, fresh)]:
+            j = next(j for j in vertices if size[j] != inflow[j] + fresh[j])
+            raise EngineError(
+                f"dimension identity fails at level {m} vertex {j}: "
+                f"{size[j]} != {inflow[j]} + {fresh[j]}"
+            )
+        levels.append(BratteliLevel(m, k, n, d, tuple(zip(vertices, size, fresh))))
+        if m + 1 == len(schedule):
+            break
+        (_, n2, d2), fine = schedule[m + 1], tables[m + 1][1]
+        inner, pairs = _copy_runs((n, d, ids), (n2, d2, fine))
+        if len(pairs) != count:
+            raise EngineError(
+                f"refined copy of class {min(_split_runs(pairs))} splits across "
+                "fine classes"
+            )
+        # each class once per suffix, beside the fine id of that copy
+        copies = chain.from_iterable(zip(*[vertices] * (1 << (d2 - d))))
+        runs = chain.from_iterable(map(dict(pairs).__getitem__, vertices))
+        mult = Counter(zip(copies, runs))
         edges += [(m, i, j, c) for (i, j), c in sorted(mult.items())]
+        incoming = {}
+        for (i, j), c in mult.items():
+            incoming[j] = incoming.get(j, 0) + c * size[i]
+        inside = Counter(inner)
     return BratteliDiagram(tuple(levels), tuple(edges))
 
 

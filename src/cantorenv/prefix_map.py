@@ -33,6 +33,16 @@ class PrefixMap:
         )
         object.__setattr__(self, "rules", tuple(sorted(cleaned)))
 
+    @classmethod
+    def _canonical(cls, rules) -> "PrefixMap":
+        """Trusted constructor: the caller's rules are pairs of checked words,
+        sorted as the public constructor sorts them.  `compose` and `inverse`
+        build their rules from words that were checked already, in that
+        order; no other code calls it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rules", tuple(rules))
+        return out
+
     def violations(self) -> tuple[str, ...]:
         msgs = []
         rs = self.rules
@@ -81,7 +91,7 @@ class PrefixMap:
         return self.inverse().image_set(s)
 
     def inverse(self) -> "PrefixMap":
-        return PrefixMap(tuple((v, u) for u, v in self.rules))
+        return PrefixMap._canonical(sorted((v, u) for u, v in self.rules))
 
     def __str__(self) -> str:
         def show(w):
@@ -115,10 +125,16 @@ IDENTITY = PrefixMap((("", ""),))
 
 
 def compose(g: PrefixMap, f: PrefixMap) -> PrefixMap:
-    """g after f, as the coarsest common prefix refinement of the rule sets."""
+    """g after f, as the coarsest common prefix refinement of the rule sets.
+
+    For valid maps the rules come out sorted by source: `prefix_join` walks
+    the sorted, prefix-free sources u of f in order, and the rules it makes
+    from u are u itself or its extensions u + p[len(v):] for g's sources p,
+    which it meets in sorted order.  So they go to the trusted constructor.
+    """
     pairs = prefix_join(f.rules, g.rules, itemgetter(1), itemgetter(0))
-    return PrefixMap(
-        tuple((u + p[len(v):], q + v[len(p):]) for (u, v), (p, q) in pairs)
+    return PrefixMap._canonical(
+        (u + p[len(v):], q + v[len(p):]) for (u, v), (p, q) in pairs
     )
 
 

@@ -1,4 +1,9 @@
-"""Cell partitions: the guard on the gluing sets and the brute-force oracle."""
+"""Cell partitions and class tables: the guard on the gluing sets and the
+brute-force oracle.
+
+`cell_partition` and `class_table` share the budget check and the guard, so
+every guard and budget test runs both entry points.
+"""
 
 import ast
 import re
@@ -7,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorenv.action import ZPartialAction
-from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition
+from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition, class_table
 from cantorenv.errors import CapExceeded, EngineError
 from cantorenv.prefix_map import IDENTITY, PrefixMap
 
@@ -28,9 +33,22 @@ class InconsistentPowers:
         return self.h(t).image()
 
 
+ENTRY_POINTS = (cell_partition, class_table)
+
+
+def class_ids(classes, n, d):
+    """Each cell's class index, at its slot-major index (t + n)*2^d + int(w, 2)."""
+    ids = [None] * ((2 * n + 1) << d)
+    for i, cls in enumerate(classes):
+        for t, w in cls:
+            ids[(t + n) << d | int("0" + w, 2)] = i
+    return ids
+
+
 def test_guard_rejects_inconsistent_powers():
-    with pytest.raises(EngineError):
-        cell_partition(InconsistentPowers(), 1, 1)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(EngineError):
+            entry(InconsistentPowers(), 1, 1)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -38,8 +56,9 @@ def test_guard_names_the_zero_suffix_copies_below_the_adapted_depth(d):
     # the adapted depth is 1; deeper, the named cells get d - 1 zeros appended
     pad = "0" * (d - 1)
     named = f"(0, '0{pad}') is glued to (-1, '0{pad}')"
-    with pytest.raises(EngineError, match=re.escape(named)):
-        cell_partition(InconsistentPowers(), 1, d)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(EngineError, match=re.escape(named)):
+            entry(InconsistentPowers(), 1, d)
 
 
 @st.composite
@@ -52,14 +71,6 @@ def length_preserving_rules(draw, lengths=st.integers(1, 3)):
 
 
 @settings(max_examples=300, deadline=None)
-@given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 1))
-def test_partition_matches_brute_force(rules, n, extra):
-    a = ZPartialAction(PrefixMap(tuple(rules)))
-    d = adapted_depth(a, n) + extra
-    assert cell_partition(a, n, d).classes == brute_partition(rules, n, d)
-
-
-@settings(max_examples=200, deadline=None)
 @given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 4))
 def test_deep_classes_are_suffix_copies_of_the_adapted_classes(rules, n, extra):
     a = ZPartialAction(PrefixMap(tuple(rules)))
@@ -70,6 +81,9 @@ def test_deep_classes_are_suffix_copies_of_the_adapted_classes(rules, n, extra):
     assert classes == copies
     if extra <= 2:
         assert classes == brute_partition(rules, n, d0 + extra)
+    count, ids = class_table(a, n, d0 + extra)
+    assert count == len(classes)
+    assert ids == class_ids(classes, n, d0 + extra)
 
 
 class Family:
@@ -115,15 +129,35 @@ def test_guard_fails_exactly_when_a_gluing_set_differs_from_its_class(family):
             glue[r, w] = frozenset({(r, w), *members})
     broken = {(x, c) for c, g in glue.items() for x in g if glue[x] != g}
     if broken:
-        with pytest.raises(EngineError) as err:
-            cell_partition(Family(rules_of), n, d)
-        named = re.search(f"({CELL}) is glued to ({CELL})", str(err.value))
-        assert named, str(err.value)
-        assert tuple(map(ast.literal_eval, named.groups())) in broken
+        for entry in ENTRY_POINTS:
+            with pytest.raises(EngineError) as err:
+                entry(Family(rules_of), n, d)
+            named = re.search(f"({CELL}) is glued to ({CELL})", str(err.value))
+            assert named, str(err.value)
+            assert tuple(map(ast.literal_eval, named.groups())) in broken
     else:
         classes = cell_partition(Family(rules_of), n, d).classes
         assert classes == brute_partition(rules_of, n, d)
         assert classes == tuple(sorted(tuple(sorted(g)) for g in set(glue.values())))
+        count, ids = class_table(Family(rules_of), n, d)
+        assert (count, ids) == (len(classes), class_ids(classes, n, d))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("rules_of, d, named", [
+    # rows (-1, '') -> {(-1, ''), (1, '')}, (0, '') -> itself, (1, '') -> itself:
+    # three heads and three distinct rows, but the heads hold four entries
+    pytest.param({-2: [("", "")], -1: [], 1: [], 2: []}, 0,
+                 "(1, '') is glued to (-1, '')", id="entries"),
+    # heads {(-1, '1'), (1, '0')} and {(-1, '0')} hold six entries over six
+    # cells, but the row of (1, '0') is {(-1, '0'), (1, '0')}: six distinct
+    # rows for five heads
+    pytest.param({-2: [("1", "0")], -1: [], 1: [], 2: [("0", "0")]}, 1,
+                 "(1, '0') is glued to (-1, '1')", id="rows"),
+])
+def test_each_clause_of_the_counting_guard_fires_alone(entry, rules_of, d, named):
+    with pytest.raises(EngineError, match=re.escape(named)):
+        entry(Family(rules_of), 1, d)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -141,12 +175,15 @@ def test_empty_and_full_domain_rules_match_brute_force(rules, d, n):
 def test_empty_word_rules_per_index():
     # h_{+-1} move the whole space (source and target the empty word), h_{+-2} nothing
     rules_of = {1: [("", "")], -1: [("", "")], 2: [], -2: []}
-    with pytest.raises(EngineError, match=f"{CELL} is glued to {CELL}"):
-        cell_partition(Family(rules_of), 1, 0)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(EngineError, match=f"{CELL} is glued to {CELL}"):
+            entry(Family(rules_of), 1, 0)
     rules_of[2] = rules_of[-2] = [("", "")]
     for d in (0, 2):
-        assert cell_partition(Family(rules_of), 1, d).classes == brute_partition(
-            rules_of, 1, d)
+        classes = cell_partition(Family(rules_of), 1, d).classes
+        assert classes == brute_partition(rules_of, 1, d)
+        count, ids = class_table(Family(rules_of), 1, d)
+        assert (count, ids) == (len(classes), class_ids(classes, 1, d))
 
 
 class Untouchable:
@@ -158,12 +195,14 @@ class Untouchable:
 
 @pytest.mark.parametrize("n, d", [(0, 21), (1, 19), (2, 40), (0, 10**9)])
 def test_budget_refuses_before_any_work(n, d):
-    with pytest.raises(CapExceeded, match="budget"):
-        cell_partition(Untouchable(), n, d)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(CapExceeded, match="budget"):
+            entry(Untouchable(), n, d)
 
 
 @pytest.mark.parametrize("n, d", [(0, 20), (1, 18)])
 def test_budget_admits_partitions_within_it(n, d):
     assert (2 * n + 1) * 2**d <= CELL_BUDGET
-    with pytest.raises(AssertionError, match="before its budget check"):
-        cell_partition(Untouchable(), n, d)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(AssertionError, match="before its budget check"):
+            entry(Untouchable(), n, d)
