@@ -71,6 +71,16 @@ def length_preserving_rules(draw, lengths=st.integers(1, 3)):
 
 
 @settings(max_examples=300, deadline=None)
+@given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 1))
+def test_partition_matches_brute_force(rules, n, extra):
+    a = ZPartialAction(PrefixMap(tuple(rules)))
+    d = adapted_depth(a, n) + extra
+    classes = brute_partition(rules, n, d)
+    assert cell_partition(a, n, d).classes == classes
+    assert class_table(a, n, d) == (len(classes), class_ids(classes, n, d))
+
+
+@settings(max_examples=300, deadline=None)
 @given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 4))
 def test_deep_classes_are_suffix_copies_of_the_adapted_classes(rules, n, extra):
     a = ZPartialAction(PrefixMap(tuple(rules)))
