@@ -9,11 +9,13 @@ two-rule and chain maps), three trials of `isomorphism_suite` and
 wall-clock times, then, for one more run, the `ZPartialAction.domain` calls
 against the distinct (generator, schedule, t) keys they asked for, and the
 calls the suites made to `convolve`, `kernel_multiply`, `adjoint` and
-`kernel_adjoint`:
+`kernel_adjoint`.  Last it prints how many support verdicts each criterion-7
+action keeps, and exits 1 when one keeps more than `VERDICT_CAP`:
 
     PYTHONPATH=src python3 scripts/psi_timing.py --trials 250 --seed 707
 
-It uses only the public API and the standard library.
+It uses only the public API, the verdict memo and cap of
+`cantorenv.action`, and the standard library.
 """
 
 import argparse
@@ -24,6 +26,7 @@ from collections import Counter
 
 import cantorenv.verify
 from cantorenv import ZPartialAction, equivariance_sign, isomorphism_suite
+from cantorenv.action import VERDICT_CAP
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 
 PRODUCTS = ("convolve", "kernel_multiply", "adjoint", "kernel_adjoint")
@@ -46,13 +49,16 @@ def chain_map(rng: random.Random) -> PrefixMap:
     return PrefixMap(((w[0], w[1]), (w[1], w[2])))
 
 
-def criterion_7(trials: int, seed: int):
-    flip = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+def criterion_7(trials: int, seed: int) -> dict[str, ZPartialAction]:
+    """Run the three suites; return their actions by name."""
     odo = ZPartialAction(ODOMETER)
-    for a in (flip, odo.stage(1), odo.stage(2)):
+    actions = {"flip": ZPartialAction(PrefixMap.parse("[0 -> 1]")),
+               "odometer stage 1": odo.stage(1), "odometer stage 2": odo.stage(2)}
+    for a in actions.values():
         rep = isomorphism_suite(a, trials=trials, seed=seed, max_index=3, depth=6)
         if not rep.ok:
             raise SystemExit(f"criterion 7 suite failed: {rep.failures[:3]}")
+    return actions
 
 
 def psi_pass(seed: int):
@@ -128,6 +134,14 @@ def main(argv=None) -> int:
         print(f"{name:<30} {dt * 1e3:9.1f} ms   "
               f"domain calls {calls:>7,}  distinct keys {distinct:>5,}")
         print(" " * 33 + "  ".join(f"{p} {products[p]:,}" for p in PRODUCTS))
+    kept = {name: len(a._verdicts)
+            for name, a in criterion_7(args.trials, args.seed).items()}
+    print(f"support verdicts kept after criterion 7 (cap {VERDICT_CAP:,}): "
+          + "  ".join(f"{name} {n:,}" for name, n in kept.items()))
+    over = [name for name, n in kept.items() if n > VERDICT_CAP]
+    if over:
+        print(f"VERDICT MEMO OVER ITS CAP: {', '.join(over)}")
+        return 1
     return 0
 
 

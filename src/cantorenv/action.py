@@ -26,6 +26,12 @@ from .functions import PiecewiseConstant, compose_with_map
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
 
 
+# At most this many support verdicts are kept per action; a full memo is
+# cleared.  One benchmark-sized suite job (three trials of each suite at
+# max_index 2, depth 4) keeps under 40, so the cap costs it no hit.
+VERDICT_CAP = 512
+
+
 def germ_index(r: int, s: int) -> int:
     return s - r
 
@@ -59,9 +65,10 @@ class ZPartialAction:
     enumeration acts only through its clopen stages: stage k keeps the first
     count(k) rules, one more per stage unless `counts` gives the schedule.
     Powers h_t and domains X_t are cached per t, support verdicts per
-    (t, words) and stages per rule count.  Every cache lives on the action
-    and dies with it; entries are immutable, so a lost cache race only
-    recomputes the same value, and a call that raises caches nothing.
+    (t, words), at most `VERDICT_CAP` of them, and stages per rule count.
+    Every cache lives on the action and dies with it; entries are immutable,
+    so a lost cache race only recomputes the same value, and a call that
+    raises caches nothing.
     """
 
     def __init__(self, generator: PrefixMap | GeneratedMap, counts=None):
@@ -131,12 +138,16 @@ class ZPartialAction:
         """Whether every cylinder [w], w in `words`, lies inside X_t.
 
         `words` are the piece words of a function, or of a clopen set: no
-        support set is built.  Decided once per (t, words).
+        support set is built.  Decided once per (t, words) while the memo
+        holds it; a memo of `VERDICT_CAP` verdicts is cleared first.
         """
         key = (t, words)
-        verdict = self._verdicts.get(key)
+        verdicts = self._verdicts
+        verdict = verdicts.get(key)
         if verdict is None:
-            verdict = self._verdicts[key] = self.domain(t).covers(words)
+            if len(verdicts) >= VERDICT_CAP:
+                verdicts.clear()
+            verdict = verdicts[key] = self.domain(t).covers(words)
         return verdict
 
     def apply(self, t: int, x: Point) -> Point:

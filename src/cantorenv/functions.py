@@ -1,29 +1,32 @@
 """Exact scalars and locally constant functions on the Cantor space.
 
-Scalars are Gaussian rationals (pairs of `fractions.Fraction`), so every
-computation downstream is exact and equality is structural.  A piecewise
-constant function is a finite assignment of nonzero scalars to a prefix-free
-antichain of cylinders; the canonical form merges sibling cylinders carrying
-equal values through `cantor.merge_siblings`, as clopen sets do, which makes
-function equality structural as well.
+Scalars are Gaussian rationals, each held as one reduced integer triple
+(a, b, den) for (a + b*i)/den, so every computation downstream is exact and
+equality is structural.  Scalar arithmetic reduces each result once, in the
+trusted constructor `Scalar._make`; `.re`, `.im` and the norms are Fractions.
+A piecewise constant function is a finite assignment of nonzero scalars to a
+prefix-free antichain of cylinders; the canonical form merges sibling
+cylinders carrying equal values through `cantor.merge_siblings`, as clopen
+sets do, which makes function equality structural as well.
 
-The public constructor checks, sorts and merges whatever it is given.  The
-trusted constructor `PiecewiseConstant._canonical(live)` only merges
-siblings: its caller guarantees that `live` holds checked words, sorted,
-prefix-free and distinct, each with a nonzero Scalar.  The arithmetic here
-calls it where that holds by construction: a product pairs two antichains
-into their common refinement and multiplies nonzero values; a sum sorts its
-cells and drops zero sums; `scale`, `conj` and negation keep the words and
-map nonzero values to nonzero values; and `compose_with_map` pulls a sorted
-antichain back along a valid map, whose sorted, prefix-free sources keep it
-sorted and prefix-free.  No other module calls it.
+The public constructor of a function checks, sorts and merges whatever it
+is given.  The trusted constructor `PiecewiseConstant._canonical(live)` only
+merges siblings: its caller guarantees that `live` holds checked words,
+sorted, prefix-free and distinct, each with a nonzero Scalar.  The
+arithmetic here calls it where that holds by construction: a product pairs
+two antichains into their common refinement and multiplies nonzero values;
+a sum sorts its cells and drops zero sums; `scale`, `conj` and negation keep
+the words and map nonzero values to nonzero values; and `compose_with_map`
+pulls a sorted antichain back along a valid map, whose sorted, prefix-free
+sources keep it sorted and prefix-free.  No other module calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import itemgetter
 
 from .cantor import (
@@ -34,47 +37,108 @@ from .errors import ParseError
 _Rat = (int, Fraction)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """A Gaussian rational re + im*i."""
+    """A Gaussian rational re + im*i, held as the integer triple (a, b, den)
+    of the value (a + b*i)/den, with den > 0 and gcd(a, b, den) = 1.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    The triple is canonical, so equality and hashing compare three ints.
+    The public constructor takes integer or Fraction parts.  The trusted
+    constructor `_make(a, b, den)` takes any triple with den > 0 and only
+    reduces it; arithmetic and `Sampler.scalar` build every result through
+    it, except negation and conjugation, which keep a reduced triple
+    reduced.  No other code builds a triple.
+    """
 
-    def __post_init__(self):
-        if type(self.re) is Fraction and type(self.im) is Fraction:
-            return  # already canonical: arithmetic on Fractions yields these
-        if not isinstance(self.re, _Rat) or not isinstance(self.im, _Rat):
+    __slots__ = ("_a", "_b", "_den")
+
+    def __new__(cls, re: int | Fraction = 0, im: int | Fraction = 0):
+        if not isinstance(re, _Rat) or not isinstance(im, _Rat):
             raise TypeError("scalar parts must be integers or Fractions")
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        re, im = Fraction(re), Fraction(im)
+        # over the least common denominator the triple is already reduced: a
+        # prime p of den divides the denominator of, say, re; then p divides
+        # neither re's numerator nor den over re's denominator
+        den = lcm(re.denominator, im.denominator)
+        return _triple(
+            re.numerator * (den // re.denominator),
+            im.numerator * (den // im.denominator),
+            den,
         )
 
+    @staticmethod
+    def _make(a: int, b: int, den: int) -> "Scalar":
+        """Trusted constructor: (a + b*i)/den for den > 0, reduced once."""
+        g = gcd(a, b, den)
+        if g != 1:
+            a //= g
+            b //= g
+            den //= g
+        return _triple(a, b, den)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Scalar, (self.re, self.im)
+
+    def __eq__(self, other):
+        if type(other) is not Scalar:
+            return NotImplemented
+        return (
+            self._a == other._a and self._b == other._b and self._den == other._den
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._den))
+
+    def __repr__(self) -> str:
+        return f"Scalar(re={self.re!r}, im={self.im!r})"
+
+    def is_zero(self) -> bool:
+        return not (self._a or self._b)
+
+    def __add__(self, other: "Scalar") -> "Scalar":
+        d, e = self._den, other._den
+        if d == e:
+            return Scalar._make(self._a + other._a, self._b + other._b, d)
+        return Scalar._make(
+            self._a * e + other._a * d, self._b * e + other._b * d, d * e
+        )
+
+    def __sub__(self, other: "Scalar") -> "Scalar":
+        d, e = self._den, other._den
+        if d == e:
+            return Scalar._make(self._a - other._a, self._b - other._b, d)
+        return Scalar._make(
+            self._a * e - other._a * d, self._b * e - other._b * d, d * e
+        )
+
+    def __mul__(self, other: "Scalar") -> "Scalar":
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return Scalar._make(a * c - b * e, a * e + b * c, self._den * other._den)
+
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._den)
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _triple(self._a, -self._b, self._den)
 
     def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._den * self._den)
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     @staticmethod
@@ -97,6 +161,19 @@ class Scalar:
             return Scalar(Fraction(body[:split]), Fraction(body[split:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad scalar {text!r}") from exc
+
+
+_new = object.__new__
+_set_a, _set_b, _set_den = (Scalar.__dict__[n].__set__ for n in Scalar.__slots__)
+
+
+def _triple(a: int, b: int, den: int) -> Scalar:
+    """The Scalar of a triple that is already reduced, with den > 0."""
+    out = _new(Scalar)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_den(out, den)
+    return out
 
 
 ZERO = Scalar()
@@ -138,7 +215,7 @@ class PiecewiseConstant:
     def is_zero(self) -> bool:
         return not self.pieces
 
-    @property
+    @cached_property
     def words(self) -> tuple[str, ...]:
         """The piece words: sorted and prefix-free, siblings possibly unmerged."""
         return tuple(w for w, _ in self.pieces)
@@ -189,7 +266,13 @@ class PiecewiseConstant:
         return self * indicator(s)
 
     def sup_norm_sq(self) -> Fraction:
-        return max((c.abs_sq() for _, c in self.pieces), default=Fraction(0))
+        # the largest (a^2 + b^2)/den^2, compared by cross-multiplying
+        top, den = 0, 1
+        for _, c in self.pieces:
+            n, d = c._a * c._a + c._b * c._b, c._den * c._den
+            if n * den > top * d:
+                top, den = n, d
+        return Fraction(top, den)
 
     def __str__(self) -> str:
         if not self.pieces:

@@ -8,7 +8,6 @@ runs; the randomized identity checks are deterministic replays.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .action import ZPartialAction, germ_index, transport_index
 from .algebra import GroupoidFunction
@@ -77,15 +76,13 @@ class Sampler:
     # -- scalars and functions ---------------------------------------------
 
     def scalar(self) -> Scalar:
-        """A nonzero Gaussian rational."""
-
-        def frac() -> Fraction:
-            return Fraction(self.rng.randint(-4, 4), self.rng.randint(1, 4))
-
-        c = Scalar(frac(), frac())
-        while c.is_zero():
-            c = Scalar(frac(), frac())
-        return c
+        """A nonzero Gaussian rational p/q + (r/s)i: p, r drawn from -4..4 and
+        q, s from 1..4, in the order p, q, r, s, redrawn while p = r = 0."""
+        randint = self.rng.randint
+        while True:
+            p, q, r, s = randint(-4, 4), randint(1, 4), randint(-4, 4), randint(1, 4)
+            if p or r:
+                return Scalar._make(p * s, r * q, q * s)
 
     def pwc(self, support: ClopenSet, depth: int = 4) -> PiecewiseConstant:
         if support.is_empty():

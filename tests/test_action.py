@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorenv.action import (
+    VERDICT_CAP,
     AxiomsReport,
     ZPartialAction,
     axioms_check,
@@ -18,6 +19,7 @@ from cantorenv.errors import LevelRequired, NotInDomain, ParseError, SupportViol
 from cantorenv.functions import Scalar, indicator
 from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
+from cantorenv.verify import isomorphism_suite
 
 from oracles import (
     FLIP_RULES,
@@ -85,6 +87,18 @@ class TestZPartialAction:
             assert a.supports(1, one.words) and a.supports(0, one.words)
             assert not a.supports(-1, one.words)
             assert not a.supports(1, FULL.words)
+
+    def test_support_verdict_memo_stays_under_its_cap(self, monkeypatch):
+        flip = PrefixMap.parse("[0 -> 1]")
+        capped = ZPartialAction(flip)
+        report = isomorphism_suite(capped, trials=150, seed=0)
+        assert report.ok and len(capped._verdicts) <= VERDICT_CAP
+        # never cleared, the same suite keeps more verdicts than the cap
+        # and gives the same report
+        monkeypatch.setattr("cantorenv.action.VERDICT_CAP", 10**9)
+        whole = ZPartialAction(flip)
+        assert isomorphism_suite(whole, trials=150, seed=0) == report
+        assert len(whole._verdicts) > VERDICT_CAP
 
     def test_negative_powers_invert(self):
         a = ZPartialAction(ODOMETER)

@@ -1,6 +1,8 @@
 """Gaussian rationals and piecewise constant functions."""
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ rat = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 scalars = st.builds(Scalar, rat, rat)
+wide = st.fractions(max_denominator=1000)
 # few distinct values, so that equal siblings and zero pieces are common
 raw_pieces = st.lists(
     st.tuples(st.text(alphabet="01", max_size=5),
@@ -79,6 +82,9 @@ class TestScalar:
         s = Scalar(2, Fraction(1, 3))
         assert type(s.re) is Fraction and type(s.im) is Fraction
         assert Scalar(s.re, s.im) == s
+        for name in ("re", "_a", "_den"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 3)
 
     @given(s=scalars)
     def test_str_parse_roundtrip(self, s):
@@ -89,6 +95,36 @@ class TestScalar:
         assert (s * s.conj()).re == s.abs_sq()
         assert (s * s.conj()).im == 0
         assert s.conj().conj() == s
+
+    @given(x=wide, y=wide, u=wide, v=wide, k=st.integers(1, 12),
+           same=st.booleans())
+    def test_integer_arithmetic_matches_fraction_pairs(self, x, y, u, v, k, same):
+        if same:
+            u, v = x, y
+        s, t = Scalar(x, y), Scalar(u, v)
+        want = [
+            (s, (x, y)),
+            (s + t, (x + u, y + v)),
+            (s - t, (x - u, y - v)),
+            (s * t, (x * u - y * v, x * v + y * u)),
+            (-s, (-x, -y)),
+            (s.conj(), (x, -y)),
+        ]
+        for got, (re, im) in want:
+            a, b, den = got._a, got._b, got._den
+            assert den > 0 and gcd(a, b, den) == 1
+            assert (Fraction(a, den), Fraction(b, den)) == (re, im)
+            assert type(got.re) is Fraction and (got.re, got.im) == (re, im)
+            assert str(got) == f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"
+            assert Scalar.parse(str(got)) == got
+            assert pickle.loads(pickle.dumps(got)) == got
+            assert got.is_zero() == (re == im == 0)
+        assert type(s.abs_sq()) is Fraction and s.abs_sq() == x * x + y * y
+        assert (s == t) == ((x, y) == (u, v))
+        if s == t:
+            assert hash(s) == hash(t)
+        scaled = Scalar._make(k * s._a, k * s._b, k * s._den)
+        assert scaled == s and hash(scaled) == hash(s)
 
     @given(a=scalars, b=scalars, c=scalars)
     def test_ring_identities(self, a, b, c):
