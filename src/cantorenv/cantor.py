@@ -4,8 +4,11 @@ Clopen subsets are finite unions of cylinders [w] = {x : x starts with w}.  The
 canonical form is a lexicographically sorted prefix-free antichain in which every
 sibling pair {w0, w1} has been merged to w, so set equality is tuple equality and
 [w] is a subset of a canonical union exactly when some listed word is a prefix
-of w.  `merge_siblings` alone merges siblings, `prefix_join` alone pairs two
-antichains and `leaves_below` alone walks the prefix tree, here and in
+of w.  `normalize_words` builds that form for plain words in one pass: one
+strip of the words' concatenation checks them all, and one stack pass over the
+sorted words absorbs extensions and merges siblings.  `merge_siblings` merges
+the siblings of labelled pieces (equal labels only), `prefix_join` alone pairs
+two antichains and `leaves_below` alone walks the prefix tree, here and in
 `prefix_map`, `functions`, `action` and `envelope`.  Points are eventually
 periodic sequences pre.per^infinity, stored with a primitive period and a
 minimal preperiod, so point equality is field equality.
@@ -40,10 +43,10 @@ def extensions(word: str, depth: int) -> list[str]:
     gap = depth - len(word)
     if gap < 0:
         raise DepthTooSmall(f"depth {depth} is below |{word!r}|")
-    if gap == 0:
-        return [word]
-    spec = f"0{gap}b"
-    return [word + format(i, spec) for i in range(2**gap)]
+    out = [word]
+    for _ in range(gap):
+        out = [w + c for w in out for c in ALPHABET]
+    return out
 
 
 def proper_prefixes(words) -> set[str]:
@@ -188,16 +191,34 @@ def prefix_join(a, b, key_a=str, key_b=str):
 
 
 def normalize_words(words) -> tuple[str, ...]:
-    """Canonical antichain for a union of cylinders.
+    """Canonical antichain for a union of cylinders, in one pass.
 
-    A word's extensions directly follow it in sorted order, so a word is
-    absorbed when it extends the last word kept.
+    The distinct words are checked at once: their concatenation strips to
+    nothing exactly when each is a binary word.  Only when it does not, or
+    when an item is no string or unhashable, are they checked one by one, so
+    the first bad item raises the `ParseError` that `check_word` gives it.
+    One stack pass over the sorted words then absorbs a word that extends
+    the last word kept (its extensions directly follow it in sorted order)
+    and merges a word with the sibling kept just before it, which cascades:
+    the merged parent sits next to its own sibling.
     """
-    kept: list = []
-    for w in sorted({check_word(w) for w in words}):
-        if not kept or not w.startswith(kept[-1][0]):
-            kept.append((w, None))
-    return tuple(w for w, _ in merge_siblings(kept))
+    words = tuple(words)
+    try:
+        uniq = set(words)
+        ok = not "".join(uniq).strip(ALPHABET)
+    except TypeError:
+        ok = False
+    if not ok:
+        uniq = {check_word(w) for w in words}
+    kept: list[str] = []
+    for w in sorted(uniq):
+        if kept and w.startswith(kept[-1]):
+            continue
+        # a kept sibling pair is u0 then u1: same length, same parent
+        while kept and len(kept[-1]) == len(w) and kept[-1][:-1] == w[:-1]:
+            w = kept.pop()[:-1]
+        kept.append(w)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,11 @@ The arrows of the groupoid of this relation are the related pairs of germs
 (p, q), composing as (p, q)(q, r) = (p, r); the groupoid probe checks its
 laws on such pairs through `related` alone.  The probe for the range/source
 bijections lives here too; it decides on cylinder words with
-`PrefixMap.image_word`, cutting its base only at rule boundaries.
+`PrefixMap.image_word`, cutting its base only at rule boundaries, and builds
+one canonical set, the image it reports.  Its checks read the action's
+power h_k for the moved cells, its inverse power h_{-k} for the pull-back
+and its domain X_k for the range, so a broken power or domain shows as a
+named violation.
 """
 
 from __future__ import annotations
@@ -259,30 +263,40 @@ class EtaleReport:
 
 
 def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleReport:
-    """Range/source bijectivity over one basic open.
+    """Range/source bijectivity over one basic open, decided on cell words.
 
     The basic open over (t, s) with the given base consists of the pairs
-    ((t, x), (s, y)) with x in the base and y its transport; the range map
-    keeps (t, x) and the source map keeps (s, y).  Bijectivity is checked
-    cell by cell, each word of the base cut only at the rule boundaries of
-    the transport below it: transported cells must be pairwise distinct and
-    union up to exactly the transported base.
+    ((t, x), (s, y)) with x in the base and y = h_k(x), k = t - s; the range
+    map keeps (t, x) and the source map keeps (s, y).  The base is cut once
+    into cells at the rule boundaries of h_k below it, and each cell is
+    mapped with `h_k.image_word`; only the image, which the report prints,
+    becomes a canonical set.  Each check reads the action's own data:
+    every cell must have an image (h_k); the sorted images must be
+    prefix-free, so no two cells overlap after the move (injectivity, from
+    the images alone); they must lie inside X_k (`a.domain(k)`, the range);
+    `a.h(-k)` must take each image back to its own cell (pull-back, through
+    the action's inverse power); and a diagonal block (t = s) must fix its
+    base.
     """
+    k = transport_index(t, s)
     if not base.subset_of(a.domain(germ_index(t, s))):
         raise BaseNotInDomain(
             f"base {base} is not inside X_{germ_index(t, s)}"
         )
-    h = a.h(transport_index(t, s))
-    image = h.image_set(base)
-    bad: list[str] = []
-
+    h = a.h(k)
     inner = proper_prefixes(u for u, _ in h.rules)
-    moved = [h.image_word(c) for w in base.words for c in leaves_below(w, inner)]
-    if len(set(moved)) != len(moved):
+    pairs = [(c, h.image_word(c)) for w in base.words for c in leaves_below(w, inner)]
+    bad = [f"h_{k} does not map the cell {c or 'ε'}" for c, m in pairs if m is None]
+    pairs = [(c, m) for c, m in pairs if m is not None]
+    moved = sorted(m for _, m in pairs)
+    image = ClopenSet(tuple(moved))
+
+    if any(v.startswith(u) for u, v in zip(moved, moved[1:])):
         bad.append("transport is not injective on cells")
-    if ClopenSet(tuple(moved)) != image:
-        bad.append("cell images do not assemble to the computed image")
-    if h.preimage_set(image) != base:
+    if not a.domain(k).covers(image.words):
+        bad.append(f"cell images leave X_{k}")
+    back = a.h(-k)
+    if any(back.image_word(m) != c for c, m in pairs):
         bad.append("source fibers do not pull back to the base")
     if t == s:
         if image != base:

@@ -7,7 +7,7 @@ trusted constructor `Scalar._make`; `.re`, `.im` and the norms are Fractions.
 A piecewise constant function is a finite assignment of nonzero scalars to a
 prefix-free antichain of cylinders; the canonical form merges sibling
 cylinders carrying equal values through `cantor.merge_siblings`, as clopen
-sets do, which makes function equality structural as well.
+sets merge theirs, which makes function equality structural as well.
 
 The public constructor of a function checks, sorts and merges whatever it
 is given.  The trusted constructor `PiecewiseConstant._canonical(live)` only
@@ -18,7 +18,9 @@ two antichains into their common refinement and multiplies nonzero values;
 a sum sorts its cells and drops zero sums; `scale`, `conj` and negation keep
 the words and map nonzero values to nonzero values; and `compose_with_map`
 pulls a sorted antichain back along a valid map, whose sorted, prefix-free
-sources keep it sorted and prefix-free.  No other module calls it.
+sources keep it sorted and prefix-free.  Outside this module only
+`Sampler.pwc` calls it, on distinct cells of one depth from
+`refine_to_depth`, sorted, each with a nonzero drawn scalar.
 """
 
 from __future__ import annotations

@@ -93,8 +93,10 @@ class Sampler:
             cells = self._cells[support, d] = list(support.refine_to_depth(d))
         take = min(len(cells), self.rng.randint(1, MAX_PIECES))
         chosen = self.rng.sample(cells, take)
-        return PiecewiseConstant(
-            tuple((w, self.scalar()) for w in chosen)
+        # distinct checked cells of one depth, each with a nonzero scalar
+        # drawn in the order of `chosen`; the sort never compares scalars
+        return PiecewiseConstant._canonical(
+            sorted((w, self.scalar()) for w in chosen)
         )
 
     def groupoid_function(

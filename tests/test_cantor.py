@@ -1,7 +1,7 @@
 """Points and clopen sets: canonical forms, parsing, boolean algebra."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorenv.cantor import (
     EMPTY,
@@ -145,6 +145,48 @@ def test_normalize_words_absorption_and_merge():
 def test_normalize_words_is_canonical(ws):
     out = normalize_words(ws)
     assert cells_covered(out, 6) == cells_covered(ws, 6)
+    assert list(out) == sorted(set(out))
+    assert overlaps(out) == []
+    assert equal_siblings((u, None) for u in out) == []
+
+
+@pytest.mark.parametrize("bad", ["012", None, 7, ["0"], b"01"])
+def test_normalize_words_rejects_what_check_word_rejects(bad):
+    # an unhashable item makes a plain set() raise TypeError; the contract
+    # is the ParseError that check_word gives the first bad item
+    with pytest.raises(ParseError) as exc:
+        normalize_words(["01", bad, "1"])
+    assert str(exc.value) == f"not a binary word: {bad!r}"
+    with pytest.raises(ParseError):
+        normalize_words(iter(["01", bad]))
+
+
+def test_normalize_words_cascades_to_the_full_space():
+    assert normalize_words(words(3)) == ("",)
+    assert normalize_words(words(3)[1:] + ["000", "0001"]) == ("",)
+    assert normalize_words(words(4)[:8] + ["10", "110"]) == ("0", "10", "110")
+
+
+def _sibling_block(prefix_and_depth):
+    prefix, depth = prefix_and_depth
+    return [prefix + x for x in words(depth)]
+
+
+deep_words = st.lists(st.text(alphabet="01", max_size=8), max_size=24)
+# every word below a prefix to a fixed depth: merges cascade up to the prefix
+sibling_blocks = st.lists(
+    st.tuples(st.text(alphabet="01", max_size=5), st.integers(0, 3)).map(_sibling_block),
+    max_size=2,
+)
+
+
+@given(ws=deep_words, blocks=sibling_blocks)
+@example(ws=["1", "0111"], blocks=[words(3)])
+@settings(max_examples=150, deadline=None)
+def test_normalize_words_matches_cell_oracle_on_deep_words(ws, blocks):
+    ws = [w for b in blocks for w in b] + ws
+    out = normalize_words(ws)
+    assert cells_covered(out, 8) == cells_covered(ws, 8)
     assert list(out) == sorted(set(out))
     assert overlaps(out) == []
     assert equal_siblings((u, None) for u in out) == []

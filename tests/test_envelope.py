@@ -20,7 +20,7 @@ from cantorenv.errors import (
     LevelRequired,
     NoWitness,
 )
-from cantorenv.prefix_map import ODOMETER, PrefixMap
+from cantorenv.prefix_map import IDENTITY, ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
 
 from oracles import (
@@ -195,6 +195,51 @@ class TestEtale:
         want = image_cells(rules, base.words, d)
         deep = d + max((len(v) for _, v in rules), default=0)
         assert cells_covered(rep.image.words, deep) == cells_covered(want, deep)
+
+
+class TestEtaleViolations:
+    """Each check fires on its own broken datum.  `ZPartialAction` rejects
+    invalid generators, so the broken data go into a flip action's caches."""
+
+    @staticmethod
+    def flip():
+        return ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+
+    def test_overlapping_images_are_not_injective(self):
+        # h_1 sends both [0] and [1] into [1]; its images 1 and 10 overlap
+        # though they are distinct words
+        a = self.flip()
+        a._powers[1] = PrefixMap._canonical((("0", "1"), ("1", "1")))
+        rep = etale_probe(a, 1, 0, ClopenSet.parse("{00,01,10}"))
+        assert not rep.ok
+        assert "transport is not injective on cells" in rep.violations
+
+    def test_images_outside_the_range_domain(self):
+        a = self.flip()
+        a._domains[1] = ClopenSet(("0",))
+        rep = etale_probe(a, 1, 0, ClopenSet.parse("{0}"))
+        assert rep.violations == ("cell images leave X_1",)
+
+    def test_inverse_power_must_pull_back(self):
+        a = self.flip()
+        a._powers[-1] = IDENTITY
+        rep = etale_probe(a, 1, 0, ClopenSet.parse("{0}"))
+        assert rep.violations == ("source fibers do not pull back to the base",)
+
+    def test_diagonal_block_must_fix_its_base(self):
+        a = self.flip()
+        a.domain(0)  # X_0 stays the full space
+        a._powers[0] = a.h(1)
+        rep = etale_probe(a, 1, 1, ClopenSet.parse("{0}"))
+        assert not rep.ok and rep.diagonal
+        assert "diagonal block moved its base" in rep.violations
+
+    def test_unmapped_cell_is_a_violation(self):
+        a = self.flip()
+        a._domains[-1] = ClopenSet.parse("{ε}")
+        rep = etale_probe(a, 1, 0, ClopenSet.parse("{0,1}"))
+        assert rep.image == ClopenSet.parse("{1}")
+        assert rep.violations == ("h_1 does not map the cell 1",)
 
 
 class TestArrows:

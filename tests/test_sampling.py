@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from cantorenv.action import ZPartialAction, germ_index
 from cantorenv.algebra import validate_blocks
+from cantorenv.cantor import ClopenSet
 from cantorenv.envelope import related
-from cantorenv.functions import Scalar
+from cantorenv.functions import PiecewiseConstant, Scalar
 from cantorenv.prefix_map import ODOMETER
-from cantorenv.sampling import Sampler
+from cantorenv.sampling import MAX_PIECES, Sampler
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -87,6 +88,22 @@ def test_scalar_stream_is_pinned_to_fraction_draws():
                 im = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             assert sampler.scalar() == Scalar(re, im)
         assert sampler.rng.getstate() == rng.getstate()
+
+
+def test_pwc_stream_equals_the_public_constructor():
+    # the draw rebuilt here: sample the cells, then one scalar per
+    # chosen cell in that order, through the checking constructor
+    supports = [ClopenSet.parse(t) for t in ("{ε}", "{0,10}", "{011}", "{1}")]
+    for seed in range(5):
+        fast, slow = Sampler(seed), Sampler(seed)
+        for i in range(100):
+            support = supports[i % len(supports)]
+            cells = support.refine_to_depth(max(4, support.max_depth()))
+            take = min(len(cells), slow.rng.randint(1, MAX_PIECES))
+            chosen = slow.rng.sample(cells, take)
+            want = PiecewiseConstant(tuple((w, slow.scalar()) for w in chosen))
+            assert fast.pwc(support, 4) == want
+        assert fast.rng.getstate() == slow.rng.getstate()
 
 
 def test_enumeration_instances_are_within_bounds():
