@@ -1,0 +1,340 @@
+#!/usr/bin/env python3
+"""Time the engine layer by layer; each layer exits 1 when its self-check fails.
+
+    PYTHONPATH=src python3 scripts/layer_timing.py psi --trials 250 --seed 707 --repeat 3
+    PYTHONPATH=src python3 scripts/layer_timing.py cli --repeat 5
+    PYTHONPATH=src python3 scripts/layer_timing.py cells --seed 0 --repeat 3
+    PYTHONPATH=src python3 scripts/layer_timing.py join --seed 0 --repeat 3
+
+Every case prints the best of `--repeat` wall-clock times.  A case with the
+shape of a benchmark workload runs that workload's own jobs (`make_jobs` and
+`run` of perfbench/workloads.py) and judges them with its `check` and
+`oracle`; word-level orbits come from the brute force of tests/oracles.py.
+`layer_timing.py <layer> --help` says what each layer times and checks.
+"""
+
+import argparse
+import contextlib
+import functools
+import importlib.util
+import io
+import os
+import random
+import shlex
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+import cantorenv as ce
+import cantorenv.cli
+import cantorenv.verify
+from cantorenv import ZPartialAction, isomorphism_suite
+from cantorenv.action import VERDICT_CAP
+from cantorenv.cantor import ClopenSet
+from cantorenv.cells import adapted_depth, class_table
+from cantorenv.filtration import default_schedule
+from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap, compose
+
+ROOT = Path(__file__).resolve().parent.parent
+PRODUCTS = ("convolve", "kernel_multiply", "adjoint", "kernel_adjoint")
+
+
+def load(relpath: str):
+    """A module of the checkout by path (perfbench/ and tests/ are no packages)."""
+    path = ROOT / relpath
+    spec = importlib.util.spec_from_file_location(f"layer_timing_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load("perfbench/workloads.py")
+oracles = load("tests/oracles.py")
+
+
+def words(depth: int) -> list[str]:
+    return [format(i, f"0{depth}b") for i in range(2**depth)] if depth else [""]
+
+
+def best(fn, repeat: int):
+    """The least wall-clock time of `repeat` calls of fn, and the last result."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return min(times), out
+
+
+def failures(job: dict, result) -> list[str]:
+    """The benchmark gate's verdict on one output: its structural check, then
+    the recomputation by tests/oracles.py."""
+    data = workloads.encode(job, result)
+    return workloads.check(job, data) or workloads.oracle(job, data, oracles)
+
+
+# psi: the algebra layer
+
+
+def criterion_7(trials: int, seed: int) -> dict[str, ZPartialAction]:
+    """Run the three suites; return their actions by name."""
+    odo = ZPartialAction(ODOMETER)
+    actions = {"flip": ZPartialAction(PrefixMap.parse("[0 -> 1]")),
+               "odometer stage 1": odo.stage(1), "odometer stage 2": odo.stage(2)}
+    for a in actions.values():
+        rep = isomorphism_suite(a, trials=trials, seed=seed, max_index=3, depth=6)
+        if not rep.ok:
+            raise SystemExit(f"criterion 7 suite failed: {rep.failures[:3]}")
+    return actions
+
+
+def psi_pass(jobs: list[dict]) -> None:
+    for job in jobs:
+        bad = failures(job, workloads.run(ce, job, None))
+        if bad:
+            raise SystemExit(f"psi_suite job failed on {job['rules']}: {bad[:3]}")
+
+
+def call_counts(fn) -> tuple[int, int, Counter]:
+    """Calls of ZPartialAction.domain made by fn(), their distinct keys, and
+    the calls of each product the suites make (as bound in cantorenv.verify)."""
+    orig = ZPartialAction.domain
+    keys = []
+    products = Counter()
+
+    def counted(self, t):
+        keys.append((self.generator, self.counts, t))
+        return orig(self, t)
+
+    def counting(name, product):
+        def counted_product(*args):
+            products[name] += 1
+            return product(*args)
+        return counted_product
+
+    originals = {name: getattr(cantorenv.verify, name) for name in PRODUCTS}
+    ZPartialAction.domain = counted
+    for name, product in originals.items():
+        setattr(cantorenv.verify, name, counting(name, product))
+    try:
+        fn()
+    finally:
+        ZPartialAction.domain = orig
+        for name, product in originals.items():
+            setattr(cantorenv.verify, name, product)
+    return len(keys), len(set(keys)), products
+
+
+def time_psi(args) -> int:
+    """Run the three suites of acceptance criterion 7 (the flip and odometer
+    stages 1 and 2, `--trials` trials each) and the psi_suite jobs of
+    `--seed`.  For each, print the time, then, for one more run, the
+    ZPartialAction.domain calls against the distinct (generator, schedule, t)
+    keys they asked for, and the calls the suites made to `convolve`,
+    `kernel_multiply`, `adjoint` and `kernel_adjoint`.  Last, print how many
+    support verdicts each criterion-7 action keeps, and exit 1 when one keeps
+    more than `VERDICT_CAP`."""
+    jobs = workloads.make_jobs("psi_suite", args.seed)
+    cases = [
+        (f"criterion 7 ({args.trials} trials x 3)",
+         lambda: criterion_7(args.trials, args.seed)),
+        (f"psi_suite jobs (seed {args.seed})", lambda: psi_pass(jobs)),
+    ]
+    for name, fn in cases:
+        dt, _ = best(fn, args.repeat)
+        calls, distinct, products = call_counts(fn)
+        print(f"{name:<30} {dt * 1e3:9.1f} ms   "
+              f"domain calls {calls:>7,}  distinct keys {distinct:>5,}")
+        print(" " * 33 + "  ".join(f"{p} {products[p]:,}" for p in PRODUCTS))
+    kept = {name: len(a._verdicts)
+            for name, a in criterion_7(args.trials, args.seed).items()}
+    print(f"support verdicts kept after criterion 7 (cap {VERDICT_CAP:,}): "
+          + "  ".join(f"{name} {n:,}" for name, n in kept.items()))
+    over = [name for name, n in kept.items() if n > VERDICT_CAP]
+    if over:
+        print(f"VERDICT MEMO OVER ITS CAP: {', '.join(over)}")
+        return 1
+    return 0
+
+
+# cli: README's command block through cli.main
+
+
+def readme_commands() -> list[list[str]]:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("cantorenv ")]
+
+
+def timed_main(argv: list[str]) -> tuple[float, int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        t0 = time.perf_counter()
+        code = ce.cli.main(argv)
+        dt = time.perf_counter() - t0
+    return dt, code, out.getvalue()
+
+
+def time_cli(args) -> int:
+    """Time every command of README's "Command line" block through `cli.main`,
+    all in this one process.  The parser is built once per process, so its
+    build is timed on its own first.  Then, for each command, print its exit
+    code, the time of its first call (cold action caches: every call builds a
+    fresh action) and the best of `--repeat` later calls.  Exit 1 when a
+    command exits non-zero or a later call prints other bytes than the first."""
+    os.chdir(ROOT)
+    print(f"{'first ms':>9} {'best later ms':>14}  exit  command")
+    t0 = time.perf_counter()
+    ce.cli.build_parser()
+    print(f"{(time.perf_counter() - t0) * 1e3:9.2f} {'-':>14}  {'-':>4}  "
+          "(parser build, once per process)")
+    status = 0
+    for command in readme_commands():
+        first, code, out = timed_main(command)
+        later = []
+        for _ in range(args.repeat):
+            dt, code_again, out_again = timed_main(command)
+            later.append(dt)
+            if (code_again, out_again) != (code, out):
+                print(f"a later call printed other bytes: {shlex.join(command)}")
+                status = 1
+        if code != 0:
+            status = 1
+        fastest = f"{min(later) * 1e3:14.2f}" if later else f"{'-':>14}"
+        print(f"{first * 1e3:9.2f} {fastest}  {code:>4}  {shlex.join(command)}")
+    return status
+
+
+# cells: cell partitions and class tables
+
+
+def table_matches_orbits(count: int, ids, rules, n: int, d: int) -> bool:
+    """Read in slot-major cell order, the ids first appear as 0, ..., count - 1
+    (classes are numbered by least cell), and the cells of each id form the
+    transport orbit of each of them."""
+    slots = range(-n, n + 1)
+    cells = [(t, w) for t in slots for w in words(d)]
+    members = {}
+    for cell, i in zip(cells, ids):
+        members.setdefault(i, set()).add(cell)
+    if len(ids) != len(cells) or list(members) != list(range(count)):
+        return False
+    for (r, w), i in zip(cells, ids):
+        linked = {(s, oracles.transport(rules, r - s, w)) for s in slots}
+        if {(s, x) for s, x in linked if x is not None} != members[i]:
+            return False
+    return True
+
+
+def time_tables(name: str, ex: ZPartialAction, levels: int, repeat: int) -> int:
+    """Time class_table on each stage of the default schedule, on a fresh
+    action each call; the number of tables that disagree with the orbits."""
+    bad = 0
+    for k, n, d in default_schedule(ex, levels):
+        generator = ex.stage(k).generator
+        dt, (count, ids) = best(lambda: class_table(ZPartialAction(generator), n, d),
+                                repeat)
+        ok = table_matches_orbits(count, ids, generator.rules, n, d)
+        bad += not ok
+        shape = f"{name} k={k} n={n} d={d}"
+        d0 = adapted_depth(ZPartialAction(generator), n)
+        print(f"{shape:<34} d0={d0} {count:7d} classes "
+              f"{dt * 1e3:8.1f} ms{'' if ok else '  IDS ARE NOT ORBITS'}")
+    return bad
+
+
+def time_cells(args) -> int:
+    """Time cell_partition on one deep_cells partition job per shape (rule
+    count and length, n, d) and on the flip at (n, d) = (1, 18), the budget
+    edge; then class_table on every stage of the 5-level odometer tower and of
+    the first seeded 5-level tower of odometer_tower, with each adapted depth
+    d0.  Exit 1 when a partition misses or repeats a cell (t, w), |t| <= n,
+    |w| = d, when a class is not the transport orbit of each of its members,
+    or when the cells a class table gives one id are not such an orbit."""
+    shapes = {}
+    for job in workloads.make_jobs("deep_cells", args.seed):
+        if job["kind"] == "partition":
+            rules = job["rules"]
+            shapes.setdefault((len(rules), len(rules[0][0]), job["n"], job["d"]), job)
+    shapes["budget edge"] = {"kind": "partition", "rules": [["0", "1"]], "n": 1, "d": 18}
+    bad = 0
+    for job in shapes.values():
+        dt, part = best(functools.partial(workloads.run, ce, job, None), args.repeat)
+        wrong = failures(job, part)
+        bad += bool(wrong)
+        rules, n, d = job["rules"], job["n"], job["d"]
+        shape = f"{len(rules)} rule(s) of length {len(rules[0][0])} n={n} d={d}"
+        d0 = adapted_depth(ZPartialAction(PrefixMap(tuple(map(tuple, rules)))), n)
+        print(f"{shape:<34} d0={d0} {len(part.classes):7d} classes "
+              f"{dt * 1e3:8.1f} ms{'  ' + wrong[0].upper() if wrong else ''}")
+    seeded = next(job for job in workloads.make_jobs("odometer_tower", args.seed)
+                  if job["rules"] and job["levels"] == 5)
+    for name, generator in (("odometer tower", ODOMETER), ("seeded tower", GeneratedMap(
+            "rules", tuple(map(tuple, seeded["rules"]))))):
+        bad += time_tables(name, ZPartialAction(generator), 5, args.repeat)
+    return 1 if bad else 0
+
+
+# join: canonical forms, cylinder operations and the etale probe
+
+
+def time_join(args) -> int:
+    """From `--seed`, build two clopen sets, each the union of 3,200 distinct
+    depth-14 cylinders (about 2,900 canonical words after sibling merges), and
+    a map of 1,200 rules between depth-11 words; time building the first set,
+    intersect, subset_of, image_set, compose, and the first etale job of
+    deep_cells: the flip at (t, s) = (1, 0) over 1,000 depth-12 cylinders.
+    Exit 1 when the probe is not ok, or when its image is not the base flipped
+    here on strings (first symbol 0 -> 1)."""
+    rng = random.Random(args.seed)
+    raw = tuple(rng.sample(words(14), 3200))
+    a, b = ClopenSet(raw), ClopenSet(tuple(rng.sample(words(14), 3200)))
+    m = PrefixMap(tuple(zip(rng.sample(words(11), 1200), rng.sample(words(11), 1200))))
+    job = next(j for j in workloads.make_jobs("deep_cells", args.seed)
+               if j["kind"] == "etale")
+    print(f"|A| = {len(a.words)}, |B| = {len(b.words)}, rules = {len(m.rules)}, "
+          f"|base| = {len(ClopenSet(tuple(job['base'])).words)}")
+    cases = [
+        ("ClopenSet(3200)", lambda: ClopenSet(raw)),
+        ("A & B", lambda: a & b),
+        ("A.subset_of(A)", lambda: a.subset_of(a)),
+        ("m.image_set(A)", lambda: m.image_set(a)),
+        ("compose(m, m)", lambda: compose(m, m)),
+        ("etale flip(base)", functools.partial(workloads.run, ce, job, None)),
+    ]
+    for name, fn in cases:
+        dt, rep = best(fn, args.repeat)
+        print(f"{name:<16} {dt * 1e3:9.1f} ms")
+    want = ClopenSet(tuple("1" + w[1:] for w in job["base"]))
+    if not rep.ok or rep.image != want:
+        print(f"ETALE PROBE FAILED: ok={rep.ok}, violations={list(rep.violations)}, "
+              f"image equals the flipped base: {rep.image == want}", file=sys.stderr)
+        return 1
+    return 0
+
+
+LAYERS = {
+    "psi": (time_psi, {"--trials": 250, "--seed": 707, "--repeat": 3}),
+    "cli": (time_cli, {"--repeat": 5}),
+    "cells": (time_cells, {"--seed": 0, "--repeat": 3}),
+    "join": (time_join, {"--seed": 0, "--repeat": 3}),
+}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    layers = ap.add_subparsers(dest="layer", required=True)
+    for name, (fn, options) in LAYERS.items():
+        sp = layers.add_parser(name, description=fn.__doc__)
+        for flag, default in options.items():
+            sp.add_argument(flag, type=int, default=default)
+        sp.set_defaults(time=fn)
+    args = ap.parse_args(argv)
+    return args.time(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -379,6 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# refusals that exit 1 (usage) and 3 (a blown cap); any other EngineError exits 2
+_USAGE_ERRORS = (ParseError, LevelRequired, DepthTooSmall, NotInDomain, BaseNotInDomain,
+                 OSError)
+_CAP_ERRORS = (CapExceeded, NotStabilized)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -387,22 +393,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         code, payload = args.func(args, load_system(args.system))
-    except (
-        ParseError,
-        LevelRequired,
-        DepthTooSmall,
-        NotInDomain,
-        BaseNotInDomain,
-        OSError,
-    ) as exc:
+    except (EngineError, OSError) as exc:
         print(json.dumps({"error": str(exc)}))
-        return 1
-    except (CapExceeded, NotStabilized) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 3
-    except EngineError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
+        return 1 if isinstance(exc, _USAGE_ERRORS) else 3 if isinstance(exc, _CAP_ERRORS) else 2
     if isinstance(payload, str):
         sys.stdout.write(payload)
     else:

@@ -87,9 +87,6 @@ class PrefixMap:
         pairs = prefix_join(self.rules, s.words, itemgetter(0))
         return ClopenSet(tuple(v + w[len(u):] for (u, v), w in pairs))
 
-    def preimage_set(self, s: ClopenSet) -> ClopenSet:
-        return self.inverse().image_set(s)
-
     def inverse(self) -> "PrefixMap":
         return PrefixMap._canonical(sorted((v, u) for u, v in self.rules))
 

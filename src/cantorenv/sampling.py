@@ -19,12 +19,16 @@ from .prefix_map import ODOMETER, PrefixMap, compose
 
 # Fixed sizes of the draws: at most this many halvings of an antichain, rules
 # of a prefix map, cells of a function and slot blocks of a groupoid function;
-# germ and chain slots lie in [-GERM_INDEX, GERM_INDEX].
+# germ and chain slots lie in [-GERM_INDEX, GERM_INDEX]; enumeration instances
+# have slots in [-ENUM_INDEX, ENUM_INDEX] and points of description length at
+# most MAX_DESC.
 MAX_SPLITS = 3
 MAX_RULES = 3
 MAX_PIECES = 3
 MAX_BLOCKS = 3
 GERM_INDEX = 2
+ENUM_INDEX = 4
+MAX_DESC = 8
 
 
 class Sampler:
@@ -152,16 +156,14 @@ class Sampler:
         None when no point of the first germ set threads through them all.
         """
         slots = [self.rng.randint(-GERM_INDEX, GERM_INDEX) for _ in range(length)]
-        feas = a.domain(germ_index(slots[0], slots[1]))
         acc = None
         maps = []
         for i in range(length - 1):
             step = a.h(transport_index(slots[i], slots[i + 1]))
             acc = step if acc is None else compose(step, acc)
-            if i + 2 < length:
-                nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]))
-                feas = feas & acc.preimage_set(nxt)
             maps.append(acc)
+        # dom(h_k o ... o h_1) is exactly where every step is defined
+        feas = acc.domain()
         if feas.is_empty():
             return None
         x = self.point_in(feas)
@@ -170,12 +172,12 @@ class Sampler:
 
     # -- enumeration orbits ------------------------------------------------
 
-    def enumeration_instance(self, max_index: int = 4, max_desc: int = 8):
+    def enumeration_instance(self):
         """A true odometer relation instance (r, x, s, y) plus the top rule
         index used."""
         for _ in range(500):
-            r = self.rng.randint(-max_index, max_index)
-            s = self.rng.randint(-max_index, max_index)
+            r = self.rng.randint(-ENUM_INDEX, ENUM_INDEX)
+            s = self.rng.randint(-ENUM_INDEX, ENUM_INDEX)
             p = self.point(max_pre=2, max_per=2)
             steps = abs(r - s)
             top = -1
@@ -187,7 +189,7 @@ class Sampler:
             except NotInDomain:
                 continue
             x, y = (p, q) if r >= s else (q, p)
-            if max(x.description_length(), y.description_length()) > max_desc:
+            if max(x.description_length(), y.description_length()) > MAX_DESC:
                 continue
             return r, x, s, y, top
         raise EngineError("could not sample a relation instance")

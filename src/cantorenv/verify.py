@@ -26,6 +26,9 @@ from .algebra import (
 from .errors import EngineError, SupportViolation
 from .sampling import Sampler
 
+# equivariance_sign checks every shift t with |t| <= SHIFT_BOUND
+SHIFT_BOUND = 3
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -184,7 +187,6 @@ def equivariance_sign(
     max_index: int = 3,
     depth: int = 6,
     level: int | None = None,
-    max_t: int = 3,
 ) -> tuple[int, VerifyReport]:
     """Determine the sign e with psi(alpha_t(f)) = beta_{e t}(psi(f)).
 
@@ -197,7 +199,7 @@ def equivariance_sign(
     samples = [sampler.groupoid_function(a, max_index, depth) for _ in range(trials)]
     eps = None
     for f in samples:
-        for t in range(1, max_t + 1):
+        for t in range(1, SHIFT_BOUND + 1):
             target = to_kernel(f.shift(t))
             plus, minus = (to_kernel(f).shift(u) == target for u in (t, -t))
             if plus != minus:
@@ -210,7 +212,7 @@ def equivariance_sign(
 
     expect = _Tally()
     for f in samples:
-        for t in range(-max_t, max_t + 1):
+        for t in range(-SHIFT_BOUND, SHIFT_BOUND + 1):
             expect(
                 lambda: to_kernel(f.shift(t)) == to_kernel(f).shift(eps * t),
                 lambda: f"sign {eps} fails at t={t} on {f}",

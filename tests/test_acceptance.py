@@ -133,8 +133,7 @@ def test_criterion_4_filtration_witnesses():
     with criterion(4, "inclusion witnesses and stage monotonicity"):
         sampler = Sampler(seed=404)
         for _ in range(100):
-            r, x, s, y, top = sampler.enumeration_instance(max_index=4,
-                                                           max_desc=8)
+            r, x, s, y, top = sampler.enumeration_instance()
             K = inclusion_witness(ODO, r, x, s, y)
             assert K <= top + 1
             assert related(ODO.stage(K), GermPair(r, x), GermPair(s, y))
@@ -195,8 +194,7 @@ def test_criterion_8_single_shift_sign():
     with criterion(8, "one shift sign across systems"):
         signs = []
         for a, lv in ((FLIP, None), (ODO, 2)):
-            eps, rep = equivariance_sign(a, trials=100, seed=808, max_t=3,
-                                         level=lv)
+            eps, rep = equivariance_sign(a, trials=100, seed=808, level=lv)
             assert rep.ok, rep.failures[:3]
             signs.append(eps)
         assert len(set(signs)) == 1

@@ -1,0 +1,20 @@
+"""Smoke test of scripts/layer_timing.py: the two fastest layers run clean.
+
+The script reads the benchmark's job lists and the word-level oracle by
+path, so a rename in either would only show when the script runs.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "layer_timing.py"
+
+
+def test_join_and_psi_layers_exit_zero(capsys):
+    spec = importlib.util.spec_from_file_location("layer_timing", SCRIPT)
+    layer_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_timing)
+    assert layer_timing.main(["join", "--repeat", "1"]) == 0
+    assert layer_timing.main(["psi", "--trials", "2", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "etale flip(base)" in out and "psi_suite jobs" in out

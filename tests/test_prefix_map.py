@@ -105,7 +105,7 @@ class TestApplication:
         assert m.domain() == ClopenSet.parse("{0,10}")
         assert m.image() == ClopenSet.parse("{1,01}")
         assert m.image_set(ClopenSet.parse("{10}")) == ClopenSet.parse("{01}")
-        assert m.preimage_set(ClopenSet.parse("{01}")) == ClopenSet.parse("{10}")
+        assert m.inverse().image_set(ClopenSet.parse("{01}")) == ClopenSet.parse("{10}")
 
     @given(rules=rule_lists(), ws=antichains)
     def test_image_set_matches_cellwise_transport(self, rules, ws):

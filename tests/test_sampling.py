@@ -5,13 +5,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cantorenv.action import ZPartialAction, germ_index
+from cantorenv.action import ZPartialAction, germ_index, transport_index
 from cantorenv.algebra import validate_blocks
 from cantorenv.cantor import ClopenSet
 from cantorenv.envelope import related
 from cantorenv.functions import PiecewiseConstant, Scalar
-from cantorenv.prefix_map import ODOMETER
-from cantorenv.sampling import MAX_PIECES, Sampler
+from cantorenv.prefix_map import ODOMETER, PrefixMap, compose
+from cantorenv.sampling import GERM_INDEX, MAX_PIECES, Sampler
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -67,6 +67,28 @@ def test_related_triples_lie_in_domains(seed):
         assert related(ODO.stage(2), g, g)
 
 
+def test_chain_germ_set_is_the_composite_domain():
+    """`_chain` draws its first point from dom(h_k o ... o h_1); that is the
+    set of points where every step is defined, each step's domain pulled back
+    along the composite of the steps before it."""
+    for seed in range(20):
+        s = Sampler(seed)
+        actions = (ZPartialAction(PrefixMap.parse("[0 -> 1]")), ODO.stage(1),
+                   ODO.stage(2), ZPartialAction(s.prefix_map()))
+        for a in actions:
+            for length in (2, 3, 4, 5) * 5:
+                slots = [s.rng.randint(-GERM_INDEX, GERM_INDEX) for _ in range(length)]
+                feas = a.domain(germ_index(slots[0], slots[1]))
+                acc = None
+                for i in range(length - 1):
+                    step = a.h(transport_index(slots[i], slots[i + 1]))
+                    acc = step if acc is None else compose(step, acc)
+                    if i + 2 < length:
+                        nxt = a.domain(germ_index(slots[i + 1], slots[i + 2]))
+                        feas = feas & acc.inverse().image_set(nxt)
+                assert feas == acc.domain(), (seed, a.generator, slots)
+
+
 def test_same_seed_same_stream():
     a, b = Sampler(42), Sampler(42)
     for _ in range(5):
@@ -109,7 +131,7 @@ def test_pwc_stream_equals_the_public_constructor():
 def test_enumeration_instances_are_within_bounds():
     s = Sampler(2)
     for _ in range(20):
-        r, x, sx, y, top = s.enumeration_instance(max_index=4, max_desc=8)
+        r, x, sx, y, top = s.enumeration_instance()
         assert abs(r) <= 4 and abs(sx) <= 4
         assert x.description_length() <= 8 and y.description_length() <= 8
         # top rule index is -1 only for the trivial zero-step instance
