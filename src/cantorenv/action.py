@@ -120,10 +120,21 @@ class ZPartialAction:
             out = IDENTITY
         elif not self.clopen:
             raise LevelRequired("generated action needs a truncation level")
-        elif t > 0:
-            out = compose(self.generator, self.h(t - 1))
-        else:
+        elif t < 0:
             out = self.h(-t).inverse()
+        else:
+            # h_t = generator o h_{t-1}, built in a loop (not one recursive
+            # call per power) from the largest power cached below t; the new
+            # powers are cached only once all of them are built
+            powers, k = self._powers, t - 1
+            while k and k not in powers:
+                k -= 1
+            out = powers[k] if k else IDENTITY
+            built = {}
+            for j in range(k + 1, t + 1):
+                out = built[j] = compose(self.generator, out)
+            powers.update(built)
+            return out
         self._powers[t] = out
         return out
 

@@ -1,7 +1,9 @@
 """Command line front end: JSON system definitions in, JSON/DOT reports out.
 
-Exit codes: 0 for a clean run or passing check, 1 for usage and parse
-problems, 2 for a violated property, 3 for a blown resource cap.
+Each subcommand is one entry of `COMMANDS`: its handler, help text and
+options, from which `build_parser` builds the argparse parser.  Exit codes:
+0 for a clean run or passing check, 1 for usage and parse problems, 2 for a
+violated property, 3 for a blown resource cap.
 """
 
 from __future__ import annotations
@@ -128,16 +130,14 @@ def load_system(path: str) -> SystemDefinition:
 _LEAST = {"bound": 0, "depth": 0, "cap": 0, "levels": 1, "trials": 1, "support": 0}
 
 
-def _checked(name: str, val):
+def _resolve(args, sd: SystemDefinition, name: str, fallback=None):
+    val = getattr(args, name, None)
+    if val is None:
+        val = sd.defaults.get(name, fallback)
     least = _LEAST.get(name)
     if val is not None and least is not None and val < least:
         raise ParseError(f"--{name} must be >= {least}, not {val}")
     return val
-
-
-def _resolve(args, sd: SystemDefinition, name: str, fallback=None):
-    val = getattr(args, name, None)
-    return _checked(name, val if val is not None else sd.defaults.get(name, fallback))
 
 
 def _action(sd: SystemDefinition, stage: int | None = None) -> ZPartialAction:
@@ -154,6 +154,13 @@ def _level(args, sd: SystemDefinition, fallback=None) -> int | None:
     return level
 
 
+def _cells(args, sd: SystemDefinition, stage) -> tuple[int, int]:
+    """--bound (default 2) and --depth (default: adapted to `stage()`, built last)."""
+    n = _resolve(args, sd, "bound", 2)
+    depth = _resolve(args, sd, "depth")
+    return n, adapted_depth(stage(), n) if depth is None else depth
+
+
 def _germ(text: str) -> GermPair:
     try:
         slot, point = text.split(":", 1)
@@ -167,34 +174,25 @@ def _germ(text: str) -> GermPair:
 # returns (exit code, payload); dict payloads print as JSON.
 
 
-def _axioms_report(args, sd: SystemDefinition):
+def cmd_axioms(args, sd: SystemDefinition):
+    bad = list(sd.generator.violations())
+    if bad:
+        return 2, {"ok": False, "violations": bad}
     bound = _resolve(args, sd, "bound", 4)
     fallback = bound if sd.is_generated else None
     if sd.counts is not None:  # a schedule may stop before stage `bound`
         fallback = min(bound, len(sd.counts) - 1)
     level = _resolve(args, sd, "level", fallback)
-    return axioms_check(generated_family(_action(sd, level), bound), bound)
+    report = axioms_check(generated_family(_action(sd, level), bound), bound)
+    return (0 if report.ok else 2), report.to_json()
 
 
 def cmd_validate(args, sd: SystemDefinition):
-    bad = list(sd.generator.violations())
-    if bad:
-        return 2, {"ok": False, "name": sd.name, "violations": bad}
-    report = _axioms_report(args, sd)
-    return (0 if report.ok else 2), {
-        "ok": report.ok,
-        "name": sd.name,
-        "violations": [],
-        "axioms": report.to_json(),
-    }
-
-
-def cmd_axioms(args, sd: SystemDefinition):
-    bad = list(sd.generator.violations())
-    if bad:
-        return 2, {"ok": False, "violations": bad}
-    report = _axioms_report(args, sd)
-    return (0 if report.ok else 2), report.to_json()
+    """`axioms` under the system's name, its report nested under "axioms"."""
+    code, report = cmd_axioms(args, sd)
+    if "bound" in report:  # the generator is valid and the axioms were checked
+        report = {"ok": report["ok"], "violations": [], "axioms": report}
+    return code, {"ok": report["ok"], "name": sd.name, **report}
 
 
 def cmd_hausdorff(args, sd: SystemDefinition):
@@ -220,9 +218,7 @@ def cmd_related(args, sd: SystemDefinition):
     a = _action(sd, _resolve(args, sd, "level"))
     dom = a.domain(germ_index(p.index, q.index))
     member = dom.contains_point(p.point)
-    image = None
-    if member:
-        image = a.apply(transport_index(p.index, q.index), p.point)
+    image = a.apply(transport_index(p.index, q.index), p.point) if member else None
     return 0, {
         "related": bool(member and image == q.point),
         "p": str(p),
@@ -235,22 +231,17 @@ def cmd_related(args, sd: SystemDefinition):
 
 def cmd_etale(args, sd: SystemDefinition):
     a = _action(sd, _resolve(args, sd, "level"))
-    t, s = args.t, args.s
     if args.base is not None:
         base = ClopenSet.parse(args.base)
     else:
-        base = a.domain(germ_index(t, s))
-    report = etale_probe(a, t, s, base)
+        base = a.domain(germ_index(args.t, args.s))
+    report = etale_probe(a, args.t, args.s, base)
     return (0 if report.ok else 2), report.to_json()
 
 
 def cmd_quotient(args, sd: SystemDefinition):
-    a = _action(sd, _level(args, sd))
-    bound = _resolve(args, sd, "bound", 2)
-    depth = _resolve(args, sd, "depth")
-    if depth is None:
-        depth = adapted_depth(a, bound)
-    part = cell_partition(a, bound, depth)
+    a = _action(sd, _level(args, sd))  # a bad stage is refused before a bad bound
+    part = cell_partition(a, *_cells(args, sd, lambda: a))
     return 0, {
         "n": part.n,
         "d": part.d,
@@ -275,11 +266,7 @@ def cmd_filtrate(args, sd: SystemDefinition):
 
     k = _level(args, sd, None if sd.is_generated else 0)
     a = _action(sd)
-    n = _resolve(args, sd, "bound", 2)
-    depth = _resolve(args, sd, "depth")
-    if depth is None:
-        depth = adapted_depth(a.stage(k), n)
-    tr = truncated_relation(a, k, n, depth)
+    tr = truncated_relation(a, k, *_cells(args, sd, lambda: a.stage(k)))
     payload = tr.to_json()
     payload["count"] = len(tr.classes)
     payload["sizes"] = list(tr.sizes)
@@ -294,10 +281,9 @@ def cmd_bratteli(args, sd: SystemDefinition):
 
 def cmd_verify_psi(args, sd: SystemDefinition):
     a = _action(sd, _level(args, sd))
-    trials = _checked("trials", args.trials)
-    seed = _resolve(args, sd, "seed", 0)
-    support = _checked("support", args.support)
-    opts = dict(seed=seed, max_index=support, depth=_resolve(args, sd, "depth", 6))
+    trials = _resolve(args, sd, "trials")
+    opts = dict(seed=_resolve(args, sd, "seed", 0), max_index=_resolve(args, sd, "support"),
+                depth=_resolve(args, sd, "depth", 6))
     report = isomorphism_suite(a, trials=trials, **opts)
     _, ereport = equivariance_sign(a, trials=min(trials, 50), **opts)
     ok = report.ok and ereport.ok
@@ -309,11 +295,37 @@ def cmd_verify_psi(args, sd: SystemDefinition):
 
 
 # --------------------------------------------------------------------------
+# The command table: name -> (handler, help, *options).  An option is a name,
+# for an optional integer `--name`, or a (name, `add_argument` keywords) pair.
+
+COMMANDS = {
+    "validate": (cmd_validate, "check rule antichains and the action axioms", "bound", "level"),
+    "axioms": (cmd_axioms, "run the axiom checker and print its report", "bound", "level"),
+    "hausdorff": (cmd_hausdorff, "certify clopen domains or find a boundary witness",
+                  "bound", "depth"),
+    "related": (cmd_related, "decide whether two germs glue",
+                ("p", {"required": True, "help": "germ as 'index:point', e.g. '1:(0)'"}),
+                ("q", {"required": True, "help": "germ as 'index:point'"}), "level"),
+    "etale": (cmd_etale, "range/source bijectivity over a basic open",
+              ("t", {"type": int, "required": True}), ("s", {"type": int, "required": True}),
+              ("base", {"help": "clopen set like '{0,11}' (default: the full germ set)"}),
+              "level"),
+    "quotient": (cmd_quotient, "finite cell decomposition of the germ quotient",
+                 "bound", "depth", "level"),
+    "filtrate": (cmd_filtrate, "stage relations and inclusion witnesses",
+                 "level", "bound", "depth", "cap", ("p", {"help": "germ as 'index:point'"}),
+                 ("q", {"help": "germ as 'index:point'"})),
+    "bratteli": (cmd_bratteli, "build and export the leveled class diagram",
+                 "levels", ("out", {"choices": ("json", "dot"), "default": "json"})),
+    "verify-psi": (cmd_verify_psi, "randomized exact identity suite for the reindexing",
+                   ("trials", {"type": int, "default": 100}), "seed",
+                   ("support", {"type": int, "default": 3}), "depth", "level"),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process on first use.
+    """The command line parser, built from `COMMANDS` once per process on first use.
 
     Sharing it is safe: `parse_args` returns a fresh namespace and leaves
     the parser unchanged.
@@ -323,59 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of partial integer actions on binary Cantor space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, text):
+    for name, (func, text, *options) in COMMANDS.items():
         sp = sub.add_parser(name, help=text, description=text)
         sp.add_argument("system", help="system definition JSON file")
-        sp.set_defaults(func=fn)
-        return sp
-
-    sp = command("validate", cmd_validate, "check rule antichains and the action axioms")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--level", type=int)
-
-    sp = command("axioms", cmd_axioms, "run the axiom checker and print its report")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--level", type=int)
-
-    sp = command("hausdorff", cmd_hausdorff, "certify clopen domains or find a boundary witness")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--depth", type=int)
-
-    sp = command("related", cmd_related, "decide whether two germs glue")
-    sp.add_argument("--p", required=True, help="germ as 'index:point', e.g. '1:(0)'")
-    sp.add_argument("--q", required=True, help="germ as 'index:point'")
-    sp.add_argument("--level", type=int)
-
-    sp = command("etale", cmd_etale, "range/source bijectivity over a basic open")
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--base", help="clopen set like '{0,11}' (default: the full germ set)")
-    sp.add_argument("--level", type=int)
-
-    sp = command("quotient", cmd_quotient, "finite cell decomposition of the germ quotient")
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--level", type=int)
-
-    sp = command("filtrate", cmd_filtrate, "stage relations and inclusion witnesses")
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--bound", type=int)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--cap", type=int)
-    sp.add_argument("--p", help="germ as 'index:point'")
-    sp.add_argument("--q", help="germ as 'index:point'")
-
-    sp = command("bratteli", cmd_bratteli, "build and export the leveled class diagram")
-    sp.add_argument("--levels", type=int)
-    sp.add_argument("--out", choices=("json", "dot"), default="json")
-
-    sp = command("verify-psi", cmd_verify_psi, "randomized exact identity suite for the reindexing")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--support", type=int, default=3)
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--level", type=int)
+        sp.set_defaults(func=func)
+        for option in options:
+            flag, kwargs = (option, {"type": int}) if isinstance(option, str) else option
+            sp.add_argument(f"--{flag}", **kwargs)
     return parser
 
 
@@ -386,9 +352,8 @@ _CAP_ERRORS = (CapExceeded, NotStabilized)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 
+from . import cells
 from .action import ZPartialAction, germ_index, transport_index
 from .algebra import GroupoidFunction
 from .cantor import ClopenSet, Point
 from .envelope import GermPair
-from .errors import EngineError, NotInDomain
+from .errors import CapExceeded, EngineError, NotInDomain
 from .functions import ZERO_FUNC, PiecewiseConstant, Scalar
 from .prefix_map import ODOMETER, PrefixMap, compose
 
@@ -92,11 +93,18 @@ class Sampler:
         if support.is_empty():
             return ZERO_FUNC
         d = max(depth, support.max_depth())
-        cells = self._cells.get((support, d))
-        if cells is None:
-            cells = self._cells[support, d] = list(support.refine_to_depth(d))
-        take = min(len(cells), self.rng.randint(1, MAX_PIECES))
-        chosen = self.rng.sample(cells, take)
+        pool = self._cells.get((support, d))
+        if pool is None:
+            # the budget is read here, at each call, not bound at import
+            size = sum(1 << (d - len(w)) for w in support.words)
+            if size > cells.CELL_BUDGET:
+                raise CapExceeded(
+                    f"the support refined to depth {d} has {size} cells, over "
+                    f"the budget of {cells.CELL_BUDGET} cells"
+                )
+            pool = self._cells[support, d] = list(support.refine_to_depth(d))
+        take = min(len(pool), self.rng.randint(1, MAX_PIECES))
+        chosen = self.rng.sample(pool, take)
         # distinct checked cells of one depth, each with a nonzero scalar
         # drawn in the order of `chosen`; the sort never compares scalars
         return PiecewiseConstant._canonical(

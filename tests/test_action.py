@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantorenv.action as action_module
 from cantorenv.action import (
     VERDICT_CAP,
     AxiomsReport,
@@ -15,9 +16,15 @@ from cantorenv.action import (
     transport_index,
 )
 from cantorenv.cantor import FULL, ClopenSet, Point
-from cantorenv.errors import LevelRequired, NotInDomain, ParseError, SupportViolation
+from cantorenv.errors import (
+    CapExceeded,
+    LevelRequired,
+    NotInDomain,
+    ParseError,
+    SupportViolation,
+)
 from cantorenv.functions import Scalar, indicator
-from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap
+from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap, compose
 from cantorenv.sampling import Sampler
 from cantorenv.verify import isomorphism_suite
 
@@ -106,6 +113,32 @@ class TestZPartialAction:
         y = a.stage(1).apply(2, x)
         assert y == Point.parse("11(0)")
         assert a.stage(1).apply(-2, y) == x
+
+    def test_far_powers_are_built_without_recursion(self):
+        flip = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        assert flip.h(5000) == flip.h(-5000) == PrefixMap(())
+        a = ZPartialAction(ODOMETER).stage(2)
+        want = IDENTITY
+        for _ in range(1500):
+            want = compose(a.generator, want)
+        assert a.h(700) == ZPartialAction(ODOMETER).stage(2).h(700)
+        assert a.h(1500) == want  # continued from the cached h_700
+
+    def test_a_power_that_raises_caches_nothing(self, monkeypatch):
+        a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        a.h(2)
+        steps = []
+
+        def compose_then_fail(f, g):
+            steps.append(g)
+            if len(steps) == 3:
+                raise CapExceeded("stop")
+            return compose(f, g)
+
+        monkeypatch.setattr(action_module, "compose", compose_then_fail)
+        with pytest.raises(CapExceeded):
+            a.h(6)
+        assert steps[0] == a.h(2) and sorted(a._powers) == [1, 2]
 
     def test_apply_outside_domain(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))

@@ -1,8 +1,11 @@
 """Command line behaviour: subcommands, system files, exit codes."""
 
+import argparse
+import importlib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +371,20 @@ class TestExitCodes:
         assert out
         assert fresh_run("validate", flip) == (code, out.encode())
 
+    def test_far_power_answers_in_json(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        code, out = run(capsys, "etale", "systems/flip.json", "--t", "3000", "--s", "0")
+        assert code == 0 and out["ok"] is True and out["base"] == "{}"
+        code, out = run(capsys, "related", "systems/flip.json", "--p", "3000:(0)",
+                        "--q", "0:(0)")
+        assert code == 0 and out["related"] is False
+
+    def test_sampled_support_over_the_cell_budget(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        code, out = run(capsys, "verify-psi", "systems/flip.json", "--trials", "1",
+                        "--depth", "30")
+        assert code == 3 and "budget" in out["error"]
+
 
 class TestSharedParser:
     """main builds its parser once per process; no call may leak into the next."""
@@ -397,3 +414,87 @@ class TestSharedParser:
         argv = ["etale", "systems/flip.json", "--t", "1", "--s", "0"]
         code = main(argv)
         assert (code, capsys.readouterr().out.encode()) == fresh_run(*argv)
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# every option of every subcommand, in help order: (required, default)
+OPTIONAL, REQUIRED = (False, None), (True, None)
+SURFACE = {
+    "validate": {"--bound": OPTIONAL, "--level": OPTIONAL},
+    "axioms": {"--bound": OPTIONAL, "--level": OPTIONAL},
+    "hausdorff": {"--bound": OPTIONAL, "--depth": OPTIONAL},
+    "related": {"--p": REQUIRED, "--q": REQUIRED, "--level": OPTIONAL},
+    "etale": {"--t": REQUIRED, "--s": REQUIRED, "--base": OPTIONAL,
+              "--level": OPTIONAL},
+    "quotient": {"--bound": OPTIONAL, "--depth": OPTIONAL, "--level": OPTIONAL},
+    "filtrate": {"--level": OPTIONAL, "--bound": OPTIONAL, "--depth": OPTIONAL,
+                 "--cap": OPTIONAL, "--p": OPTIONAL, "--q": OPTIONAL},
+    "bratteli": {"--levels": OPTIONAL, "--out": (False, "json")},
+    "verify-psi": {"--trials": (False, 100), "--seed": OPTIONAL,
+                   "--support": (False, 3), "--depth": OPTIONAL,
+                   "--level": OPTIONAL},
+}
+
+
+class TestSurface:
+    """The options of each subcommand, and which refusal wins when two compete."""
+
+    def test_commands_in_order(self):
+        assert list(_subcommands()) == list(SURFACE)
+
+    @pytest.mark.parametrize("name", list(SURFACE))
+    def test_options_required_and_defaults(self, name):
+        sp = _subcommands()[name]
+        options = [(s, (a.required, a.default)) for a in sp._actions
+                   for s in a.option_strings if s not in ("-h", "--help")]
+        assert options == list(SURFACE[name].items())
+        assert [a.dest for a in sp._actions if not a.option_strings] == ["system"]
+
+    @pytest.mark.parametrize("argv, error", [
+        (("filtrate", "systems/odometer.json", "--level", "-1", "--bound", "-1"),
+         "--bound must be >= 0, not -1"),
+        (("quotient", "systems/odometer.json", "--level", "-1", "--bound", "-1"),
+         "stage must be >= 0, not -1"),
+        (("hausdorff", "systems/flip.json", "--bound", "-1", "--depth", "-1"),
+         "--bound must be >= 0, not -1"),
+        (("verify-psi", "systems/flip.json", "--trials", "0", "--support", "-1"),
+         "--trials must be >= 1, not 0"),
+        (("related", "systems/flip.json", "--p", "x", "--q", "0:(0)", "--level", "-1"),
+         "germ 'x' must look like 'index:point'"),
+    ])
+    def test_first_refusal_wins(self, monkeypatch, capsys, argv, error):
+        monkeypatch.chdir(ROOT)
+        assert run(capsys, *argv) == (1, {"error": error})
+
+
+def test_cli_mix_matches_every_reference_seed(tmp_path, monkeypatch):
+    """Every cli_mix job of each seed recorded in perfbench/reference.json
+    prints the recorded bytes, judged by the benchmark's own gate."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
+    gate = importlib.import_module("gate")
+    shutil.copytree(ROOT / "systems", tmp_path / "systems")
+    monkeypatch.chdir(tmp_path)  # the jobs name their system files relative to here
+    seeds = json.loads(gate.REFERENCE.read_text())["digests"]["cli_mix"]
+    assert sorted(map(int, seeds)) == list(range(21))
+    failed = {}
+    for seed in range(21):
+        jobs = gate.workloads.make_jobs("cli_mix", seed)
+        gate.workloads.write_inputs(jobs, tmp_path)
+        outputs = gate.Outputs()
+        for idx, job in enumerate(jobs):
+            try:
+                result = gate.workloads.run(cantorenv, job, lambda *_: None)
+            except Exception as exc:  # noqa: BLE001 - a raising job is a failed job
+                result = exc
+            outputs.add(idx, job, result)
+        verdict = gate.judge("cli_mix", seed, jobs, outputs, None)
+        assert verdict["checked_by"] == "reference digests"
+        if verdict["failed"]:
+            failed[seed] = verdict["problems"]
+    assert failed == {}

@@ -3,12 +3,15 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorenv import cells
 from cantorenv.action import ZPartialAction, germ_index, transport_index
 from cantorenv.algebra import validate_blocks
 from cantorenv.cantor import ClopenSet
 from cantorenv.envelope import related
+from cantorenv.errors import CapExceeded
 from cantorenv.functions import PiecewiseConstant, Scalar
 from cantorenv.prefix_map import ODOMETER, PrefixMap, compose
 from cantorenv.sampling import GERM_INDEX, MAX_PIECES, Sampler
@@ -126,6 +129,16 @@ def test_pwc_stream_equals_the_public_constructor():
             want = PiecewiseConstant(tuple((w, slow.scalar()) for w in chosen))
             assert fast.pwc(support, 4) == want
         assert fast.rng.getstate() == slow.rng.getstate()
+
+
+def test_pwc_refuses_a_support_over_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(cells, "CELL_BUDGET", 2**10)
+    sampler = Sampler(0)
+    state = sampler.rng.getstate()
+    with pytest.raises(CapExceeded):
+        sampler.pwc(ClopenSet.parse("{1}"), 12)  # 2^11 cells
+    assert sampler.rng.getstate() == state  # refused before any draw
+    assert not sampler.pwc(ClopenSet.parse("{1}"), 11).is_zero()  # 2^10 cells
 
 
 def test_enumeration_instances_are_within_bounds():
