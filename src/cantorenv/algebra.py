@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar
 
 from .action import ZPartialAction, germ_index, kernel_tag, transport_index
@@ -253,8 +254,17 @@ def col_part(k: KernelElement, t: int) -> KernelElement:
 
 
 def norm_squared(k: KernelElement) -> Fraction:
-    """Sum over entries of the squared sup of |value|; exact, never rooted."""
-    return sum((func.sup_norm_sq() for _, func in k.table), Fraction(0))
+    """Sum over entries of the squared sup of |value|; exact, never rooted.
+
+    The sum runs on ints over the least common denominator so far, and one
+    Fraction reduces it at the end."""
+    num, den = 0, 1
+    for _, func in k.table:
+        top, bottom = func._sup_norm_sq()
+        common = lcm(den, bottom)
+        num = num * (common // den) + top * (common // bottom)
+        den = common
+    return Fraction(num, den)
 
 
 # --------------------------------------------------------------------------

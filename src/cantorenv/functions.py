@@ -268,13 +268,17 @@ class PiecewiseConstant:
         return self * indicator(s)
 
     def sup_norm_sq(self) -> Fraction:
-        # the largest (a^2 + b^2)/den^2, compared by cross-multiplying
+        return Fraction(*self._sup_norm_sq())
+
+    def _sup_norm_sq(self) -> tuple[int, int]:
+        """The largest (a^2 + b^2)/den^2 as an unreduced pair of ints (0, 1
+        for the zero function), compared by cross-multiplying."""
         top, den = 0, 1
         for _, c in self.pieces:
             n, d = c._a * c._a + c._b * c._b, c._den * c._den
             if n * den > top * d:
                 top, den = n, d
-        return Fraction(top, den)
+        return top, den
 
     def __str__(self) -> str:
         if not self.pieces:

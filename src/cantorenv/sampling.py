@@ -116,12 +116,16 @@ class Sampler:
     ) -> GroupoidFunction:
         keys = self._slots.get((a, max_index))
         if keys is None:
+            # the germ index s - r of a slot pair is one of 4*max_index + 1
+            # values: test each once, and keep the pairs (r, s) in (r, s) order
             span = range(-max_index, max_index + 1)
+            live = [
+                t
+                for t in range(-2 * max_index, 2 * max_index + 1)
+                if not a.domain(t).is_empty()
+            ]
             keys = self._slots[a, max_index] = [
-                (r, s)
-                for r in span
-                for s in span
-                if not a.domain(germ_index(r, s)).is_empty()
+                (r, r + t) for r in span for t in live if r + t in span
             ]
         take = min(len(keys), self.rng.randint(1, MAX_BLOCKS))
         chosen = self.rng.sample(keys, take)

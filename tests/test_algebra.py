@@ -291,6 +291,26 @@ class TestKernelAlgebra:
         assert norm_squared(k.shift(2)) == norm_squared(k)
         assert norm_squared(ZERO_KERNEL) == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99),
+                           st.integers(1, 60)), min_size=1, max_size=4),
+    ), max_size=5, unique_by=lambda entry: entry[0]))
+    def test_norm_squared_matches_a_fraction_sum(self, entries):
+        # each entry's values (re + im*i)/den sit on the depth-2 cells, in order
+        k = kernel(*(
+            (key, PiecewiseConstant(tuple(
+                (w, Scalar(Fraction(re, den), Fraction(im, den)))
+                for w, (re, im, den) in zip(("00", "01", "10", "11"), values)
+                if re or im
+            )))
+            for key, values in entries
+        ))
+        got = norm_squared(k)
+        assert type(got) is Fraction
+        assert got == sum((func.sup_norm_sq() for _, func in k.table), Fraction(0))
+
 
 class TestReindexing:
     def test_documented_entry_move(self):

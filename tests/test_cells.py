@@ -2,19 +2,26 @@
 brute-force oracle.
 
 `cell_partition` and `class_table` share the budget check and the guard, so
-every guard and budget test runs both entry points.
+every guard and budget test runs both entry points.  The classes of a real
+action are decided from the orbits of h_1 once its tables pass the
+certificate of `cells._rows`; only doubles whose tables are no powers of one
+injective step reach the rows path (`cells._glued_rows`), and the tests
+below check both sides of that split.
 """
 
 import ast
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorenv import cells
 from cantorenv.action import ZPartialAction
 from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition, class_table
 from cantorenv.errors import CapExceeded, EngineError
-from cantorenv.prefix_map import IDENTITY, PrefixMap
+from cantorenv.filtration import default_schedule
+from cantorenv.prefix_map import IDENTITY, ODOMETER, PrefixMap
 
 from oracles import brute_partition, step, words
 
@@ -216,3 +223,95 @@ def test_budget_admits_partitions_within_it(n, d):
     for entry in ENTRY_POINTS:
         with pytest.raises(AssertionError, match="before its budget check"):
             entry(Untouchable(), n, d)
+
+
+def rows_path_forbidden():
+    """Within the block, a call that reaches the rows path fails."""
+    return mock.patch.object(cells, "_glued_rows", side_effect=AssertionError(
+        "the rows path decided the classes of a ZPartialAction"))
+
+
+def rows_path_spied():
+    """Within the block, the rows path runs as usual and counts its calls."""
+    return mock.patch.object(cells, "_glued_rows", wraps=cells._glued_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(length_preserving_rules(), st.sampled_from([1, 2]), st.integers(0, 2))
+def test_the_certificate_decides_every_action(rules, n, extra):
+    a = ZPartialAction(PrefixMap(tuple(rules)))
+    d = adapted_depth(a, n) + extra
+    classes = brute_partition(rules, n, d)
+    with rows_path_forbidden():
+        assert cell_partition(a, n, d).classes == classes
+        assert class_table(a, n, d) == (len(classes), class_ids(classes, n, d))
+
+
+@pytest.mark.parametrize("k, n, d", default_schedule(ZPartialAction(ODOMETER), 6))
+def test_the_certificate_decides_the_odometer_tower(k, n, d):
+    a = ZPartialAction(ODOMETER).stage(k)
+    classes = brute_partition(a.generator.rules, n, d)
+    with rows_path_forbidden():
+        assert cell_partition(a, n, d).classes == classes
+        assert class_table(a, n, d) == (len(classes), class_ids(classes, n, d))
+
+
+@pytest.mark.parametrize("family, n, d", [
+    (InconsistentPowers(), 1, 1),
+    (Family({-2: [("", "")], -1: [], 1: [], 2: []}), 1, 0),
+    (Family({-2: [("1", "0")], -1: [], 1: [], 2: [("0", "0")]}), 1, 1),
+    (Family({1: [("", "")], -1: [("", "")], 2: [], -2: []}), 1, 0),
+], ids=["inconsistent powers", "entries", "rows", "empty-word h_1"])
+def test_the_guard_doubles_reach_the_rows_path(family, n, d):
+    for entry in ENTRY_POINTS:
+        with rows_path_spied() as rows_path, pytest.raises(EngineError):
+            entry(family, n, d)
+        assert rows_path.call_count == 1
+
+
+def broken_pairs(rules_of, n, d):
+    """The pairs (x, c): x is in the gluing set of cell c, but x's gluing
+    set is another set."""
+    slots = range(-n, n + 1)
+    glue = {}
+    for r in slots:
+        for w in words(d):
+            images = ((s, step(rules_of[r - s], w)) for s in slots if s != r)
+            members = {(s, v) for s, v in images if v is not None}
+            glue[r, w] = frozenset({(r, w), *members})
+    return {(x, c) for c, g in glue.items() for x in g if glue[x] != g}
+
+
+SWAP = [("0", "1"), ("1", "0")]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_the_rows_path_decides_an_equivalence_that_is_no_powers(entry):
+    # h_{+-1} empty and h_{+-2} the swap: (-1, w) and (1, swap(w)) are glued,
+    # (0, w) stays alone, so the gluing is an equivalence; but h_2 is no
+    # power of the empty h_1
+    rules_of = {-2: SWAP, -1: [], 1: [], 2: SWAP}
+    assert not broken_pairs(rules_of, 1, 1)
+    classes = brute_partition(rules_of, 1, 1)
+    assert len(classes) == 4
+    with rows_path_spied() as rows_path:
+        got = entry(Family(rules_of), 1, 1)
+    assert rows_path.call_count == 1
+    if entry is cell_partition:
+        assert got.classes == classes
+    else:
+        assert got == (len(classes), class_ids(classes, 1, 1))
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_non_injective_step_fails_on_the_rows_path(entry):
+    # h_1 sends both cells to '1', and h_{-1} takes '1' back to '0' only
+    rules_of = {1: [("0", "1"), ("1", "1")], -1: [("1", "0")],
+                2: [("0", "1"), ("1", "1")], -2: [("1", "0")]}
+    broken = broken_pairs(rules_of, 1, 1)
+    assert broken
+    with rows_path_spied() as rows_path, pytest.raises(EngineError) as err:
+        entry(Family(rules_of), 1, 1)
+    assert rows_path.call_count == 1
+    named = re.search(f"({CELL}) is glued to ({CELL})", str(err.value))
+    assert named and tuple(map(ast.literal_eval, named.groups())) in broken

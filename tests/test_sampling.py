@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from cantorenv import cells
 from cantorenv.action import ZPartialAction, germ_index, transport_index
-from cantorenv.algebra import validate_blocks
+from cantorenv.algebra import GroupoidFunction, validate_blocks
 from cantorenv.cantor import ClopenSet
 from cantorenv.envelope import related
 from cantorenv.errors import CapExceeded
 from cantorenv.functions import PiecewiseConstant, Scalar
 from cantorenv.prefix_map import ODOMETER, PrefixMap, compose
-from cantorenv.sampling import GERM_INDEX, MAX_PIECES, Sampler
+from cantorenv.sampling import GERM_INDEX, MAX_BLOCKS, MAX_PIECES, Sampler
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -139,6 +139,29 @@ def test_pwc_refuses_a_support_over_the_cell_budget(monkeypatch):
         sampler.pwc(ClopenSet.parse("{1}"), 12)  # 2^11 cells
     assert sampler.rng.getstate() == state  # refused before any draw
     assert not sampler.pwc(ClopenSet.parse("{1}"), 11).is_zero()  # 2^10 cells
+
+
+@pytest.mark.parametrize("a", [ZPartialAction(PrefixMap.parse("[0 -> 1]")),
+                               ODO.stage(1), ODO.stage(2)],
+                         ids=["flip", "odometer stage 1", "odometer stage 2"])
+def test_groupoid_function_population_and_stream_are_pinned(a):
+    # the population is the old scan over all slot pairs, and the draws,
+    # rebuilt here on that population, leave the generator where they did
+    for m in range(7):
+        span = range(-m, m + 1)
+        old = [(r, s) for r in span for s in span
+               if not a.domain(germ_index(r, s)).is_empty()]
+        fast, slow = Sampler(m), Sampler(m)
+        for _ in range(3):
+            f = fast.groupoid_function(a, m, 4)
+            assert fast._slots[a, m] == old
+            take = min(len(old), slow.rng.randint(1, MAX_BLOCKS))
+            chosen = slow.rng.sample(old, take)
+            assert f == GroupoidFunction(tuple(
+                (key, slow.pwc(a.domain(germ_index(*key)), 4))
+                for key in sorted(chosen)
+            ))
+        assert fast.rng.getstate() == slow.rng.getstate()
 
 
 def test_enumeration_instances_are_within_bounds():
