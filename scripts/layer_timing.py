@@ -33,7 +33,7 @@ import cantorenv.filtration
 import cantorenv.verify
 from cantorenv import ZPartialAction, isomorphism_suite
 from cantorenv.action import VERDICT_CAP
-from cantorenv.cantor import ClopenSet
+from cantorenv.cantor import ClopenSet, extensions
 from cantorenv.cells import adapted_depth, class_table
 from cantorenv.filtration import default_schedule
 from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap, compose
@@ -342,36 +342,60 @@ def time_cells(args) -> int:
 def time_join(args) -> int:
     """From `--seed`, build two clopen sets, each the union of 3,200 distinct
     depth-14 cylinders (about 2,900 canonical words after sibling merges), and
-    a map of 1,200 rules between depth-11 words; time building the first set,
-    intersect, subset_of, image_set, compose, and the first etale job of
-    deep_cells: the flip at (t, s) = (1, 0) over 1,000 depth-12 cylinders.
-    Exit 1 when the probe is not ok, or when its image is not the base flipped
-    here on strings (first symbol 0 -> 1)."""
+    a map of 1,200 rules between depth-11 words.  Time extensions("", 14),
+    building the first set, intersect, subset_of, image_set, compose, and,
+    on the first etale job of deep_cells (the flip at (t, s) = (1, 0) over
+    1,000 depth-12 cylinders), covers of the base words by their canonical
+    set and the job itself.  Exit 1 when extensions("", 14) is not the 14-bit
+    binary numerals in order; when covers, on each base word and each
+    flipped base word alone or on all of them at once, disagrees with a
+    word-by-word `startswith` scan of the canonical base; when the probe is
+    not ok; or when its image is not the base flipped here on strings (first
+    symbol 0 -> 1)."""
     rng = random.Random(args.seed)
     raw = tuple(rng.sample(words(14), 3200))
     a, b = ClopenSet(raw), ClopenSet(tuple(rng.sample(words(14), 3200)))
     m = PrefixMap(tuple(zip(rng.sample(words(11), 1200), rng.sample(words(11), 1200))))
     job = next(j for j in workloads.make_jobs("deep_cells", args.seed)
                if j["kind"] == "etale")
+    base = ClopenSet(tuple(job["base"]))
+    flipped = tuple("1" + w[1:] for w in job["base"])
     print(f"|A| = {len(a.words)}, |B| = {len(b.words)}, rules = {len(m.rules)}, "
-          f"|base| = {len(ClopenSet(tuple(job['base'])).words)}")
+          f"|base| = {len(base.words)}")
     cases = [
+        ("extensions('', 14)", lambda: extensions("", 14)),
         ("ClopenSet(3200)", lambda: ClopenSet(raw)),
         ("A & B", lambda: a & b),
         ("A.subset_of(A)", lambda: a.subset_of(a)),
         ("m.image_set(A)", lambda: m.image_set(a)),
         ("compose(m, m)", lambda: compose(m, m)),
+        ("base.covers(base)", lambda: base.covers(job["base"])),
         ("etale flip(base)", functools.partial(workloads.run, ce, job, None)),
     ]
+    out = {}
     for name, fn in cases:
-        dt, rep = best(fn, args.repeat)
-        print(f"{name:<16} {dt * 1e3:9.1f} ms")
-    want = ClopenSet(tuple("1" + w[1:] for w in job["base"]))
+        dt, out[name] = best(fn, args.repeat)
+        print(f"{name:<18} {dt * 1e3:9.1f} ms")
+    status = 0
+    if out["extensions('', 14)"] != words(14):
+        print("EXTENSIONS ARE NOT THE 14-BIT NUMERALS IN ORDER", file=sys.stderr)
+        status = 1
+    probes = job["base"] + list(flipped)
+    scan = [any(u.startswith(v) for v in base.words) for u in probes]
+    wrong = [u for u, inside in zip(probes, scan) if base.covers((u,)) != inside]
+    if (not out["base.covers(base)"] or base.covers(probes) != all(scan)
+            or wrong):
+        print(f"COVERS DISAGREES WITH STARTSWITH: base covered "
+              f"{out['base.covers(base)']}, base and flipped covered "
+              f"{base.covers(probes)}, words {wrong[:3]}", file=sys.stderr)
+        status = 1
+    rep = out["etale flip(base)"]
+    want = ClopenSet(flipped)
     if not rep.ok or rep.image != want:
         print(f"ETALE PROBE FAILED: ok={rep.ok}, violations={list(rep.violations)}, "
               f"image equals the flipped base: {rep.image == want}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 LAYERS = {

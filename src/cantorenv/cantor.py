@@ -4,14 +4,15 @@ Clopen subsets are finite unions of cylinders [w] = {x : x starts with w}.  The
 canonical form is a lexicographically sorted prefix-free antichain in which every
 sibling pair {w0, w1} has been merged to w, so set equality is tuple equality and
 [w] is a subset of a canonical union exactly when some listed word is a prefix
-of w.  `normalize_words` builds that form for plain words in one pass: one
-strip of the words' concatenation checks them all, and one stack pass over the
-sorted words absorbs extensions and merges siblings.  `merge_siblings` merges
-the siblings of labelled pieces (equal labels only), `prefix_join` alone pairs
-two antichains and `leaves_below` alone walks the prefix tree, here and in
-`prefix_map`, `functions`, `action` and `envelope`.  Points are eventually
-periodic sequences pre.per^infinity, stored with a primitive period and a
-minimal preperiod, so point equality is field equality.
+of w.  `normalize_words` builds that form for plain words in one pass: two
+symbol counts of the words' concatenation check them all, and one stack pass
+over the sorted words absorbs extensions and repeats and merges siblings.
+`ClopenSet.covers` decides each cylinder with one bisect into the set.
+`merge_siblings` merges the siblings of labelled pieces (equal labels only),
+`prefix_join` alone pairs two antichains and `leaves_below` alone walks the
+prefix tree, here and in `prefix_map`, `functions`, `action` and `envelope`.
+Points are eventually periodic sequences pre.per^infinity, stored with a
+primitive period and a minimal preperiod, so point equality is field equality.
 """
 
 from __future__ import annotations
@@ -39,14 +40,23 @@ def sibling(word: str) -> str:
 
 
 def extensions(word: str, depth: int) -> list[str]:
-    """All depth-`depth` words extending `word`, in left-to-right order."""
+    """All depth-`depth` words extending `word`, in left-to-right order.
+
+    Doubling the list once per symbol makes about 2^(gap+1) concatenations.
+    Instead `word` is doubled for gap - gap//2 steps into heads, and every
+    head is joined with the 2^(gap//2) tails of the other half, which makes
+    about 2^gap: heads and tails are sorted and of one length each, so the
+    head-major join is sorted too.
+    """
     gap = depth - len(word)
     if gap < 0:
         raise DepthTooSmall(f"depth {depth} is below |{word!r}|")
-    out = [word]
-    for _ in range(gap):
-        out = [w + c for w in out for c in ALPHABET]
-    return out
+    heads, tails = [word], [""]
+    for _ in range(gap - gap // 2):
+        heads = [w + c for w in heads for c in ALPHABET]
+    for _ in range(gap // 2):
+        tails = [w + c for w in tails for c in ALPHABET]
+    return [h + t for h in heads for t in tails]
 
 
 def proper_prefixes(words) -> set[str]:
@@ -193,30 +203,36 @@ def prefix_join(a, b, key_a=str, key_b=str):
 def normalize_words(words) -> tuple[str, ...]:
     """Canonical antichain for a union of cylinders, in one pass.
 
-    The distinct words are checked at once: their concatenation strips to
-    nothing exactly when each is a binary word.  Only when it does not, or
-    when an item is no string or unhashable, are they checked one by one, so
-    the first bad item raises the `ParseError` that `check_word` gives it.
-    One stack pass over the sorted words then absorbs a word that extends
-    the last word kept (its extensions directly follow it in sorted order)
-    and merges a word with the sibling kept just before it, which cascades:
-    the merged parent sits next to its own sibling.
+    The words are checked at once: their concatenation holds as many 0s and
+    1s as characters exactly when each is a binary word.  Only when it does
+    not, or when an item is no string, are they checked one by one in input
+    order, so the first bad item raises the `ParseError` that `check_word`
+    gives it.  One stack pass over the sorted words (Timsort is linear on the
+    sorted bases and images most callers pass) then absorbs a word that
+    extends the last word kept, which its extensions directly follow in
+    sorted order; a repeated word is absorbed the same way, since the last
+    word kept after a word is that word or one of its ancestors.  A word u1
+    merges with its sibling u0 when u0 was kept just before it, and this
+    cascades, as the merged parent sits next to its own sibling; a word u0
+    merges with nothing kept, since its sibling sorts after it.
     """
     words = tuple(words)
     try:
-        uniq = set(words)
-        ok = not "".join(uniq).strip(ALPHABET)
+        text = "".join(words)
+        ok = text.count("0") + text.count("1") == len(text)
     except TypeError:
         ok = False
     if not ok:
-        uniq = {check_word(w) for w in words}
+        for w in words:
+            check_word(w)
     kept: list[str] = []
-    for w in sorted(uniq):
+    for w in sorted(words):
         if kept and w.startswith(kept[-1]):
             continue
-        # a kept sibling pair is u0 then u1: same length, same parent
-        while kept and len(kept[-1]) == len(w) and kept[-1][:-1] == w[:-1]:
-            w = kept.pop()[:-1]
+        if w[-1:] == "1":
+            # a kept sibling pair is u0 then u1: same length, same parent
+            while kept and len(kept[-1]) == len(w) and kept[-1][:-1] == w[:-1]:
+                w = kept.pop()[:-1]
         kept.append(w)
     return tuple(kept)
 
@@ -258,11 +274,17 @@ class ClopenSet:
     def covers(self, words) -> bool:
         """Whether every cylinder [w], w in `words`, lies inside this set.
 
-        `words` need not be sibling-merged.  This set is, so [w] lies inside
-        it exactly when one of its words prefixes w, and that word is unique.
+        `words` need not be sibling-merged.  This set is, so [u] lies inside
+        it exactly when one of its words prefixes u; the words between a
+        prefix of u and u all extend that prefix, so in this antichain the
+        prefix is the last word not after u, one bisect away.
         """
-        pairs = prefix_join(words, self.words)
-        return sum(len(v) <= len(u) for u, v in pairs) == len(words)
+        own = self.words
+        for u in words:
+            i = bisect_right(own, u)
+            if not i or not u.startswith(own[i - 1]):
+                return False
+        return True
 
     def subset_of(self, other: "ClopenSet") -> bool:
         return other.covers(self.words)

@@ -115,10 +115,12 @@ def brute_partition(rules, n, d):
         return i
 
     idx = {u: i for i, u in enumerate(units)}
-    for r, w in units:
-        for s, w2 in units:
-            if move(r - s, w) == w2:
-                ri, rj = find(idx[(r, w)]), find(idx[(s, w2)])
+    for i, (r, w) in enumerate(units):
+        for s in range(-n, n + 1):
+            # the one cell of slot s that (r, w) moves to, if it is a cell
+            j = idx.get((s, move(r - s, w)))
+            if j is not None:
+                ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
     groups = {}

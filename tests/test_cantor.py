@@ -74,6 +74,18 @@ def test_extensions_match_format_per_word(word, gap):
     assert extensions(word, len(word) + gap) == want == [word + z for z in words(gap)]
 
 
+@pytest.mark.parametrize("depth", [12, 13, 14])
+def test_extensions_of_the_empty_word_count_in_binary(depth):
+    assert extensions("", depth) == [format(i, f"0{depth}b") for i in range(2**depth)]
+
+
+@pytest.mark.parametrize("word", ["0", "10", "011"])
+@pytest.mark.parametrize("gap", [2, 3, 6, 7])
+def test_extensions_below_a_word_at_odd_and_even_gaps(word, gap):
+    want = [word + format(i, f"0{gap}b") for i in range(2**gap)]
+    assert extensions(word, len(word) + gap) == want
+
+
 class TestPoint:
     def test_canonical_period_is_primitive(self):
         assert Point("", "0101") == Point("", "01")
@@ -159,6 +171,16 @@ def test_normalize_words_rejects_what_check_word_rejects(bad):
     assert str(exc.value) == f"not a binary word: {bad!r}"
     with pytest.raises(ParseError):
         normalize_words(iter(["01", bad]))
+
+
+def test_normalize_words_absorbs_a_repeat_after_a_merge():
+    # the last word kept after a word is that word or one of its ancestors
+    assert normalize_words(["01", "00", "01", "0"]) == ("0",)
+    assert normalize_words(["00", "01", "01"]) == ("0",)
+    assert normalize_words(["1", "0", "1", "0"]) == ("",)
+    assert normalize_words(["10", "11", "11", "0", "10"]) == ("",)
+    assert normalize_words(words(3) + words(3)) == ("",)
+    assert normalize_words(["001", "000", "001", "01", "1", "01"]) == ("",)
 
 
 def test_normalize_words_cascades_to_the_full_space():
@@ -283,6 +305,23 @@ class TestClopenSet:
         assert cells_covered((sa & sb).words, 4) == ca & cb
         assert sa.subset_of(sb) == (ca <= cb)
         assert sa.subset_of(sa | sb) and (sa & sb).subset_of(sb)
+
+    # raw lists: repeats, unmerged siblings, words above the set's words,
+    # the empty word and the empty list
+    @given(own=st.lists(w, max_size=6), ws=st.lists(w, max_size=6))
+    @example(own=["0"], ws=["0"])
+    @example(own=["00", "01"], ws=["00", "01", "01", "0"])
+    @example(own=["0"], ws=["01", "1"])
+    @example(own=["0", "10"], ws=["0", "10", "11"])
+    @example(own=["00", "1"], ws=["0"])
+    @example(own=["01"], ws=[""])
+    @example(own=["1", "0"], ws=["", "", "1"])
+    @example(own=[], ws=[""])
+    @example(own=[], ws=[])
+    @example(own=["1"], ws=[])
+    def test_covers_matches_cells(self, own, ws):
+        s = ClopenSet(tuple(own))
+        assert s.covers(ws) == (cells_covered(ws, 6) <= cells_covered(own, 6))
 
     @given(ws=st.lists(w, max_size=4), pre=w, per=nonempty_w)
     def test_membership_matches_word_prefixes(self, ws, pre, per):
