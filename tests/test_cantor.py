@@ -74,14 +74,10 @@ def test_extensions_match_format_per_word(word, gap):
     assert extensions(word, len(word) + gap) == want == [word + z for z in words(gap)]
 
 
-@pytest.mark.parametrize("depth", [12, 13, 14])
-def test_extensions_of_the_empty_word_count_in_binary(depth):
-    assert extensions("", depth) == [format(i, f"0{depth}b") for i in range(2**depth)]
-
-
-@pytest.mark.parametrize("word", ["0", "10", "011"])
-@pytest.mark.parametrize("gap", [2, 3, 6, 7])
-def test_extensions_below_a_word_at_odd_and_even_gaps(word, gap):
+# depths 12-14 from the empty word, and odd and even gaps below a word
+@pytest.mark.parametrize("word, gap", [("", 12), ("", 13), ("", 14), ("0", 2),
+                                       ("10", 3), ("011", 6), ("1", 7)])
+def test_extensions_count_in_binary(word, gap):
     want = [word + format(i, f"0{gap}b") for i in range(2**gap)]
     assert extensions(word, len(word) + gap) == want
 
