@@ -27,7 +27,6 @@ from collections import Counter
 from pathlib import Path
 
 import cantorenv as ce
-import cantorenv.cells
 import cantorenv.cli
 import cantorenv.filtration
 import cantorenv.verify
@@ -251,51 +250,37 @@ def calls_to(module, name: str):
         setattr(module, name, original)
 
 
-def best_and_path(fn, repeat: int):
-    """`best(fn, repeat)`, and the path that decided the classes: "rows" when
-    any call went on to `cells._glued_rows`, else "orbits"."""
-    with calls_to(cantorenv.cells, "_glued_rows") as fallbacks:
-        dt, out = best(fn, repeat)
-    return dt, out, "rows" if fallbacks else "orbits"
-
-
 def time_tables(name: str, ex: ZPartialAction, levels: int, repeat: int) -> int:
     """Time class_table on each stage of the default schedule, on a fresh
-    action each call; the number of tables that disagree with the orbits or
-    that the rows path decided."""
+    action each call; the number of tables that disagree with the orbits."""
     bad = 0
     for k, n, d in default_schedule(ex, levels):
         generator = ex.stage(k).generator
-        dt, (count, ids), path = best_and_path(
+        dt, (count, ids) = best(
             lambda: class_table(ZPartialAction(generator), n, d), repeat)
         ok = table_matches_orbits(count, ids, generator.rules, n, d)
-        bad += not ok or path == "rows"
+        bad += not ok
         shape = f"{name} k={k} n={n} d={d}"
         d0 = adapted_depth(ZPartialAction(generator), n)
-        print(f"{shape:<34} d0={d0} {count:7d} classes {dt * 1e3:8.1f} ms "
-              f"{path:<6}{'' if ok else '  IDS ARE NOT ORBITS'}")
+        print(f"{shape:<34} d0={d0} {count:7d} classes {dt * 1e3:8.1f} ms"
+              f"{'' if ok else '  IDS ARE NOT ORBITS'}")
     return bad
 
 
-def time_tower_pass(seed: int, repeat: int) -> int:
+def time_tower_pass(seed: int, repeat: int) -> None:
     """Run the odometer_tower jobs of `seed` `repeat` times; print the least
-    total time of their class_table calls, whose powers the schedule has
-    already built, beside that pass's time.  Returns the calls that went on
-    to the rows path."""
+    total time of their class_table calls beside that pass's time."""
     jobs = workloads.make_jobs("odometer_tower", seed)
     passes = []
-    with calls_to(cantorenv.cells, "_glued_rows") as fallbacks:
-        for _ in range(repeat):
-            with calls_to(cantorenv.filtration, "class_table") as tables:
-                t0 = time.perf_counter()
-                for job in jobs:
-                    workloads.run(ce, job, None)
-                passes.append((sum(tables), time.perf_counter() - t0, len(tables)))
+    for _ in range(repeat):
+        with calls_to(cantorenv.filtration, "class_table") as tables:
+            t0 = time.perf_counter()
+            for job in jobs:
+                workloads.run(ce, job, None)
+            passes.append((sum(tables), time.perf_counter() - t0, len(tables)))
     spent, total, calls = min(passes)
     print(f"odometer_tower pass (seed {seed}): {calls} class_table calls "
-          f"{spent * 1e3:.1f} ms of {total * 1e3:.1f} ms, warm powers; "
-          f"rows path {len(fallbacks)}")
-    return len(fallbacks)
+          f"{spent * 1e3:.1f} ms of {total * 1e3:.1f} ms")
 
 
 def time_cells(args) -> int:
@@ -304,12 +289,9 @@ def time_cells(args) -> int:
     edge; then class_table on every stage of the 5-level odometer tower and of
     the first seeded 5-level tower of odometer_tower, with each adapted depth
     d0; last, the class_table calls of one odometer_tower pass of `--seed`.
-    Each case names the path that decided its classes: "orbits" (the powers
-    of h_1 certified) or "rows" (the gluing rows).  Exit 1 when a partition
-    misses or repeats a cell (t, w), |t| <= n, |w| = d, when a class is not
-    the transport orbit of each of its members, when the cells a class table
-    gives one id are not such an orbit, or when any of these cases, all of
-    them a ZPartialAction, reached the rows path."""
+    Exit 1 when a partition misses or repeats a cell (t, w), |t| <= n,
+    |w| = d, when a class is not the transport orbit of each of its members,
+    or when the cells a class table gives one id are not such an orbit."""
     shapes = {}
     for job in workloads.make_jobs("deep_cells", args.seed):
         if job["kind"] == "partition":
@@ -318,21 +300,20 @@ def time_cells(args) -> int:
     shapes["budget edge"] = {"kind": "partition", "rules": [["0", "1"]], "n": 1, "d": 18}
     bad = 0
     for job in shapes.values():
-        dt, part, path = best_and_path(
-            functools.partial(workloads.run, ce, job, None), args.repeat)
+        dt, part = best(functools.partial(workloads.run, ce, job, None), args.repeat)
         wrong = failures(job, part)
-        bad += bool(wrong) or path == "rows"
+        bad += bool(wrong)
         rules, n, d = job["rules"], job["n"], job["d"]
         shape = f"{len(rules)} rule(s) of length {len(rules[0][0])} n={n} d={d}"
         d0 = adapted_depth(ZPartialAction(PrefixMap(tuple(map(tuple, rules)))), n)
-        print(f"{shape:<34} d0={d0} {len(part.classes):7d} classes {dt * 1e3:8.1f} ms "
-              f"{path:<6}{'  ' + wrong[0].upper() if wrong else ''}")
+        print(f"{shape:<34} d0={d0} {len(part.classes):7d} classes {dt * 1e3:8.1f} ms"
+              f"{'  ' + wrong[0].upper() if wrong else ''}")
     seeded = next(job for job in workloads.make_jobs("odometer_tower", args.seed)
                   if job["rules"] and job["levels"] == 5)
     for name, generator in (("odometer tower", ODOMETER), ("seeded tower", GeneratedMap(
             "rules", tuple(map(tuple, seeded["rules"]))))):
         bad += time_tables(name, ZPartialAction(generator), 5, args.repeat)
-    bad += time_tower_pass(args.seed, args.repeat)
+    time_tower_pass(args.seed, args.repeat)
     return 1 if bad else 0
 
 

@@ -94,17 +94,8 @@ def equal_siblings(pieces):
 
 
 def brute_partition(rules, n, d):
-    """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport.
-
-    `rules` are the rules of one map, whose powers transport, or a dict from
-    each t != 0 to the rules of h_t, for a family that need not be powers.
-    """
-    if isinstance(rules, dict):
-        def move(t, w):
-            return w if t == 0 else step(rules[t], w)
-    else:
-        def move(t, w):
-            return transport(rules, t, w)
+    """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport
+    of the powers of the map with these `rules`."""
     units = [(t, w) for t in range(-n, n + 1) for w in words(d)]
     parent = list(range(len(units)))
 
@@ -118,7 +109,7 @@ def brute_partition(rules, n, d):
     for i, (r, w) in enumerate(units):
         for s in range(-n, n + 1):
             # the one cell of slot s that (r, w) moves to, if it is a cell
-            j = idx.get((s, move(r - s, w)))
+            j = idx.get((s, transport(rules, r - s, w)))
             if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:

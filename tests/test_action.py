@@ -36,6 +36,7 @@ from oracles import (
     transport,
     words,
 )
+from strategies import length_preserving_rules, mixed_length_rules
 
 
 def test_index_conventions_are_consistent():
@@ -212,6 +213,18 @@ class TestZPartialAction:
             else:
                 assert got_dom
                 assert a.stage(k).apply(t, Point(w, "0")).unroll(depth) == want
+
+    @given(rules=st.one_of(length_preserving_rules(), mixed_length_rules()))
+    @settings(max_examples=150, deadline=None)
+    def test_powers_act_on_the_generators_cells_as_transport(self, rules):
+        # the cells layer reads h_1 alone, at the depth D of its longest rule:
+        # every h_t, |t| <= 4, must map each depth-D cell whole, as t steps of
+        # h_1 (or -t steps of its inverse) do
+        a = ZPartialAction(PrefixMap(tuple(rules)))
+        depth = max((len(u) for u, _ in rules), default=0)
+        for t in range(-4, 5):
+            for w in words(depth):
+                assert a.h(t).image_word(w) == transport(rules, t, w)
 
 
 def deep_identity(k):
