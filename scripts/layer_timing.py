@@ -30,10 +30,10 @@ import cantorenv as ce
 import cantorenv.cli
 import cantorenv.filtration
 import cantorenv.verify
-from cantorenv import ZPartialAction, isomorphism_suite
-from cantorenv.action import VERDICT_CAP
+from cantorenv import GroupoidFunction, ZPartialAction, convolve, isomorphism_suite
 from cantorenv.cantor import ClopenSet, extensions
 from cantorenv.cells import adapted_depth, class_table
+from cantorenv.errors import SupportViolation
 from cantorenv.filtration import default_schedule
 from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap, compose
 
@@ -133,9 +133,10 @@ def time_psi(args) -> int:
     `--seed`.  For each, print the time, then, for one more run, the
     ZPartialAction.domain calls against the distinct (generator, schedule, t)
     keys they asked for, and the calls the suites made to `convolve`,
-    `kernel_multiply`, `adjoint` and `kernel_adjoint`.  Last, print how many
-    support verdicts each criterion-7 action keeps, and exit 1 when one keeps
-    more than `VERDICT_CAP`."""
+    `kernel_multiply`, `adjoint` and `kernel_adjoint`.  Last, pass one block
+    to `convolve` for the flip [0 -> 1], where it lies in X_1 = {1}, and then
+    for [1 -> 0], where X_1 = {0}; exit 1 unless the second call refuses it,
+    since a table records the action it passed for, not that it passed."""
     jobs = workloads.make_jobs("psi_suite", args.seed)
     cases = [
         (f"criterion 7 ({args.trials} trials x 3)",
@@ -148,15 +149,15 @@ def time_psi(args) -> int:
         print(f"{name:<30} {dt * 1e3:9.1f} ms   "
               f"domain calls {calls:>7,}  distinct keys {distinct:>5,}")
         print(" " * 33 + "  ".join(f"{p} {products[p]:,}" for p in PRODUCTS))
-    kept = {name: len(a._verdicts)
-            for name, a in criterion_7(args.trials, args.seed).items()}
-    print(f"support verdicts kept after criterion 7 (cap {VERDICT_CAP:,}): "
-          + "  ".join(f"{name} {n:,}" for name, n in kept.items()))
-    over = [name for name, n in kept.items() if n > VERDICT_CAP]
-    if over:
-        print(f"VERDICT MEMO OVER ITS CAP: {', '.join(over)}")
-        return 1
-    return 0
+    block = GroupoidFunction((((0, 1), ce.indicator(ClopenSet.parse("{1}"))),))
+    convolve(block, block, ZPartialAction(PrefixMap.parse("[0 -> 1]")))
+    try:
+        convolve(block, block, ZPartialAction(PrefixMap.parse("[1 -> 0]")))
+    except SupportViolation as exc:
+        print(f"checked for [0 -> 1], refused for [1 -> 0]: {exc}")
+        return 0
+    print("A BLOCK CHECKED FOR ONE ACTION PASSED THE CHECK OF ANOTHER")
+    return 1
 
 
 # cli: README's command block through cli.main

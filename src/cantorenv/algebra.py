@@ -11,14 +11,15 @@ one slot with `corner(r, s)`.  Reindexing blocks by slot negation exchanges
 the two pictures; every identity here is exact.
 
 The public constructors check, sort and filter their slots.  The trusted
-constructor `_IndexedTable._canonical(items)` only drops zero slots and
-builds the lookup: its caller guarantees that `items` are sorted by slot,
-with distinct int-pair slots and canonical functions.  It is called where
-that holds by construction: `shift` translates both slots alike and
-`__neg__`, `scale`, `corner`, `row_part` and `col_part` keep or filter
-slots in order; reindexing negates both slots and so reverses the order;
-sums, products and adjoints sort the slots they build.  Supports are
-checked on piece words (`_check_supports`), not on fresh clopen sets.
+constructor `_IndexedTable._canonical(items)` only drops zero slots: its
+caller guarantees that `items` are sorted by slot, with distinct int-pair
+slots and canonical functions.  It is called where that holds by
+construction: `shift` translates both slots alike and `__neg__`, `scale`,
+`corner`, `row_part` and `col_part` keep or filter slots in order;
+reindexing negates both slots and so reverses the order; sums, products and
+adjoints sort the slots they build.  Supports are checked on piece words
+(`_check_supports`), not on fresh clopen sets: every table, once per action,
+before use.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar
 
 from .action import ZPartialAction, germ_index, kernel_tag, transport_index
 from .errors import ParseError, SupportViolation
-from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map
+from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map, memo
 
 Index = tuple[int, int]
 
@@ -45,11 +46,14 @@ class _IndexedTable:
     """Finitely many slots (r, s) -> function, kept canonical and sorted.
 
     `_what` names one slot in messages.  Dataclass equality compares the
-    class too, so tables of different kinds are never equal.
+    class too, so tables of different kinds are never equal.  `_checked_for`
+    is the action whose support check the table last passed; it is no field,
+    so equality, hashing and printing never read it.
     """
 
     table: tuple[tuple[Index, PiecewiseConstant], ...] = ()
     _what: ClassVar[str]
+    _checked_for = None
 
     def __post_init__(self):
         seen = set()
@@ -62,16 +66,17 @@ class _IndexedTable:
             if not func.is_zero():
                 out.append((key, func))
         object.__setattr__(self, "table", tuple(sorted(out)))
-        object.__setattr__(self, "_lookup", dict(out))
 
     @classmethod
     def _canonical(cls, items):
         """Trusted constructor: slots sorted, distinct int pairs, canonical functions."""
         out = object.__new__(cls)
-        table = tuple(e for e in items if e[1].pieces)
-        object.__setattr__(out, "table", table)
-        object.__setattr__(out, "_lookup", dict(table))
+        out.__dict__["table"] = tuple([e for e in items if e[1].pieces])
         return out
+
+    @memo
+    def _lookup(self) -> dict:
+        return dict(self.table)
 
     def at(self, r: int, s: int) -> PiecewiseConstant:
         return self._lookup.get((r, s), ZERO_FUNC)
@@ -138,27 +143,32 @@ ZERO_BLOCKS = GroupoidFunction()
 ZERO_KERNEL = KernelElement()
 
 
-def _check_supports(table, a: ZPartialAction, index, what: str) -> None:
+def _check_supports(f: _IndexedTable, a: ZPartialAction, index, what: str) -> None:
     """Raise SupportViolation unless every slot (r, s) lives on X_{index(r, s)}.
 
-    The check is never skipped: every slot of every table is asked on every
-    call, on its piece words (`ZPartialAction.supports`).
+    The check is never skipped: every table is asked, once per action, before
+    use, on its piece words (`ZPartialAction.supports`).  A table that passes
+    records `a`, so the next call for `a` returns at once; a call for another
+    action asks again, and a call that raises records nothing.
     """
-    for (r, s), func in table:
+    if f._checked_for is a:
+        return
+    for (r, s), func in f.table:
         t = index(r, s)
         if not a.supports(t, func.words):
             raise SupportViolation(
                 f"{what} ({r},{s}) supported on {func.support()}, "
                 f"outside X_{t} = {a.domain(t)}"
             )
+    f.__dict__["_checked_for"] = a
 
 
 def validate_blocks(f: GroupoidFunction, a: ZPartialAction) -> None:
-    _check_supports(f.table, a, germ_index, "block")
+    _check_supports(f, a, germ_index, "block")
 
 
 def validate_entries(k: KernelElement, a: ZPartialAction) -> None:
-    _check_supports(k.table, a, kernel_tag, "entry")
+    _check_supports(k, a, kernel_tag, "entry")
 
 
 # --------------------------------------------------------------------------

@@ -170,16 +170,18 @@ def merge_siblings(pieces) -> list:
     """Merge the equal-label siblings among sorted, prefix-free (word, label) pairs.
 
     Siblings are adjacent in sorted order, and a merged parent is adjacent to
-    its own sibling, so one stack pass merges them all.
+    its own sibling, so one stack pass merges them all.  As in
+    `normalize_words`, only a word u1 can merge, with a u0 kept just before
+    it, and the words are compared before the labels.
     """
     stack: list = []
     for piece in pieces:
+        w, c = piece
+        while w[-1:] == "1" and stack and stack[-1] == (w[:-1] + "0", c):
+            w = w[:-1]
+            stack.pop()
+            piece = (w, c)
         stack.append(piece)
-        while len(stack) > 1:
-            (u, a), (v, b) = stack[-2], stack[-1]
-            if a != b or u != sibling(v):
-                break
-            stack[-2:] = [(v[:-1], a)]
     return stack
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -182,6 +181,20 @@ ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 
 
+class memo:
+    """`functools.cached_property` without the lock it takes in Python 3.10
+    and 3.11; a lost race only computes the same value twice."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        out = obj.__dict__[self.name] = self.func(obj)
+        return out
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """A locally constant function with finitely many nonzero cylinder values."""
@@ -211,13 +224,13 @@ class PiecewiseConstant:
     def _canonical(cls, live) -> "PiecewiseConstant":
         """Trusted constructor: sorted, prefix-free, checked, nonzero pieces."""
         out = object.__new__(cls)
-        object.__setattr__(out, "pieces", tuple(merge_siblings(live)))
+        out.__dict__["pieces"] = tuple(merge_siblings(live))
         return out
 
     def is_zero(self) -> bool:
         return not self.pieces
 
-    @cached_property
+    @memo
     def words(self) -> tuple[str, ...]:
         """The piece words: sorted and prefix-free, siblings possibly unmerged."""
         return tuple(w for w, _ in self.pieces)
@@ -225,7 +238,7 @@ class PiecewiseConstant:
     def support(self) -> ClopenSet:
         return self._support
 
-    @cached_property
+    @memo
     def _support(self) -> ClopenSet:
         # for messages and callers; support checks read `words` instead
         return ClopenSet(self.words)
@@ -301,8 +314,11 @@ def compose_with_map(f: PiecewiseConstant, m) -> PiecewiseConstant:
     Supported inside the preimage of f's support; pieces outside the image of m
     contribute nothing.  m must be valid (see `PrefixMap`): the words of rule
     u -> v all extend u, in the order of f's words, and the sources are
-    sorted and prefix-free, so the pulled-back pieces are too.
+    sorted and prefix-free, so the pulled-back pieces are too.  Along the
+    identity map the pullback is f itself.
     """
+    if m.rules == (("", ""),):
+        return f
     pairs = prefix_join(m.rules, f.pieces, itemgetter(1), itemgetter(0))
     return PiecewiseConstant._canonical(
         [(u + w[len(v):], c) for (u, v), (w, c) in pairs]

@@ -82,10 +82,12 @@ class Sampler:
 
     def scalar(self) -> Scalar:
         """A nonzero Gaussian rational p/q + (r/s)i: p, r drawn from -4..4 and
-        q, s from 1..4, in the order p, q, r, s, redrawn while p = r = 0."""
-        randint = self.rng.randint
+        q, s from 1..4, in the order p, q, r, s, redrawn while p = r = 0.
+        Here, in `pwc` and in `groupoid_function`, randint(lo, hi) is drawn
+        as lo + _randbelow(hi - lo + 1), the call it makes in CPython 3.10-3.12."""
+        below = self.rng._randbelow
         while True:
-            p, q, r, s = randint(-4, 4), randint(1, 4), randint(-4, 4), randint(1, 4)
+            p, q, r, s = below(9) - 4, below(4) + 1, below(9) - 4, below(4) + 1
             if p or r:
                 return Scalar._make(p * s, r * q, q * s)
 
@@ -103,7 +105,7 @@ class Sampler:
                     f"the budget of {cells.CELL_BUDGET} cells"
                 )
             pool = self._cells[support, d] = list(support.refine_to_depth(d))
-        take = min(len(pool), self.rng.randint(1, MAX_PIECES))
+        take = min(len(pool), 1 + self.rng._randbelow(MAX_PIECES))
         chosen = self.rng.sample(pool, take)
         # distinct checked cells of one depth, each with a nonzero scalar
         # drawn in the order of `chosen`; the sort never compares scalars
@@ -127,7 +129,7 @@ class Sampler:
             keys = self._slots[a, max_index] = [
                 (r, r + t) for r in span for t in live if r + t in span
             ]
-        take = min(len(keys), self.rng.randint(1, MAX_BLOCKS))
+        take = min(len(keys), 1 + self.rng._randbelow(MAX_BLOCKS))
         chosen = self.rng.sample(keys, take)
         blocks = tuple(
             (key, self.pwc(a.domain(germ_index(*key)), depth))

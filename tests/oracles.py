@@ -93,6 +93,19 @@ def equal_siblings(pieces):
             and w[:-1] + "1" in table and table[w[:-1] + "1"] == v]
 
 
+def merge_pairwise(pieces):
+    """Prefix-free (word, label) pieces, sorted, after merging one pair of
+    equal-label siblings w0, w1 into w at a time until none is left."""
+    table = dict(pieces)
+    while True:
+        found = equal_siblings(table.items())
+        if not found:
+            return sorted(table.items())
+        w = found[0]
+        table[w] = table.pop(w + "0")
+        del table[w + "1"]
+
+
 def brute_partition(rules, n, d):
     """Classes of all cells (t, w), |t| <= n, len(w) = d, by joint transport
     of the powers of the map with these `rules`."""

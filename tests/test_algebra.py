@@ -180,6 +180,34 @@ class TestConvolve:
         with pytest.raises(SupportViolation):
             adjoint(bad, a)
 
+    def test_support_verdict_is_keyed_by_the_action(self):
+        # {1} is X_1 of [0 -> 1] but lies outside X_1 = {0} of [1 -> 0]: a
+        # block (0, 1) and an entry (1, 0) on {1} that passed for the first
+        # action must be refused by the second, on every call
+        first = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+        second = ZPartialAction(PrefixMap.parse("[1 -> 0]"))
+        f, k = blocks(((0, 1), ONE_1)), kernel(((1, 0), ONE_1))
+        fresh = [blocks(((0, 1), ONE_1)), kernel(((1, 0), ONE_1))]
+        assert convolve(f, f, first).is_zero()
+        assert kernel_multiply(k, k, first).is_zero()
+        for _ in range(2):
+            with pytest.raises(SupportViolation) as exc:
+                convolve(f, f, second)
+            assert str(exc.value) == (
+                "block (0,1) supported on {1}, outside X_1 = {0}"
+            )
+            with pytest.raises(SupportViolation) as exc:
+                kernel_multiply(k, k, second)
+            assert str(exc.value) == (
+                "entry (1,0) supported on {1}, outside X_1 = {0}"
+            )
+        validate_blocks(f, first)
+        validate_entries(k, first)
+        # the recorded verdict is no part of the value
+        for table, twin in zip((f, k), fresh):
+            assert table == twin and hash(table) == hash(twin)
+            assert str(table) == str(twin) and repr(table) == repr(twin)
+
     def test_adjoint_is_involutive(self):
         s = Sampler(3)
         for _ in range(10):

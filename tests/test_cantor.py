@@ -13,12 +13,16 @@ from cantorenv.cantor import (
     check_word,
     common_prefix_length,
     extensions,
+    merge_siblings,
     normalize_words,
     prefix_join,
     sibling,
 )
 from cantorenv.errors import ParseError
-from oracles import cells_covered, comparable_pairs, equal_siblings, overlaps, words
+from oracles import (
+    antichain, cells_covered, comparable_pairs, equal_siblings, merge_pairwise, overlaps,
+    words,
+)
 from strategies import antichains, short_words
 
 w = st.text(alphabet="01", max_size=6)
@@ -196,6 +200,20 @@ sibling_blocks = st.lists(
     st.tuples(st.text(alphabet="01", max_size=5), st.integers(0, 3)).map(_sibling_block),
     max_size=2,
 )
+
+
+# sorted antichains rich in sibling pairs: the blocks are kept whole
+block_antichains = st.tuples(sibling_blocks, short_words).map(
+    lambda p: antichain(sum(p[0], []) + p[1])
+)
+
+
+@given(ws=block_antichains, data=st.data())
+def test_merge_siblings_matches_pairwise_merging(ws, data):
+    # two labels, so that equal and unequal sibling pairs both occur
+    labels = data.draw(st.lists(st.sampled_from("ab"), min_size=len(ws), max_size=len(ws)))
+    pieces = list(zip(ws, labels))
+    assert merge_siblings(pieces) == merge_pairwise(pieces)
 
 
 @given(ws=deep_words, blocks=sibling_blocks)

@@ -18,7 +18,8 @@ from cantorenv.functions import (
     compose_with_map,
     indicator,
 )
-from cantorenv.prefix_map import PrefixMap
+from cantorenv.action import ZPartialAction
+from cantorenv.prefix_map import IDENTITY, PrefixMap, compose
 from oracles import cell_values, equal_siblings, overlaps, pullback_values
 from strategies import rule_lists
 
@@ -264,12 +265,23 @@ class TestPiecewiseConstant:
         f = indicator(ClopenSet.parse("{0}"), Scalar(9))
         assert compose_with_map(f, m).is_zero()
 
-    @given(rules=rule_lists(), raw=raw_pieces)
+    @given(rules=rule_lists() | st.just([("", "")]), raw=raw_pieces)
     def test_compose_with_map_matches_cellwise_pullback(self, rules, raw):
         f = PiecewiseConstant(prefix_free(raw))
         g = compose_with_map(f, PrefixMap(tuple(rules)))
         # sources and piece words have at most 4 and 5 symbols
         assert cell_values(g.pieces, 9) == pullback_values(f.pieces, rules, 9)
+
+    @given(raw=raw_pieces, power=st.integers(-3, 3))
+    def test_compose_with_map_along_the_identity_is_f(self, raw, power):
+        # the identity parsed, built by compose, and as a power of the action
+        # of the identity (composed, or inverted, for power != 0)
+        f = PiecewiseConstant(prefix_free(raw))
+        maps = (PrefixMap.parse("[ε -> ε]"), compose(IDENTITY, IDENTITY),
+                ZPartialAction(IDENTITY).h(power))
+        for m in maps:
+            assert m.rules == (("", ""),)
+            assert compose_with_map(f, m) == f
 
     @given(a=scalars, b=scalars)
     @settings(max_examples=40, deadline=None)

@@ -131,6 +131,51 @@ def test_pwc_stream_equals_the_public_constructor():
         assert fast.rng.getstate() == slow.rng.getstate()
 
 
+def _twin_scalar(rng):
+    while True:
+        p, q, r, s = (rng.randint(-4, 4), rng.randint(1, 4),
+                      rng.randint(-4, 4), rng.randint(1, 4))
+        if p or r:
+            return Scalar(Fraction(p, q), Fraction(r, s))
+
+
+def _twin_pwc(rng, support, depth):
+    if support.is_empty():
+        return PiecewiseConstant()
+    cells = support.refine_to_depth(max(depth, support.max_depth()))
+    chosen = rng.sample(cells, min(len(cells), rng.randint(1, MAX_PIECES)))
+    return PiecewiseConstant(tuple((w, _twin_scalar(rng)) for w in chosen))
+
+
+def _twin_groupoid_function(rng, a, max_index, depth):
+    span = range(-max_index, max_index + 1)
+    keys = [(r, s) for r in span for s in span
+            if not a.domain(germ_index(r, s)).is_empty()]
+    chosen = rng.sample(keys, min(len(keys), rng.randint(1, MAX_BLOCKS)))
+    return GroupoidFunction(tuple(
+        (key, _twin_pwc(rng, a.domain(germ_index(*key)), depth))
+        for key in sorted(chosen)
+    ))
+
+
+def test_sampler_stream_equals_public_randint_and_sample_draws():
+    # the documented draws, rebuilt on a twin generator through the public
+    # randint and sample only: the same values, and the same state after
+    actions = [ZPartialAction(PrefixMap.parse("[0 -> 1]")), ODO.stage(1), ODO.stage(2)]
+    supports = [ClopenSet.parse(t) for t in ("{ε}", "{0,10}", "{011}", "{}")]
+    for seed in range(50):
+        sampler, twin = Sampler(seed), random.Random(seed)
+        for i in range(6):
+            assert sampler.scalar() == _twin_scalar(twin)
+            support = supports[i % len(supports)]
+            assert sampler.pwc(support, 4) == _twin_pwc(twin, support, 4)
+            a, m = actions[i % len(actions)], 1 + i % 3
+            assert sampler.groupoid_function(a, m, 4) == _twin_groupoid_function(
+                twin, a, m, 4
+            )
+        assert sampler.rng.getstate() == twin.getstate()
+
+
 def test_pwc_refuses_a_support_over_the_cell_budget(monkeypatch):
     monkeypatch.setattr(cells, "CELL_BUDGET", 2**10)
     sampler = Sampler(0)
