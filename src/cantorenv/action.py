@@ -187,19 +187,18 @@ def generated_family(a: ZPartialAction, bound: int):
     return {t: (a.domain(t), a.h(t)) for t in range(-bound, bound + 1)}
 
 
-def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
+def axioms_check(family: dict) -> AxiomsReport:
     """Check the partial-action axioms on an explicit family {t: (X_t, h_t)}.
 
-    (1) X_0 is everything and h_0 is the identity, and each h_t maps X_{-t}
-    onto X_t; (2) h_t(X_{-t} & X_s) = X_t & X_{t+s} as canonical clopen sets;
-    (3) h_t h_s = h_{t+s} on X_{-s} & X_{-s-t}, decided on words: each of its
-    cylinders is cut at the leaves of the prefix tree that the sources of
-    h_t h_s and h_{t+s} span, and on each piece [w] the image word of
-    h_t(h_s([w])) must equal that of h_{t+s}([w]).  All violations are
-    collected, not just the first; axiom (3) gets one per bad piece.
+    The bound is max |t| over the family.  (1) X_0 is everything, h_0 is the
+    identity, and h_t maps X_{-t} onto X_t; (2) h_t(X_{-t} & X_s) = X_t &
+    X_{t+s} as canonical sets; (3) h_t h_s = h_{t+s} on X_{-s} & X_{-s-t},
+    on words: its cylinders are cut where the sources of h_t h_s and h_{t+s}
+    cut them, and each piece [w] needs h_t(h_s([w])) = h_{t+s}([w]) as image
+    words.  One (t, s) pass decides (2) and (3); every violation is kept, (3)
+    once per bad piece, in the order (1), (2), (3), each in (t, s) order.
     """
-    if bound is None:
-        bound = max(abs(t) for t in family)
+    bound = max(abs(t) for t in family)
     viol = []
 
     delta0, h0 = family[0]
@@ -226,6 +225,7 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
                 )
             )
 
+    third = []  # axiom (3), reported after every axiom (2) violation
     span = range(-bound, bound + 1)
     for t in span:
         for s in span:
@@ -239,11 +239,6 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
                         2, t, s, f"image {left} differs from {right}"
                     )
                 )
-
-    for t in span:
-        for s in span:
-            if abs(t + s) > bound:
-                continue
             inter = family[-s][0] & family[-s - t][0]
             if inter.is_empty():
                 continue
@@ -256,14 +251,14 @@ def axioms_check(family: dict, bound: int | None = None) -> AxiomsReport:
                     via = None if mid is None else h_t.image_word(mid)
                     direct = h_ts.image_word(cell)
                     if via is None or via != direct:
-                        viol.append(
+                        third.append(
                             AxiomViolation(
                                 3, t, s,
                                 f"h_{t}h_{s}[{_show(cell)}] = {_show(via)}"
                                 f" but h_{t + s}[{_show(cell)}] = {_show(direct)}",
                             )
                         )
-    return AxiomsReport(bound, tuple(viol))
+    return AxiomsReport(bound, tuple(viol + third))
 
 
 def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:

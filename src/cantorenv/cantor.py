@@ -32,13 +32,6 @@ def check_word(word: str) -> str:
     return word
 
 
-def sibling(word: str) -> str:
-    """The word naming the other half of the parent cylinder."""
-    if not word:
-        raise ValueError("the full space has no sibling")
-    return word[:-1] + ("1" if word[-1] == "0" else "0")
-
-
 def extensions(word: str, depth: int) -> list[str]:
     """All depth-`depth` words extending `word`, in left-to-right order.
 
@@ -292,12 +285,12 @@ class ClopenSet:
         return other.covers(self.words)
 
     def contains_word(self, word: str) -> bool:
-        """Whole-cylinder membership: [word] inside this set."""
-        return any(word.startswith(v) for v in self.words)
+        """Whole-cylinder membership: [word] inside this set, one bisect."""
+        return self.covers((word,))
 
     def contains_point(self, point: Point) -> bool:
-        prefix = point.unroll(self.max_depth())
-        return any(prefix.startswith(w) for w in self.words)
+        """Membership: [the point's first max-depth symbols] inside this set."""
+        return self.covers((point.unroll(self.max_depth()),))
 
     def refine_to_depth(self, depth: int) -> tuple[str, ...]:
         if depth < self.max_depth():

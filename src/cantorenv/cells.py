@@ -99,9 +99,10 @@ def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     (module docstring), so they are decided at d0 alone (`_rows`) and
     Copies carries them to d.
 
-    Budget: (2n+1)*2^d cells over CELL_BUDGET raise CapExceeded before
-    anything is built.  Classes: `_rows` numbers the depth-d0 classes by
-    least cell and gives each depth-d0 cell the number of its class.  Each
+    Budget: `_rows` refuses (2n+1)*2^d cells over CELL_BUDGET with
+    CapExceeded before anything is built.  Classes: `_rows` numbers the
+    depth-d0 classes by least cell and gives each depth-d0 cell the number
+    of its class.  Each
     depth-d0 cell stands for the group of its 2^(d-d0) copies, its word
     followed by each suffix z in suffix order, and a class collects the
     groups of its members in slot-major order.  Copies: zipping the groups
@@ -109,10 +110,9 @@ def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     the depth-d classes are each class at d0, in order, followed by its
     copies in suffix order, so the copies come out in canonical order.
     """
-    least = _least_depth(a, n, d)
+    least, count, ids = _rows(a, n, d)
     copies = 1 << (d - least)
     words = extensions("", d)
-    count, ids = _rows(a, n, least)
     # every depth-d0 cell's group of copies, slot-major
     groups = chain.from_iterable(
         zip(*[zip(repeat(s), words)] * copies) for s in range(-n, n + 1)
@@ -127,39 +127,24 @@ def class_table(a: ZPartialAction, n: int, d: int) -> tuple[int, list[int]]:
 
     ids[(t + n)*2^d + int(w, 2)] is the index of the class of cell (t, w) in
     `cell_partition(a, n, d).classes`, and count is the number of classes.
-    The budget check and `_rows` are those of `cell_partition`, which give
-    each depth-d0 cell the number id0 of its class.  A class at d0 is
+    `_rows`, with its budget and depth checks, is that of `cell_partition`:
+    it gives each depth-d0 cell the number id0 of its class.  A class at d0 is
     followed by its copies in suffix order, so the copy (t, wz) of (t, w)
     has the id id0*2^(d-d0) + int(z, 2) and there are count0*2^(d-d0)
     classes.  No class and no cell word is built.
     """
-    least = _least_depth(a, n, d)
-    count, ids = _rows(a, n, least)
+    least, count, ids = _rows(a, n, d)
     gap = d - least
     if gap:
         ids = [*chain.from_iterable(range(i << gap, (i + 1) << gap) for i in ids)]
     return count << gap, ids
 
 
-def _least_depth(a: ZPartialAction, n: int, d: int) -> int:
-    """The budget check, then the adapted depth d0 <= d of slots |t| <= n."""
-    if d > CELL_BUDGET.bit_length() or (2 * n + 1) << max(d, 0) > CELL_BUDGET:
-        raise CapExceeded(
-            f"{2 * n + 1} slots x 2^{d} cells exceed the budget of "
-            f"{CELL_BUDGET} cells"
-        )
-    least = adapted_depth(a, n)
-    if d < least:
-        raise DepthTooSmall(f"depth {d} < adapted depth {least}")
-    return least
-
-
-
-
-def _rows(a: ZPartialAction, n: int, least: int) -> tuple[int, list[int]]:
-    """The classes at the adapted depth `least`: (count, ids), with ids[i]
-    the number of the class of the depth-d0 cell of slot-major index i, the
-    classes numbered by least cell.
+def _rows(a: ZPartialAction, n: int, d: int) -> tuple[int, int, list[int]]:
+    """The classes at the adapted depth d0 <= d: (d0, count, ids), ids[i] the
+    number, by least cell, of the class of the depth-d0 cell of slot-major
+    index i.  Before any table: CapExceeded for (2n+1)*2^d cells over
+    CELL_BUDGET, and DepthTooSmall for d < d0.
 
     Table: T_1 lists the image index of every depth-d0 cell within its
     slot, -1 outside dom(h_1), filled by one slice assignment per rule of
@@ -196,6 +181,14 @@ def _rows(a: ZPartialAction, n: int, least: int) -> tuple[int, list[int]]:
     (r - 1, T w): H is the least cell of each class, and the ranks of the
     heads in slot-major order number the classes by least cell.
     """
+    if d > CELL_BUDGET.bit_length() or (2 * n + 1) << max(d, 0) > CELL_BUDGET:
+        raise CapExceeded(
+            f"{2 * n + 1} slots x 2^{d} cells exceed the budget of "
+            f"{CELL_BUDGET} cells"
+        )
+    least = adapted_depth(a, n)
+    if d < least:
+        raise DepthTooSmall(f"depth {d} < adapted depth {least}")
     size = 1 << least
     ids = [*range(size)]  # slot -n: each cell heads its class
     count = size
@@ -215,4 +208,4 @@ def _rows(a: ZPartialAction, n: int, least: int) -> tuple[int, list[int]]:
             known += range(count, count + len(fresh))
             ids += map(known.__getitem__, pick)
             count += len(fresh)
-    return count, ids
+    return least, count, ids

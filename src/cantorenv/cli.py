@@ -183,7 +183,7 @@ def cmd_axioms(args, sd: SystemDefinition):
     if sd.counts is not None:  # a schedule may stop before stage `bound`
         fallback = min(bound, len(sd.counts) - 1)
     level = _resolve(args, sd, "level", fallback)
-    report = axioms_check(generated_family(_action(sd, level), bound), bound)
+    report = axioms_check(generated_family(_action(sd, level), bound))
     return (0 if report.ok else 2), report.to_json()
 
 

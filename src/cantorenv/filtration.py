@@ -141,15 +141,9 @@ Schedule = tuple[tuple[int, int, int], ...]
 
 
 def default_schedule(a: ZPartialAction, levels: int) -> Schedule:
-    """Stage m uses (k, n) = (m, m+1) at the least workable depth."""
-    out = []
-    d_prev = 0
-    for m in range(levels):
-        n = m + 1
-        d = max(adapted_depth(a.stage(m), n), d_prev)
-        out.append((m, n, d))
-        d_prev = d
-    return tuple(out)
+    """Stage m uses (k, n) = (m, m+1) at its adapted depth, the longest rule of
+    its h_1; that never decreases, as stage m+1 keeps every rule of stage m."""
+    return tuple((m, m + 1, adapted_depth(a.stage(m), m + 1)) for m in range(levels))
 
 
 @dataclass(frozen=True)

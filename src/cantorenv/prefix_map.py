@@ -141,9 +141,10 @@ class GeneratedMap:
 
     kind "odometer" is the built-in infinite family 1^k 0 -> 0^k 1 (add one,
     carry to the right); kind "rules" is an explicit finite enumeration whose
-    domain is taken to be exhausted by the listed source cylinders.  Only the
-    forward direction is enumerated: the inverse of a truncation is its
-    `PrefixMap.inverse`, which is what h_{-t} of a stage uses.
+    domain is taken to be exhausted by the listed source cylinders.  `rule`
+    and `apply_point` index rules in enumeration order, not sorted order.
+    Only the forward direction is enumerated: the inverse of a truncation is
+    its `PrefixMap.inverse`, which is what h_{-t} of a stage uses.
     """
 
     kind: str
@@ -171,38 +172,23 @@ class GeneratedMap:
     def rule_count(self) -> int | None:
         return len(self.rules) if self.is_finite else None
 
-    def has_rule(self, i: int) -> bool:
-        if i < 0:
-            return False
-        return True if self.kind == "odometer" else i < len(self.rules)
-
     def rule(self, i: int) -> tuple[str, str]:
-        if not self.has_rule(i):
+        if i < 0 or self.is_finite and i >= len(self.rules):
             raise IndexError(f"enumeration has no rule {i}")
-        if self.kind == "odometer":
-            return "1" * i + "0", "0" * i + "1"
-        return self.rules[i]
+        return self.rules[i] if self.is_finite else ("1" * i + "0", "0" * i + "1")
 
     def truncation(self, k: int) -> PrefixMap:
         """The clopen map made of rules 0..k (capped for finite enumerations)."""
-        if k < 0:
-            return PrefixMap(())
         top = k if self.kind == "odometer" else min(k, len(self.rules) - 1)
         return PrefixMap(tuple(self.rule(i) for i in range(top + 1)))
 
-    def rule_index_for(self, x: Point) -> int | None:
-        if self.kind == "odometer":
-            pos = (x.preperiod + x.period).find("0")
-            return pos if pos >= 0 else None
-        for i, (u, _) in enumerate(self.rules):
-            if x.starts_with(u):
-                return i
-        return None
-
     def apply_point(self, x: Point) -> tuple[Point, int]:
         """Apply the unique matching rule; returns (image, rule index)."""
-        i = self.rule_index_for(x)
-        if i is None:
+        if self.is_finite:
+            i = next((i for i, (u, _) in enumerate(self.rules) if x.starts_with(u)), -1)
+        else:
+            i = (x.preperiod + x.period).find("0")
+        if i < 0:
             raise NotInDomain(f"{x} matches no rule of the enumeration")
         u, v = self.rule(i)
         return x.replace_prefix(len(u), v), i

@@ -250,6 +250,22 @@ class TestAxioms:
         assert not rep.ok
         assert {v.axiom for v in rep.violations} & {2, 3}
 
+    def test_axiom2_violations_come_before_axiom3_ones(self):
+        # one pass over (t, s) decides both axioms; an axiom-3 fault at
+        # (-2, 2) precedes the axiom-2 fault at (2, -2) in that pass, yet is
+        # reported after every axiom-2 violation
+        a = ZPartialAction(ODOMETER)
+        fam = generated_family(a.stage(1), 2)
+        x2, _ = fam[2]
+        fam[2] = (x2, PrefixMap((("00", "00"), ("10", "10"))))
+        got = [(v.axiom, v.t, v.s) for v in axioms_check(fam).violations]
+        assert got == [
+            (1, 2, None),
+            (2, 2, -2), (2, 2, -1), (2, 2, 0),
+            (3, -2, 2), (3, -2, 2), (3, -1, 2), (3, -1, 2), (3, 1, 1), (3, 1, 1),
+            (3, 2, -2), (3, 2, -2), (3, 2, -1), (3, 2, -1),
+        ]
+
     def test_report_serializes(self):
         rep = axioms_check({t: (FULL, IDENTITY) for t in range(-1, 2)})
         out = rep.to_json()
@@ -257,7 +273,7 @@ class TestAxioms:
 
     def test_deep_identity_cuts_only_at_rule_boundaries(self):
         # refining [ε] to all depth-30 cells would test 2^30 of them
-        rep = axioms_check(generated_family(deep_identity(30), 1), 1)
+        rep = axioms_check(generated_family(deep_identity(30), 1))
         assert rep.ok and rep.bound == 1
 
     def test_wrong_power_on_deep_source_is_reported(self):

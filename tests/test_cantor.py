@@ -16,7 +16,6 @@ from cantorenv.cantor import (
     merge_siblings,
     normalize_words,
     prefix_join,
-    sibling,
 )
 from cantorenv.errors import ParseError
 from oracles import (
@@ -57,13 +56,6 @@ def test_check_word_accepts_exactly_binary_words(word):
 @pytest.mark.parametrize("value", [b"01", None, 1, ["0"]])
 def test_check_word_rejects_non_strings(value):
     assert _check_word_verdict(value) is False
-
-
-def test_sibling_flips_last_symbol():
-    assert sibling("0") == "1"
-    assert sibling("010") == "011"
-    with pytest.raises(ValueError):
-        sibling("")
 
 
 def test_extensions():
@@ -343,3 +335,7 @@ class TestClopenSet:
         x = Point(pre, per)
         by_words = any(x.starts_with(u) for u in s.words)
         assert s.contains_point(x) == by_words
+        # [x's first k symbols] lies inside s exactly when a word of s prefixes them
+        for k in range(9):
+            prefix = x.unroll(k)
+            assert s.contains_word(prefix) == any(prefix.startswith(u) for u in s.words)

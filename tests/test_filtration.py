@@ -34,6 +34,7 @@ from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
 
 from oracles import brute_diagram, brute_partition, odometer_rules, words
+from strategies import mixed_length_rules
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -154,6 +155,30 @@ class DroppingStages:
 class TestBratteli:
     def test_default_schedule(self):
         assert default_schedule(ODO, 3) == ((0, 1, 1), (1, 2, 2), (2, 3, 3))
+
+    @given(
+        rules=mixed_length_rules().filter(bool).flatmap(st.permutations),
+        counts=st.none()
+        | st.lists(st.integers(1, 8), min_size=1, max_size=6).map(sorted),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_default_schedule_depth_is_the_longest_kept_rule(self, rules, counts):
+        # stage m keeps the first count(m) rules and counts never decrease,
+        # so neither do the depths
+        a = ZPartialAction(GeneratedMap("rules", tuple(rules)), counts)
+        levels = 6 if counts is None else len(counts)
+        kept = counts or [min(m + 1, len(rules)) for m in range(levels)]
+        sched = default_schedule(a, levels)
+        depths = [d for _, _, d in sched]
+        assert depths == sorted(depths)
+        assert [(k, n) for k, n, _ in sched] == [(m, m + 1) for m in range(levels)]
+        assert depths == [max(len(u) for u, _ in rules[:c]) for c in kept]
+
+    def test_default_schedule_on_the_odometer(self):
+        depths = [d for _, _, d in default_schedule(ODO, 8)]
+        assert depths == sorted(depths)
+        longest = [max(len(ODOMETER.rule(i)[0]) for i in range(m + 1)) for m in range(8)]
+        assert depths == longest
 
     def test_vertex_sizes_and_dimension_identity(self):
         diag = bratteli_build(ODO, default_schedule(ODO, 3))

@@ -184,6 +184,8 @@ class TestGeneratedMap:
     def test_truncation_matches_rule_list(self):
         t2 = ODOMETER.truncation(2)
         assert list(t2.rules) == odometer_rules(2)
+        finite = GeneratedMap("rules", (("1", "0"), ("0", "1")))
+        assert ODOMETER.truncation(-1) == finite.truncation(-1) == PrefixMap(())
 
     def test_apply_point_reports_rule_index(self):
         y, idx = ODOMETER.apply_point(Point.parse("110(1)"))
@@ -194,6 +196,30 @@ class TestGeneratedMap:
     def test_all_ones_has_no_image(self):
         with pytest.raises(NotInDomain):
             ODOMETER.apply_point(Point.parse("(1)"))
+
+    def test_finite_enumeration_indexes_in_listed_order(self):
+        # listed order 1, 01, 00 is the reverse of sorted order
+        g = GeneratedMap("rules", (("1", "0"), ("01", "11"), ("00", "10")))
+        assert g.violations() == ()
+        for point, image, idx in [
+            ("1(0)", "0(0)", 0), ("01(0)", "11(0)", 1), ("00(1)", "10(1)", 2),
+        ]:
+            y, i = g.apply_point(Point.parse(point))
+            assert (y, i) == (Point.parse(image), idx)
+            assert g.rule(i)[0] == Point.parse(point).unroll(len(g.rule(i)[0]))
+
+    @pytest.mark.parametrize(
+        "g", [ODOMETER, GeneratedMap("rules", (("1", "0"), ("0", "1")))]
+    )
+    def test_rule_refuses_negative_indices(self, g):
+        with pytest.raises(IndexError, match="enumeration has no rule -1"):
+            g.rule(-1)
+
+    def test_rule_refuses_the_index_past_a_finite_end(self):
+        g = GeneratedMap("rules", (("1", "0"), ("0", "1")))
+        assert g.rule(1) == ("0", "1")
+        with pytest.raises(IndexError, match="enumeration has no rule 2"):
+            g.rule(2)
 
     def test_odometer_adds_one_in_binary(self):
         # the level-k truncation adds one on every word that carries within k
