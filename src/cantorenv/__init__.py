@@ -52,7 +52,6 @@ from .filtration import (
     BratteliDiagram,
     BratteliLevel,
     Exhaustion,
-    TruncatedRelation,
     bratteli_build,
     default_schedule,
     diagram_to_dot,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cantor import ClopenSet, Point, leaves_below, proper_prefixes
+from .cantor import ClopenSet, Point, leaves_below, proper_prefixes, show_word
 from .errors import LevelRequired, ParseError, SupportViolation
 from .functions import PiecewiseConstant, compose_with_map
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
@@ -138,14 +138,6 @@ class ZPartialAction:
             out = self._domains[t] = self.h(t).image()
         return out
 
-    def supports(self, t: int, words: tuple[str, ...]) -> bool:
-        """Whether every cylinder [w], w in `words`, lies inside X_t.
-
-        `words` are the piece words of a function, or of a clopen set: no
-        support set is built, and each cylinder is one bisect into X_t.
-        """
-        return self.domain(t).covers(words)
-
     def apply(self, t: int, x: Point) -> Point:
         return self.h(t).apply_point(x)
 
@@ -179,7 +171,7 @@ class AxiomsReport:
 
 
 def _show(w: str | None) -> str:
-    return "undefined" if w is None else (w or "ε")
+    return "undefined" if w is None else show_word(w)
 
 
 def generated_family(a: ZPartialAction, bound: int):
@@ -208,8 +200,6 @@ def axioms_check(family: dict) -> AxiomsReport:
         viol.append(AxiomViolation(1, 0, None, f"h_0 = {h0} is not the identity"))
 
     for t, (delta, h) in family.items():
-        if -t not in family:
-            continue
         if h.domain() != family[-t][0]:
             viol.append(
                 AxiomViolation(
@@ -263,7 +253,7 @@ def axioms_check(family: dict) -> AxiomsReport:
 
 def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:
     """Transport f supported in X_{-t} to the function f o h_t^{-1} on X_t."""
-    if not a.supports(-t, f.words):
+    if not a.domain(-t).covers(f.words):
         raise SupportViolation(
             f"support {f.support()} escapes X_{-t} = {a.domain(-t)}"
         )

@@ -147,15 +147,16 @@ def _check_supports(f: _IndexedTable, a: ZPartialAction, index, what: str) -> No
     """Raise SupportViolation unless every slot (r, s) lives on X_{index(r, s)}.
 
     The check is never skipped: every table is asked, once per action, before
-    use, on its piece words (`ZPartialAction.supports`).  A table that passes
-    records `a`, so the next call for `a` returns at once; a call for another
-    action asks again, and a call that raises records nothing.
+    use.  A slot's piece words are its cylinders, and X_t `covers` them with
+    one bisect each, so no support set is built.  A table that passes records
+    `a`, so the next call for `a` returns at once; a call for another action
+    asks again, and a call that raises records nothing.
     """
     if f._checked_for is a:
         return
     for (r, s), func in f.table:
         t = index(r, s)
-        if not a.supports(t, func.words):
+        if not a.domain(t).covers(func.words):
             raise SupportViolation(
                 f"{what} ({r},{s}) supported on {func.support()}, "
                 f"outside X_{t} = {a.domain(t)}"

@@ -9,8 +9,9 @@ symbol counts of the words' concatenation check them all, and one stack pass
 over the sorted words absorbs extensions and repeats and merges siblings.
 `ClopenSet.covers` decides each cylinder with one bisect into the set.
 `merge_siblings` merges the siblings of labelled pieces (equal labels only),
-`prefix_join` alone pairs two antichains and `leaves_below` alone walks the
-prefix tree, here and in `prefix_map`, `functions`, `action` and `envelope`.
+`prefix_join` alone pairs two antichains, `leaves_below` alone walks the
+prefix tree, and `show_word` and `read_word` alone print and parse the empty
+word as ε, here and in `prefix_map`, `functions`, `action` and `envelope`.
 Points are eventually periodic sequences pre.per^infinity, stored with a
 primitive period and a minimal preperiod, so point equality is field equality.
 """
@@ -30,6 +31,14 @@ def check_word(word: str) -> str:
     if not isinstance(word, str) or word.strip(ALPHABET):
         raise ParseError(f"not a binary word: {word!r}")
     return word
+
+
+def show_word(word: str) -> str:
+    return word or "ε"
+
+
+def read_word(text: str) -> str:
+    return "" if text == "ε" else text
 
 
 def extensions(word: str, depth: int) -> list[str]:
@@ -303,9 +312,7 @@ class ClopenSet:
     __and__ = intersect
 
     def __str__(self) -> str:
-        if not self.words:
-            return "{}"
-        return "{" + ",".join("ε" if w == "" else w for w in self.words) + "}"
+        return "{" + ",".join(map(show_word, self.words)) + "}"
 
     @staticmethod
     def parse(text: str) -> "ClopenSet":
@@ -318,7 +325,7 @@ class ClopenSet:
         words = [w.strip() for w in body.split(",")]
         if "" in words:
             raise ParseError(f"blank item in clopen set: {text!r}")
-        return ClopenSet(tuple("" if w == "ε" else w for w in words))
+        return ClopenSet(tuple(map(read_word, words)))
 
 
 EMPTY = ClopenSet(())

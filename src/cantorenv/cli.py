@@ -3,7 +3,8 @@
 Each subcommand is one entry of `COMMANDS`: its handler, help text and
 options, from which `build_parser` builds the argparse parser.  Exit codes:
 0 for a clean run or passing check, 1 for usage and parse problems, 2 for a
-violated property, 3 for a blown resource cap.
+violated property, 3 for a blown resource cap, and from the console entry
+point 141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -266,11 +268,15 @@ def cmd_filtrate(args, sd: SystemDefinition):
 
     k = _level(args, sd, None if sd.is_generated else 0)
     a = _action(sd)
-    tr = truncated_relation(a, k, *_cells(args, sd, lambda: a.stage(k)))
-    payload = tr.to_json()
-    payload["count"] = len(tr.classes)
-    payload["sizes"] = list(tr.sizes)
-    return 0, payload
+    part = truncated_relation(a, k, *_cells(args, sd, lambda: a.stage(k)))
+    return 0, {
+        "k": k,
+        "n": part.n,
+        "d": part.d,
+        "classes": [[[t, w] for t, w in cls] for cls in part.classes],
+        "count": len(part.classes),
+        "sizes": list(part.sizes),
+    }
 
 
 def cmd_bratteli(args, sd: SystemDefinition):
@@ -369,7 +375,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:  # exit as SIGPIPE would; the flush at exit hits devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
-    ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes
+    ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes, show_word
 )
 from .errors import BaseNotInDomain, NoWitness
 
@@ -286,7 +286,7 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
     h = a.h(k)
     inner = proper_prefixes(u for u, _ in h.rules)
     pairs = [(c, h.image_word(c)) for w in base.words for c in leaves_below(w, inner)]
-    bad = [f"h_{k} does not map the cell {c or 'ε'}" for c, m in pairs if m is None]
+    bad = [f"h_{k} does not map the cell {show_word(c)}" for c, m in pairs if m is None]
     pairs = [(c, m) for c, m in pairs if m is not None]
     moved = sorted(m for _, m in pairs)
     image = ClopenSet(tuple(moved))

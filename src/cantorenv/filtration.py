@@ -61,24 +61,10 @@ def inclusion_witness(
 # Finite truncations
 
 
-@dataclass(frozen=True)
-class TruncatedRelation(CellPartition):
-    """Cell relation of stage k on slots |t| <= n at depth d."""
-
-    k: int
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "classes": [[[t, w] for t, w in cls] for cls in self.classes],
-        }
-
-
-def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> TruncatedRelation:
-    part = cell_partition(a.stage(k), n, d)
-    return TruncatedRelation(part.n, part.d, part.classes, k)
+def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> CellPartition:
+    """The cell relation of stage k on slots |t| <= n at depth d: the
+    `cell_partition` of the clopen action `a.stage(k)`."""
+    return cell_partition(a.stage(k), n, d)
 
 
 def _copy_runs(coarse, fine) -> tuple[list[int], set]:
@@ -269,8 +255,6 @@ def diagram_to_dot(d: BratteliDiagram) -> str:
         )
         lines.append(f"  {{ rank=same; {nodes} }}")
     for m, i, j, c in d.edges:
-        if c == 0:
-            continue
         lines.append(f'  L{m}_{i} -> L{m + 1}_{j} [label="{c}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 Scalars are Gaussian rationals, each held as one reduced integer triple
 (a, b, den) for (a + b*i)/den, so every computation downstream is exact and
 equality is structural.  Scalar arithmetic reduces each result once, in the
-trusted constructor `Scalar._make`; `.re`, `.im` and the norms are Fractions.
+trusted constructor `Scalar._make`; `.re` and `.im` are Fractions.
 A piecewise constant function is a finite assignment of nonzero scalars to a
 prefix-free antichain of cylinders; the canonical form merges sibling
 cylinders carrying equal values through `cantor.merge_siblings`, as clopen
@@ -31,9 +31,9 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .cantor import (
-    ClopenSet, check_word, leaves_below, merge_siblings, prefix_join, proper_prefixes
+    ClopenSet, check_word, leaves_below, merge_siblings, prefix_join, proper_prefixes,
+    show_word,
 )
-from .errors import ParseError
 
 _Rat = (int, Fraction)
 
@@ -111,16 +111,12 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         d, e = self._den, other._den
-        if d == e:
-            return Scalar._make(self._a + other._a, self._b + other._b, d)
         return Scalar._make(
             self._a * e + other._a * d, self._b * e + other._b * d, d * e
         )
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         d, e = self._den, other._den
-        if d == e:
-            return Scalar._make(self._a - other._a, self._b - other._b, d)
         return Scalar._make(
             self._a * e - other._a * d, self._b * e - other._b * d, d * e
         )
@@ -135,33 +131,9 @@ class Scalar:
     def conj(self) -> "Scalar":
         return _triple(self._a, -self._b, self._den)
 
-    def abs_sq(self) -> Fraction:
-        return Fraction(self._a * self._a + self._b * self._b, self._den * self._den)
-
     def __str__(self) -> str:
         sign = "+" if self._b >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-    @staticmethod
-    def parse(text: str) -> "Scalar":
-        s = text.strip().replace(" ", "")
-        if not s:
-            raise ParseError("empty scalar")
-        try:
-            if not s.endswith("i"):
-                return Scalar(Fraction(s), Fraction(0))
-            body = s[:-1]
-            split = None
-            for i in range(1, len(body)):
-                if body[i] in "+-" and body[i - 1].isdigit():
-                    split = i
-            if split is None:
-                if body in ("", "+", "-"):
-                    body += "1"
-                return Scalar(Fraction(0), Fraction(body))
-            return Scalar(Fraction(body[:split]), Fraction(body[split:]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad scalar {text!r}") from exc
 
 
 _new = object.__new__
@@ -236,11 +208,8 @@ class PiecewiseConstant:
         return tuple(w for w, _ in self.pieces)
 
     def support(self) -> ClopenSet:
-        return self._support
-
-    @memo
-    def _support(self) -> ClopenSet:
-        # for messages and callers; support checks read `words` instead
+        """The union of the piece cylinders, built on each call: support
+        checks read `words`, so only messages and callers ask for it."""
         return ClopenSet(self.words)
 
     def __add__(self, other: "PiecewiseConstant") -> "PiecewiseConstant":
@@ -280,9 +249,6 @@ class PiecewiseConstant:
     def restrict(self, s: ClopenSet) -> "PiecewiseConstant":
         return self * indicator(s)
 
-    def sup_norm_sq(self) -> Fraction:
-        return Fraction(*self._sup_norm_sq())
-
     def _sup_norm_sq(self) -> tuple[int, int]:
         """The largest (a^2 + b^2)/den^2 as an unreduced pair of ints (0, 1
         for the zero function), compared by cross-multiplying."""
@@ -297,7 +263,7 @@ class PiecewiseConstant:
         if not self.pieces:
             return "0"
         return " + ".join(
-            f"({c})*1_[{'ε' if w == '' else w}]" for w, c in self.pieces
+            f"({c})*1_[{show_word(w)}]" for w, c in self.pieces
         )
 
 

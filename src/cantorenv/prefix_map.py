@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .cantor import ClopenSet, Point, check_word, prefix_join
+from .cantor import ClopenSet, Point, check_word, prefix_join, read_word, show_word
 from .errors import NotInDomain, ParseError
 
 
@@ -91,10 +91,9 @@ class PrefixMap:
         return PrefixMap._canonical(sorted((v, u) for u, v in self.rules))
 
     def __str__(self) -> str:
-        def show(w):
-            return "ε" if w == "" else w
-
-        return "[" + ", ".join(f"{show(u)}->{show(v)}" for u, v in self.rules) + "]"
+        return "[" + ", ".join(
+            f"{show_word(u)}->{show_word(v)}" for u, v in self.rules
+        ) + "]"
 
     @staticmethod
     def parse(text: str) -> "PrefixMap":
@@ -114,7 +113,7 @@ class PrefixMap:
                 raise ParseError(
                     f"blank side in rule {part.strip()!r}; the empty word is ε"
                 )
-            rules.append(("" if u == "ε" else u, "" if v == "ε" else v))
+            rules.append((read_word(u), read_word(v)))
         return PrefixMap(tuple(rules))
 
 

@@ -83,16 +83,16 @@ class TestZPartialAction:
             with pytest.raises(LevelRequired):
                 a.domain(1)
             with pytest.raises(LevelRequired):
-                a.supports(1, FULL.words)
+                a.domain(1).covers(FULL.words)
         assert a.domain(0) == FULL
 
     def test_support_verdicts_are_keyed_on_t_and_support(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
         one = ClopenSet.parse("{1}")
         for _ in range(2):
-            assert a.supports(1, one.words) and a.supports(0, one.words)
-            assert not a.supports(-1, one.words)
-            assert not a.supports(1, FULL.words)
+            assert a.domain(1).covers(one.words) and a.domain(0).covers(one.words)
+            assert not a.domain(-1).covers(one.words)
+            assert not a.domain(1).covers(FULL.words)
 
     def test_negative_powers_invert(self):
         a = ZPartialAction(ODOMETER)

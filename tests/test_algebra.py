@@ -49,9 +49,10 @@ def kernel(*items):
 
 
 def reparsed(table):
-    """The table rebuilt from its slots with every scalar printed and parsed."""
+    """The table rebuilt through the public constructors from its slots and
+    the real and imaginary parts of every scalar."""
     return type(table)(tuple(
-        (key, PiecewiseConstant(tuple((w, Scalar.parse(str(c))) for w, c in f.pieces)))
+        (key, PiecewiseConstant(tuple((w, Scalar(c.re, c.im)) for w, c in f.pieces)))
         for key, f in table.table
     ))
 
@@ -81,10 +82,6 @@ class TestContainers:
         assert reparsed(f) == f
         k = to_kernel(f)
         assert reparsed(k) == k
-
-    def test_from_json_rejects_zero_denominator(self):
-        with pytest.raises(ParseError, match="bad scalar"):
-            blocks(((0, 0), PiecewiseConstant((("0", Scalar.parse("1/0")),))))
 
     def test_slots_must_be_ints(self):
         for slot in ((0.7, 1.9), ("2", True), (True, 0), (0, 1.0)):
@@ -337,7 +334,11 @@ class TestKernelAlgebra:
         ))
         got = norm_squared(k)
         assert type(got) is Fraction
-        assert got == sum((func.sup_norm_sq() for _, func in k.table), Fraction(0))
+        # the oracle reads the parts alone, sharing no code with the engine
+        assert got == sum(
+            (max(c.re**2 + c.im**2 for _, c in func.pieces) for _, func in k.table),
+            Fraction(0),
+        )
 
 
 class TestReindexing:

@@ -17,7 +17,11 @@ from cantorenv.cantor import (
     normalize_words,
     prefix_join,
 )
+from cantorenv.action import ZPartialAction, axioms_check
+from cantorenv.envelope import etale_probe
 from cantorenv.errors import ParseError
+from cantorenv.functions import indicator
+from cantorenv.prefix_map import IDENTITY, PrefixMap
 from oracles import (
     antichain, cells_covered, comparable_pairs, equal_siblings, merge_pairwise, overlaps,
     words,
@@ -339,3 +343,38 @@ class TestClopenSet:
         for k in range(9):
             prefix = x.unroll(k)
             assert s.contains_word(prefix) == any(prefix.startswith(u) for u in s.words)
+
+
+def _axiom3_detail_on_the_empty_cell():
+    # h_{-1} and h_1 map nothing, so h_{-1} h_1 is undefined on [ε] while
+    # h_0 fixes it
+    nothing = PrefixMap(())
+    family = {-1: (FULL, nothing), 0: (FULL, IDENTITY), 1: (FULL, nothing)}
+    report = axioms_check(family)
+    return next(v.detail for v in report.violations if (v.axiom, v.t, v.s) == (3, -1, 1))
+
+
+def _etale_violations_on_the_empty_cell():
+    # cache surgery: an h_1 without rules cuts the full base nowhere, so the
+    # one unmapped cell is [ε]
+    a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
+    a._powers[1] = PrefixMap(())
+    a._domains[-1] = FULL
+    return etale_probe(a, 1, 0, FULL).violations
+
+
+@pytest.mark.parametrize("got, want", [
+    pytest.param(lambda: str(FULL), "{ε}", id="ClopenSet.__str__"),
+    pytest.param(lambda: str(IDENTITY), "[ε->ε]", id="PrefixMap.__str__"),
+    pytest.param(lambda: str(indicator(FULL)), "(1+0i)*1_[ε]",
+                 id="PiecewiseConstant.__str__"),
+    pytest.param(_axiom3_detail_on_the_empty_cell,
+                 "h_-1h_1[ε] = undefined but h_0[ε] = ε", id="axioms_check"),
+    pytest.param(_etale_violations_on_the_empty_cell,
+                 ("h_1 does not map the cell ε",), id="etale_probe"),
+    pytest.param(lambda: ClopenSet.parse("{ε}").words, ("",), id="ClopenSet.parse"),
+    pytest.param(lambda: PrefixMap.parse("[ε->ε]").rules, (("", ""),),
+                 id="PrefixMap.parse"),
+])
+def test_the_empty_word_is_spelled_epsilon(got, want):
+    assert got() == want

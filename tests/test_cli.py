@@ -143,6 +143,12 @@ class TestCommands:
         assert out["verdict"] == "non-clopen-witness"
         assert out["pair"]["first"] == {"index": 1, "point": "(1)"}
 
+    def test_hausdorff_unknown_at_depth_zero(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        code = main(["hausdorff", "systems/odometer.json", "--depth", "0"])
+        out = capsys.readouterr().out
+        assert (code, out) == (0, '{\n  "verdict": "unknown",\n  "depth": 0\n}\n')
+
     def test_hausdorff_reads_whole_finite_enumeration(self, sysfile, capsys):
         # the schedule stops short of the third rule; the domains may not
         chain = {"name": "chain", "exhaustion": [1, 1, 1], "generator": {
@@ -384,6 +390,25 @@ class TestExitCodes:
         code, out = run(capsys, "verify-psi", "systems/flip.json", "--trials", "1",
                         "--depth", "30")
         assert code == 3 and "budget" in out["error"]
+
+
+def test_closed_stdout_exits_as_sigpipe_without_a_traceback():
+    # the read end is closed before the process starts, so its first write
+    # to stdout fails however early it comes
+    src = str(Path(cantorenv.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cantorenv.cli", "hausdorff", "systems/odometer.json"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
 
 
 class TestSharedParser:

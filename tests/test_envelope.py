@@ -90,6 +90,12 @@ class TestHausdorff:
         for k in range(10):
             assert transport(odometer_rules(k), 1, "1" * (k + 2)) is None
 
+    def test_depth_zero_is_unknown(self):
+        # U_0 is the one cylinder [0], so no residual chain shrinks yet
+        cert = hausdorff_decide(ZPartialAction(ODOMETER), depth=0)
+        assert cert.verdict == "unknown"
+        assert cert.to_json() == {"verdict": "unknown", "depth": 0}
+
     def test_witness_json_shape(self):
         out = hausdorff_decide(ODO, bound=4, depth=10).to_json()
         assert out["verdict"] == "non-clopen-witness"

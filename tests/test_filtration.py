@@ -28,13 +28,15 @@ from cantorenv.filtration import (
     truncated_relation,
 )
 from cantorenv.action import ZPartialAction
-from cantorenv.cells import adapted_depth
+from cantorenv.cells import CellPartition, adapted_depth, cell_partition
+from cantorenv.cli import main
 from cantorenv.envelope import GermPair, related
 from cantorenv.prefix_map import ODOMETER, GeneratedMap, PrefixMap
 from cantorenv.sampling import Sampler
 
 from oracles import brute_diagram, brute_partition, odometer_rules, words
 from strategies import mixed_length_rules
+from test_readme import ROOT
 
 ODO = ZPartialAction(ODOMETER)
 
@@ -112,12 +114,19 @@ class TestInclusionWitness:
 
 
 class TestTruncatedRelation:
-    def test_shape_and_json(self):
+    def test_shape_and_json(self, capsys):
         tr = truncated_relation(ODO, 1, 2, 2)
-        assert (tr.k, tr.n, tr.d) == (1, 2, 2)
-        assert len(tr.classes) == 8
-        out = tr.to_json()
-        assert out["k"] == 1 and len(out["classes"]) == 8
+        assert type(tr) is CellPartition and (tr.n, tr.d) == (2, 2)
+        assert len(tr.classes) == 8 and tr == cell_partition(ODO.stage(1), 2, 2)
+        # the CLI adds the stage and the counts, in this key order
+        argv = ["filtrate", str(ROOT / "systems" / "odometer.json"),
+                "--level", "1", "--bound", "2", "--depth", "2"]
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["k", "n", "d", "classes", "count", "sizes"]
+        assert out["k"] == 1 and out["count"] == 8
+        assert out["classes"] == [[list(u) for u in cls] for cls in tr.classes]
+        assert out["sizes"] == list(tr.sizes)
 
     def test_matches_brute_force(self):
         tr = truncated_relation(ODO, 1, 2, 2)
