@@ -268,20 +268,54 @@ def time_tables(name: str, ex: ZPartialAction, levels: int, repeat: int) -> int:
     return bad
 
 
-def time_tower_pass(seed: int, repeat: int) -> None:
-    """Run the odometer_tower jobs of `seed` `repeat` times; print the least
-    total time of their class_table calls beside that pass's time."""
+def time_tower_pass(seed: int, repeat: int) -> int:
+    """Run the odometer_tower jobs of `seed` `repeat` times, each job as
+    `workloads.run` does, timing its steps apart: the exhaustion and its
+    schedule, the class_table calls, the rest of bratteli_build, JSON export
+    and DOT export.  Print the least total of each step over the passes, then
+    check every output of the last pass with `workloads.check`; return the
+    number of outputs it rejects."""
     jobs = workloads.make_jobs("odometer_tower", seed)
-    passes = []
+    steps = ("schedule", "class_table", "rest of bratteli_build", "JSON export",
+             "DOT export")
+    least = dict.fromkeys(steps, float("inf"))
     for _ in range(repeat):
+        spent = dict.fromkeys(steps, 0.0)
+        outputs = []
         with calls_to(cantorenv.filtration, "class_table") as tables:
-            t0 = time.perf_counter()
             for job in jobs:
-                workloads.run(ce, job, None)
-            passes.append((sum(tables), time.perf_counter() - t0, len(tables)))
-    spent, total, calls = min(passes)
-    print(f"odometer_tower pass (seed {seed}): {calls} class_table calls "
-          f"{spent * 1e3:.1f} ms of {total * 1e3:.1f} ms")
+                t0 = time.perf_counter()
+                ex = ce.Exhaustion(ODOMETER if job["rules"] is None else GeneratedMap(
+                    "rules", tuple(map(tuple, job["rules"]))))
+                schedule = default_schedule(ex, job["levels"])
+                t1 = time.perf_counter()
+                diagram = ce.bratteli_build(ex, schedule)
+                t2 = time.perf_counter()
+                text = ce.export(diagram, "json")
+                t3 = time.perf_counter()
+                text += ce.export(diagram, "dot")
+                t4 = time.perf_counter()
+                outputs.append(text)
+                spent["schedule"] += t1 - t0
+                spent["rest of bratteli_build"] += t2 - t1
+                spent["JSON export"] += t3 - t2
+                spent["DOT export"] += t4 - t3
+        spent["class_table"] = sum(tables)
+        spent["rest of bratteli_build"] -= spent["class_table"]
+        for step in steps:
+            least[step] = min(least[step], spent[step])
+    print(f"odometer_tower pass (seed {seed}, {len(jobs)} jobs, {len(tables)} "
+          f"class_table calls), least of {repeat}: " + ", ".join(
+              f"{step} {least[step] * 1e3:.1f} ms" for step in steps)
+          + f"; sum {sum(least.values()) * 1e3:.1f} ms")
+    bad = 0
+    for job, text in zip(jobs, outputs):
+        wrong = workloads.check(job, text.encode())
+        if wrong:
+            bad += 1
+            print(f"ODOMETER_TOWER OUTPUT REJECTED (levels {job['levels']}, "
+                  f"rules {job['rules']}): {wrong[0]}")
+    return bad
 
 
 def time_cells(args) -> int:
@@ -289,10 +323,12 @@ def time_cells(args) -> int:
     count and length, n, d) and on the flip at (n, d) = (1, 18), the budget
     edge; then class_table on every stage of the 5-level odometer tower and of
     the first seeded 5-level tower of odometer_tower, with each adapted depth
-    d0; last, the class_table calls of one odometer_tower pass of `--seed`.
-    Exit 1 when a partition misses or repeats a cell (t, w), |t| <= n,
-    |w| = d, when a class is not the transport orbit of each of its members,
-    or when the cells a class table gives one id are not such an orbit."""
+    d0; last, one odometer_tower pass of `--seed`, split into its schedule,
+    class_table calls, the rest of bratteli_build and the JSON and DOT
+    exports.  Exit 1 when a partition misses or repeats a cell (t, w),
+    |t| <= n, |w| = d, when a class is not the transport orbit of each of its
+    members, when the cells a class table gives one id are not such an orbit,
+    or when `workloads.check` rejects an output of the tower pass."""
     shapes = {}
     for job in workloads.make_jobs("deep_cells", args.seed):
         if job["kind"] == "partition":
@@ -314,7 +350,7 @@ def time_cells(args) -> int:
     for name, generator in (("odometer tower", ODOMETER), ("seeded tower", GeneratedMap(
             "rules", tuple(map(tuple, seeded["rules"]))))):
         bad += time_tables(name, ZPartialAction(generator), 5, args.repeat)
-    time_tower_pass(args.seed, args.repeat)
+    bad += time_tower_pass(args.seed, args.repeat)
     return 1 if bad else 0
 
 

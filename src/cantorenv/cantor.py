@@ -263,9 +263,6 @@ class ClopenSet:
     def max_depth(self) -> int:
         return max((len(w) for w in self.words), default=0)
 
-    def union(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet(self.words + other.words)
-
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         pairs = prefix_join(self.words, other.words)
         return ClopenSet(tuple(u + v[len(u):] for u, v in pairs))  # the deeper word
@@ -308,7 +305,6 @@ class ClopenSet:
             )
         return tuple(sorted(c for w in self.words for c in extensions(w, depth)))
 
-    __or__ = union
     __and__ = intersect
 
     def __str__(self) -> str:

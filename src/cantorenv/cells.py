@@ -97,7 +97,7 @@ def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
 
     The classes at d are the suffix copies of those at the adapted depth d0
     (module docstring), so they are decided at d0 alone (`_rows`) and
-    Copies carries them to d.
+    copied to d, as the paragraph Copies below spells out.
 
     Budget: `_rows` refuses (2n+1)*2^d cells over CELL_BUDGET with
     CapExceeded before anything is built.  Classes: `_rows` numbers the

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, sub
+from operator import add
 
 from .action import ZPartialAction
 from .cantor import Point, extensions
@@ -67,30 +67,33 @@ def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> CellPartiti
     return cell_partition(a.stage(k), n, d)
 
 
-def _copy_runs(coarse, fine) -> tuple[list[int], set]:
-    """The fine classes of the suffix copies of every coarse cell.
+def _copies(coarse, fine) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """Where the suffix copies of every coarse class land in the fine table.
 
     `coarse` and `fine` are (n, d, ids) with ids a `class_table`, fine
     n and d no smaller.  Restricted to the slots |t| <= n of the coarse
     table, the fine table lists the copies (t, wz) of each coarse cell
-    (t, w) as one contiguous run, in suffix order: the run of coarse cell c
-    is inner[c << gap : (c + 1) << gap], gap being the depth gap.  Returns
-    that restriction `inner` and the set of (coarse class, run) pairs.  The
-    copies of a coarse class for one suffix lie in one fine class exactly
-    when all its cells have the same run, so there are as many pairs as
-    coarse classes exactly when no copy of any class splits.
+    (t, w) as one contiguous run, in suffix order, so the fine ids of the
+    copies by suffix z of all coarse cells are the stride inner[z::2^gap],
+    gap being the depth gap.  Copy z of a coarse class lies in one fine
+    class exactly when all its cells agree there.  A class table numbers
+    the classes by least cell, so slot-major order meets them in id order,
+    and dict(zip(ids, column)) lists them in id order.  Returns, for each
+    suffix z, the fine class of copy z of each coarse class, by class, and
+    the set of (class, z) whose copy splits.
     """
     (n1, d1, ids1), (n2, d2, ids2) = coarse, fine
+    step = 1 << (d2 - d1)
     inner = ids2[(n2 - n1) << d2 : (n2 + n1 + 1) << d2]
-    return inner, set(zip(ids1, zip(*[iter(inner)] * (1 << (d2 - d1)))))
-
-
-def _split_runs(pairs: set) -> dict[int, list[tuple[int, ...]]]:
-    """The runs of each coarse class that has more than one, by class."""
-    runs: dict[int, list[tuple[int, ...]]] = {}
-    for i, run in pairs:
-        runs.setdefault(i, []).append(run)
-    return {i: rs for i, rs in sorted(runs.items()) if len(rs) > 1}
+    targets: list[list[int]] = []
+    splits: set[tuple[int, int]] = set()
+    for z in range(step):
+        column = inner[z::step]
+        dest = dict(zip(ids1, column))  # each class: the fine id at its last cell
+        if [*map(dest.__getitem__, ids1)] != column:
+            splits.update((i, z) for i, j in zip(ids1, column) if dest[i] != j)
+        targets.append([*dest.values()])
+    return targets, splits
 
 
 def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
@@ -99,7 +102,7 @@ def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
     Each coarse class is pushed forward once per suffix of the depth gap by
     appending the suffix to all its cells; the fine partition must keep
     every such copy inside one class.  Both stages are read as class
-    tables, and `_copy_runs` decides every copy at once.  `checked` counts
+    tables, and `_copies` decides every copy at once.  `checked` counts
     the copies, and a violation names the coarse class, spelled out as its
     cells, and the suffix that split it.
     """
@@ -108,15 +111,13 @@ def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
         raise ParseError("second stage must refine the first")
     count, ids = class_table(a.stage(k1), n1, d1)
     fine = class_table(a.stage(k2), n2, d2)[1]
-    _, pairs = _copy_runs((n1, d1, ids), (n2, d2, fine))
+    _, splits = _copies((n1, d1, ids), (n2, d2, fine))
     bad: list[str] = []
-    if len(pairs) != count:
+    if splits:
         classes = truncated_relation(a, k1, n1, d1).classes
         suffixes = extensions("", d2 - d1)
-        for i, runs in _split_runs(pairs).items():
-            for z, met in zip(suffixes, zip(*runs)):
-                if len(set(met)) != 1:
-                    bad.append(f"class {i} {classes[i]} splits with suffix {z!r}")
+        bad = [f"class {i} {classes[i]} splits with suffix {suffixes[z]!r}"
+               for i, z in sorted(splits)]
     return ProbeReport(count << (d2 - d1), tuple(bad))
 
 
@@ -156,12 +157,15 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     previous bound; the identity size' = sum(mult * size) + fresh is
     enforced at every level.
 
-    Each stage is read as a `class_table` and no class is spelled out.  The
-    sizes are a count over the table and the fresh units that count minus
-    one over the slice of slots |t| <= the previous n.  `_copy_runs` gives
-    each coarse class the run of fine ids of its copies, one per suffix; the
-    split guard wants one run per class, and the multiplicities are a count
-    of the (coarse class, fine id) pairs of those runs.
+    Each stage is read as a `class_table` and no class is spelled out.  A
+    class table meets its classes in id order, so the sizes are the counts
+    of a `Counter` over the table, in its order, and the fresh units a count
+    over the 2(n - n_prev) outer slots alone.  `_copies` gives the fine
+    class of each copy of every coarse class; the split guard wants every
+    copy inside one, and the multiplicities count the fine classes of each
+    coarse class's copies.  The edges come out grouped by class, so only
+    the fine classes of one class's copies need a sort, and with a depth
+    gap of 0 each class has one copy and nothing is counted or sorted.
     """
     schedule = tuple((int(k), int(n), int(d)) for k, n, d in schedule)
     for prev, cur in zip(schedule, schedule[1:]):
@@ -171,39 +175,70 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     tables = [class_table(a.stage(k), n, d) for k, n, d in schedule]
     levels: list[BratteliLevel] = []
     edges: list[tuple[int, int, int, int]] = []
-    incoming: dict[int, int] = {}  # units each class receives from below
-    inside: Counter = Counter()  # cells of each class on the previous slots
+    incoming: list[int] = []  # units each class receives from below
     for m, ((k, n, d), (count, ids)) in enumerate(zip(schedule, tables)):
         vertices = range(count)
-        size = [*map(Counter(ids).__getitem__, vertices)]
-        fresh = [*map(sub, size, map(inside.get, vertices, repeat(0)))]
-        inflow = [*map(incoming.get, vertices, repeat(0))]
-        if size != [*map(add, inflow, fresh)]:
-            j = next(j for j in vertices if size[j] != inflow[j] + fresh[j])
+        size = [*Counter(ids).values()]
+        if m:
+            cut = (n - schedule[m - 1][1]) << d
+            outer = Counter(ids[:cut] + ids[len(ids) - cut :])
+            fresh = [*map(outer.get, vertices, repeat(0))]
+        else:
+            fresh, incoming = size, [0] * count
+        if size != [*map(add, incoming, fresh)]:
+            j = next(j for j in vertices if size[j] != incoming[j] + fresh[j])
             raise EngineError(
                 f"dimension identity fails at level {m} vertex {j}: "
-                f"{size[j]} != {inflow[j]} + {fresh[j]}"
+                f"{size[j]} != {incoming[j]} + {fresh[j]}"
             )
         levels.append(BratteliLevel(m, k, n, d, tuple(zip(vertices, size, fresh))))
         if m + 1 == len(schedule):
             break
-        (_, n2, d2), fine = schedule[m + 1], tables[m + 1][1]
-        inner, pairs = _copy_runs((n, d, ids), (n2, d2, fine))
-        if len(pairs) != count:
+        (_, n2, d2), (count2, fine) = schedule[m + 1], tables[m + 1]
+        targets, splits = _copies((n, d, ids), (n2, d2, fine))
+        if splits:
             raise EngineError(
-                f"refined copy of class {min(_split_runs(pairs))} splits across "
-                "fine classes"
+                f"refined copy of class {min(splits)[0]} splits across fine classes"
             )
-        # each class once per suffix, beside the fine id of that copy
-        copies = chain.from_iterable(zip(*[vertices] * (1 << (d2 - d))))
-        runs = chain.from_iterable(map(dict(pairs).__getitem__, vertices))
-        mult = Counter(zip(copies, runs))
-        edges += [(m, i, j, c) for (i, j), c in sorted(mult.items())]
-        incoming = {}
-        for (i, j), c in mult.items():
-            incoming[j] = incoming.get(j, 0) + c * size[i]
-        inside = Counter(inner)
+        if len(targets) == 1:
+            mult = zip(vertices, targets[0], repeat(1))
+        else:
+            # each class once per suffix, beside the sorted fine classes of
+            # its copies: the counts come out in (class, fine class) order
+            copies = chain.from_iterable(map(repeat, vertices, repeat(len(targets))))
+            runs = chain.from_iterable(map(sorted, zip(*targets)))
+            mult = [(i, j, c) for (i, j), c in Counter(zip(copies, runs)).items()]
+        incoming = [0] * count2
+        for i, j, c in mult:
+            edges.append((m, i, j, c))
+            incoming[j] += c * size[i]
     return BratteliDiagram(tuple(levels), tuple(edges))
+
+
+class _Decimal(dict):
+    """A name table that holds nothing: each lookup formats its int."""
+
+    def __missing__(self, x: int) -> str:
+        return str(x)
+
+
+def _named(render, d: BratteliDiagram) -> str:
+    """render(d, names), with names[x] == str(x) for every int x rendered.
+
+    Most ints of a diagram repeat: ids, levels and multiplicities are small,
+    and each one would be formatted again at every vertex and edge.  So the
+    table holds the names of 0, ..., b - 1 once, b being the number of levels
+    plus the vertex count of the largest level.  That is never more ints than
+    either format renders, and it covers every id, level and multiplicity of
+    a diagram from `bratteli_build`.  A diagram holding any other int (a
+    negative id, a size above b) raises KeyError, and is rendered again with
+    a table that formats each lookup.
+    """
+    b = len(d.levels) + max((len(lv.vertices) for lv in d.levels), default=0)
+    try:
+        return render(d, dict(enumerate(map(str, range(b)))))
+    except KeyError:
+        return render(d, _Decimal())
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -221,13 +256,19 @@ def diagram_to_json(d: BratteliDiagram) -> str:
     obj is {"levels": [{"m", "params": {"k", "n", "d"}, "vertices":
     [{"id", "size", "fresh"}]}], "edges": [{"from": [m, i], "to": [m + 1, j],
     "mult"}]} with int values.  json.dumps with an indent runs the
-    pure-Python encoder, so the layout is written from fixed templates.
+    pure-Python encoder, so the layout is written from fixed templates, and
+    the ints of the vertices and edges are looked up in a name table
+    (`_named`) rather than formatted one by one.
     """
+    return _named(_json_text, d)
+
+
+def _json_text(d: BratteliDiagram, names: dict[int, str]) -> str:
     levels = []
     for lv in d.levels:
         vertices = [
-            f'{{\n          "id": {vid},\n          "size": {size},\n'
-            f'          "fresh": {fresh}\n        }}'
+            f'{{\n          "id": {names[vid]},\n          "size": {names[size]},\n'
+            f'          "fresh": {names[fresh]}\n        }}'
             for vid, size, fresh in lv.vertices
         ]
         levels.append(
@@ -236,9 +277,9 @@ def diagram_to_json(d: BratteliDiagram) -> str:
             f'      "vertices": {_json_list(vertices, "      ")}\n    }}'
         )
     edges = [
-        f'{{\n      "from": [\n        {m},\n        {i}\n      ],\n'
-        f'      "to": [\n        {m + 1},\n        {j}\n      ],\n'
-        f'      "mult": {c}\n    }}'
+        f'{{\n      "from": [\n        {names[m]},\n        {names[i]}\n      ],\n'
+        f'      "to": [\n        {names[m + 1]},\n        {names[j]}\n      ],\n'
+        f'      "mult": {names[c]}\n    }}'
         for m, i, j, c in d.edges
     ]
     return (
@@ -248,14 +289,23 @@ def diagram_to_json(d: BratteliDiagram) -> str:
 
 
 def diagram_to_dot(d: BratteliDiagram) -> str:
+    """The diagram as DOT: one rank per level, an edge labelled by its
+    multiplicity; the ints come from a name table as in `diagram_to_json`."""
+    return _named(_dot_text, d)
+
+
+def _dot_text(d: BratteliDiagram, names: dict[int, str]) -> str:
     lines = ["digraph bratteli {", "  rankdir=TB;"]
     for lv in d.levels:
+        m = names[lv.m]
         nodes = " ".join(
-            f'L{lv.m}_{vid} [label="{size}"];' for vid, size, _ in lv.vertices
+            f'L{m}_{names[vid]} [label="{names[size]}"];' for vid, size, _ in lv.vertices
         )
         lines.append(f"  {{ rank=same; {nodes} }}")
-    for m, i, j, c in d.edges:
-        lines.append(f'  L{m}_{i} -> L{m + 1}_{j} [label="{c}"];')
+    lines += [
+        f'  L{names[m]}_{names[i]} -> L{names[m + 1]}_{names[j]} [label="{names[c]}"];'
+        for m, i, j, c in d.edges
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

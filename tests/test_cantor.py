@@ -265,7 +265,7 @@ class TestClopenSet:
     def test_union_intersect_complement(self):
         a = ClopenSet.parse("{0}")
         b = ClopenSet.parse("{1}")
-        assert a.union(b) == FULL
+        assert ClopenSet(a.words + b.words) == FULL
         assert a.intersect(b) == EMPTY
         assert a.complement() == b
 
@@ -306,7 +306,8 @@ class TestClopenSet:
     def test_de_morgan(self, ws, vs):
         a = ClopenSet(tuple(normalize_words(ws)))
         b = ClopenSet(tuple(normalize_words(vs)))
-        assert a.union(b).complement() == a.complement().intersect(b.complement())
+        union = ClopenSet(a.words + b.words)
+        assert union.complement() == a.complement().intersect(b.complement())
 
     @given(a=antichains, b=antichains)
     def test_intersect_and_subset_match_cells(self, a, b):
@@ -314,7 +315,7 @@ class TestClopenSet:
         ca, cb = cells_covered(a, 4), cells_covered(b, 4)
         assert cells_covered((sa & sb).words, 4) == ca & cb
         assert sa.subset_of(sb) == (ca <= cb)
-        assert sa.subset_of(sa | sb) and (sa & sb).subset_of(sb)
+        assert sa.subset_of(ClopenSet(sa.words + sb.words)) and (sa & sb).subset_of(sb)
 
     # raw lists: repeats, unmerged siblings, words above the set's words,
     # the empty word and the empty list

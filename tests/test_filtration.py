@@ -306,6 +306,34 @@ def test_json_layout_is_json_dumps(d):
     assert json.loads(text) == diagram_object(d)
 
 
+def dot_of(d):
+    """The DOT text of a diagram, rendered here with % and str alone."""
+    lines = ["digraph bratteli {", "  rankdir=TB;"]
+    for lv in d.levels:
+        nodes = ['L%s_%s [label="%s"];' % (lv.m, vid, size) for vid, size, _ in lv.vertices]
+        lines.append("  { rank=same; " + " ".join(nodes) + " }")
+    for m, i, j, c in d.edges:
+        lines.append('  L%s_%s -> L%s_%s [label="%s"];' % (m, i, m + 1, j, c))
+    return "\n".join(lines) + "\n}\n"
+
+
+# each example defeats one careless name table: a list wraps a negative id
+# onto another name; a table sized by the vertex count misses a larger size;
+# one sized by the largest value would hold 10^12 names; one filled from the
+# levels misses an edge's m + 1 past the last level
+@settings(max_examples=200, deadline=None)
+@given(diagrams)
+@example(BratteliDiagram((BratteliLevel(0, 0, 1, 1, ((-1, 2, 2), (0, 1, 1))),),
+                         ((0, -1, -3, 1),)))
+@example(BratteliDiagram((BratteliLevel(0, 0, 5, 0, ((0, 11, 11),)),), ()))
+@example(BratteliDiagram((BratteliLevel(0, 0, 1, 1, ((0, 1, 1), (1, 2, 2))),),
+                         ((0, 1, 0, 10**12),)))
+@example(BratteliDiagram((BratteliLevel(0, 0, 1, 1, ((0, 3, 3),)),),
+                         ((4, 0, 0, 1),)))
+def test_dot_layout_matches_an_independent_renderer(d):
+    assert export(d, "dot") == dot_of(d)
+
+
 @st.composite
 def finite_towers(draw):
     """A finite length-preserving enumeration and a schedule of 2-3 stages."""
@@ -318,7 +346,7 @@ def finite_towers(draw):
     def rising(lo, hi):
         return sorted(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)))
 
-    schedule = tuple(zip(rising(0, 3), rising(0, 2), rising(depth, depth + 1)))
+    schedule = tuple(zip(rising(0, 3), rising(0, 2), rising(depth, depth + 2)))
     return rules, schedule
 
 
