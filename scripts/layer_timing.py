@@ -269,39 +269,28 @@ def time_tables(name: str, ex: ZPartialAction, levels: int, repeat: int) -> int:
 
 
 def time_tower_pass(seed: int, repeat: int) -> int:
-    """Run the odometer_tower jobs of `seed` `repeat` times, each job as
-    `workloads.run` does, timing its steps apart: the exhaustion and its
-    schedule, the class_table calls, the rest of bratteli_build, JSON export
-    and DOT export.  Print the least total of each step over the passes, then
-    check every output of the last pass with `workloads.check`; return the
-    number of outputs it rejects."""
+    """Run the odometer_tower jobs of `seed` `repeat` times through
+    `workloads.run`, timing its steps apart by wrapping the calls it makes:
+    class_table, bratteli_build less its class_table calls, JSON export and
+    DOT export (export is called for JSON, then DOT, once per job), and the
+    schedule, the rest of each job.  Print the least total of each step over
+    the passes, then check every output of the last pass with
+    `workloads.check`; return the number of outputs it rejects."""
     jobs = workloads.make_jobs("odometer_tower", seed)
     steps = ("schedule", "class_table", "rest of bratteli_build", "JSON export",
              "DOT export")
     least = dict.fromkeys(steps, float("inf"))
     for _ in range(repeat):
-        spent = dict.fromkeys(steps, 0.0)
-        outputs = []
-        with calls_to(cantorenv.filtration, "class_table") as tables:
-            for job in jobs:
-                t0 = time.perf_counter()
-                ex = ce.Exhaustion(ODOMETER if job["rules"] is None else GeneratedMap(
-                    "rules", tuple(map(tuple, job["rules"]))))
-                schedule = default_schedule(ex, job["levels"])
-                t1 = time.perf_counter()
-                diagram = ce.bratteli_build(ex, schedule)
-                t2 = time.perf_counter()
-                text = ce.export(diagram, "json")
-                t3 = time.perf_counter()
-                text += ce.export(diagram, "dot")
-                t4 = time.perf_counter()
-                outputs.append(text)
-                spent["schedule"] += t1 - t0
-                spent["rest of bratteli_build"] += t2 - t1
-                spent["JSON export"] += t3 - t2
-                spent["DOT export"] += t4 - t3
-        spent["class_table"] = sum(tables)
-        spent["rest of bratteli_build"] -= spent["class_table"]
+        with calls_to(cantorenv.filtration, "class_table") as tables, \
+                calls_to(ce, "bratteli_build") as builds, \
+                calls_to(ce, "export") as exports:
+            t0 = time.perf_counter()
+            outputs = [workloads.run(ce, job, None) for job in jobs]
+            total = time.perf_counter() - t0
+        spent = {"class_table": sum(tables),
+                 "rest of bratteli_build": sum(builds) - sum(tables),
+                 "JSON export": sum(exports[0::2]), "DOT export": sum(exports[1::2])}
+        spent["schedule"] = total - sum(builds) - sum(exports)
         for step in steps:
             least[step] = min(least[step], spent[step])
     print(f"odometer_tower pass (seed {seed}, {len(jobs)} jobs, {len(tables)} "

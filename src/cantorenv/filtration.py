@@ -162,10 +162,12 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     of a `Counter` over the table, in its order, and the fresh units a count
     over the 2(n - n_prev) outer slots alone.  `_copies` gives the fine
     class of each copy of every coarse class; the split guard wants every
-    copy inside one, and the multiplicities count the fine classes of each
-    coarse class's copies.  The edges come out grouped by class, so only
-    the fine classes of one class's copies need a sort, and with a depth
-    gap of 0 each class has one copy and nothing is counted or sorted.
+    copy inside one.  A class holds at most one cell per slot (the lemma of
+    `_rows`), so two copies of one class, which share their slots, never
+    share a fine class: every multiplicity is 1, and the edges are the
+    (class, fine class) pairs of all copies, sorted.  Each suffix lists its
+    pairs in class order, so the sort merges 2^gap sorted runs, and with a
+    depth gap of 0 it only reads the one run.
     """
     schedule = tuple((int(k), int(n), int(d)) for k, n, d in schedule)
     for prev, cur in zip(schedule, schedule[1:]):
@@ -200,26 +202,19 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
             raise EngineError(
                 f"refined copy of class {min(splits)[0]} splits across fine classes"
             )
-        if len(targets) == 1:
-            mult = zip(vertices, targets[0], repeat(1))
-        else:
-            # each class once per suffix, beside the sorted fine classes of
-            # its copies: the counts come out in (class, fine class) order
-            copies = chain.from_iterable(map(repeat, vertices, repeat(len(targets))))
-            runs = chain.from_iterable(map(sorted, zip(*targets)))
-            mult = [(i, j, c) for (i, j), c in Counter(zip(copies, runs)).items()]
         incoming = [0] * count2
-        for i, j, c in mult:
-            edges.append((m, i, j, c))
-            incoming[j] += c * size[i]
+        for i, j in sorted(chain.from_iterable(map(zip, repeat(vertices), targets))):
+            edges.append((m, i, j, 1))
+            incoming[j] += size[i]
     return BratteliDiagram(tuple(levels), tuple(edges))
 
 
-class _Decimal(dict):
-    """A name table that holds nothing: each lookup formats its int."""
+class _Names(dict):
+    """A name table that formats each int at its first lookup and keeps it."""
 
     def __missing__(self, x: int) -> str:
-        return str(x)
+        name = self[x] = str(x)
+        return name
 
 
 def _named(render, d: BratteliDiagram) -> str:
@@ -232,13 +227,15 @@ def _named(render, d: BratteliDiagram) -> str:
     either format renders, and it covers every id, level and multiplicity of
     a diagram from `bratteli_build`.  A diagram holding any other int (a
     negative id, a size above b) raises KeyError, and is rendered again with
-    a table that formats each lookup.
+    a `_Names` table.  The first table is a plain dict because lookups in a
+    dict subclass miss the interpreter's fast path: with `_Names` alone, the
+    `odometer_tower` workload ran 8% slower (CPython 3.11, 2-core host).
     """
     b = len(d.levels) + max((len(lv.vertices) for lv in d.levels), default=0)
     try:
         return render(d, dict(enumerate(map(str, range(b)))))
     except KeyError:
-        return render(d, _Decimal())
+        return render(d, _Names())
 
 
 def _json_list(items: list[str], indent: str) -> str:
