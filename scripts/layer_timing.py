@@ -5,6 +5,7 @@
     PYTHONPATH=src python3 scripts/layer_timing.py cli --repeat 5
     PYTHONPATH=src python3 scripts/layer_timing.py cells --seed 0 --repeat 3
     PYTHONPATH=src python3 scripts/layer_timing.py join --seed 0 --repeat 3
+    PYTHONPATH=src python3 scripts/layer_timing.py import --repeat 10
 
 Every case prints the best of `--repeat` wall-clock times.  A case with the
 shape of a benchmark workload runs that workload's own jobs (`make_jobs` and
@@ -21,6 +22,8 @@ import io
 import os
 import random
 import shlex
+import statistics
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -405,11 +408,63 @@ def time_join(args) -> int:
     return status
 
 
+# import: the package's cold import, one fresh interpreter at a time
+
+MAX_IMPORTS = 40
+# run as `python -I -c IMPORT_SCRIPT src perfbench what`; the import is
+# timed inside the process, as perfbench's set-up times it
+IMPORT_SCRIPT = """
+import sys, time
+src, bench, what = sys.argv[1:]
+sys.path[:0] = [src, bench]
+before = set(sys.modules)
+t0 = time.perf_counter()
+if what == "package":
+    import cantorenv, cantorenv.cli
+else:
+    import workloads
+print((time.perf_counter() - t0) * 1e3, *sorted(set(sys.modules) - before))
+"""
+
+
+def cold_import(what: str) -> tuple[float, set[str]]:
+    """Milliseconds and new modules of one import in a fresh interpreter."""
+    cmd = [sys.executable, "-I", "-c", IMPORT_SCRIPT, str(ROOT / "src"),
+           str(ROOT / "perfbench"), what]
+    ms, *names = subprocess.run(cmd, capture_output=True, text=True,
+                                check=True).stdout.split()
+    return float(ms), set(names)
+
+
+def time_import(args) -> int:
+    """Run `--repeat` fresh `python -I` interpreters (at most 40), one after
+    another, each timing `import cantorenv, cantorenv.cli` from inside.
+    Print the median in ms and the standard library modules that import
+    loads beyond those that importing perfbench/workloads.py loads, in one
+    more interpreter.  Exit 1 when the import loads `dataclasses` or
+    `inspect`."""
+    if not 1 <= args.repeat <= MAX_IMPORTS:
+        sys.exit(f"--repeat must be between 1 and {MAX_IMPORTS}, not {args.repeat}")
+    runs = [cold_import("package") for _ in range(args.repeat)]
+    loaded = set().union(*(names for _, names in runs))
+    extra = sorted(loaded - cold_import("workloads")[1]
+                   - {m for m in loaded if m.partition(".")[0] == "cantorenv"})
+    print(f"import cantorenv, cantorenv.cli {statistics.median(t for t, _ in runs):8.2f} ms "
+          f"(median of {args.repeat} fresh interpreters)")
+    print(f"stdlib beyond perfbench/workloads.py ({len(extra)}): {' '.join(extra)}")
+    heavy = sorted(loaded & {"dataclasses", "inspect"})
+    if heavy:
+        print(f"THE IMPORT LOADS {' AND '.join(heavy)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 LAYERS = {
     "psi": (time_psi, {"--trials": 250, "--seed": 707, "--repeat": 3}),
     "cli": (time_cli, {"--repeat": 5}),
     "cells": (time_cells, {"--seed": 0, "--repeat": 3}),
     "join": (time_join, {"--seed": 0, "--repeat": 3}),
+    "import": (time_import, {"--repeat": 10}),
 }
 
 

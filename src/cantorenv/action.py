@@ -18,12 +18,11 @@ Index conventions are owned by the three helpers below and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cantor import ClopenSet, Point, leaves_below, proper_prefixes, show_word
 from .errors import LevelRequired, ParseError, SupportViolation
 from .functions import PiecewiseConstant, compose_with_map
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
+from .value import Value
 
 
 def germ_index(r: int, s: int) -> int:
@@ -142,8 +141,7 @@ class ZPartialAction:
         return self.h(t).apply_point(x)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Value):
     axiom: int
     t: int
     s: int | None
@@ -153,8 +151,7 @@ class AxiomViolation:
         return {"axiom": self.axiom, "t": self.t, "s": self.s, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class AxiomsReport:
+class AxiomsReport(Value):
     bound: int
     violations: tuple[AxiomViolation, ...]
 

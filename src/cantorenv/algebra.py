@@ -11,27 +11,28 @@ one slot with `corner(r, s)`.  Reindexing blocks by slot negation exchanges
 the two pictures; every identity here is exact.
 
 The public constructors check, sort and filter their slots.  The trusted
-constructor `_IndexedTable._canonical(items)` only drops zero slots: its
+constructor `_IndexedTable._canonical(items)` takes its slots as given: its
 caller guarantees that `items` are sorted by slot, with distinct int-pair
-slots and canonical functions.  It is called where that holds by
-construction: `shift` translates both slots alike and `__neg__`, `scale`,
-`corner`, `row_part` and `col_part` keep or filter slots in order;
-reindexing negates both slots and so reverses the order; sums, products and
-adjoints sort the slots they build.  Supports are checked on piece words
+slots and nonzero canonical functions.  `shift` translates both slots
+alike; `__neg__`, `row_part` and `col_part` keep nonzero slots in order;
+reindexing negates both slots and so reverses the order; the adjoints sort
+the slots they build and make no zero slot (see `adjoint`).  The callers
+that can make a zero slot drop it themselves, and sort what they keep:
+`corner` an empty slot, `scale` a zero factor, and sums and products a
+cancelling sum.  Supports are checked on piece words
 (`_check_supports`), not on fresh clopen sets: every table, once per action,
 before use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import ClassVar
 
 from .action import ZPartialAction, germ_index, kernel_tag, transport_index
 from .errors import ParseError, SupportViolation
 from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map, memo
+from .value import Value, set_field
 
 Index = tuple[int, int]
 
@@ -41,37 +42,36 @@ def _check_slot(what: str, key) -> None:
         raise ParseError(f"{what} slot {key!r} is not a pair of ints")
 
 
-@dataclass(frozen=True)
-class _IndexedTable:
+class _IndexedTable(Value):
     """Finitely many slots (r, s) -> function, kept canonical and sorted.
 
-    `_what` names one slot in messages.  Dataclass equality compares the
-    class too, so tables of different kinds are never equal.  `_checked_for`
-    is the action whose support check the table last passed; it is no field,
-    so equality, hashing and printing never read it.
+    `_what`, set by each kind, names one slot in messages.  `Value` equality
+    compares the class too, so tables of different kinds are never equal.
+    `_checked_for` is the action whose support check the table last passed;
+    it is no field, so equality, hashing and printing never read it.
     """
 
     table: tuple[tuple[Index, PiecewiseConstant], ...] = ()
-    _what: ClassVar[str]
     _checked_for = None
 
-    def __post_init__(self):
+    def __init__(self, table: tuple[tuple[Index, PiecewiseConstant], ...] = ()):
         seen = set()
         out = []
-        for key, func in self.table:
+        for key, func in table:
             _check_slot(self._what, key)
             if key in seen:
                 raise ParseError(f"duplicate {self._what} at {key}")
             seen.add(key)
             if not func.is_zero():
                 out.append((key, func))
-        object.__setattr__(self, "table", tuple(sorted(out)))
+        set_field(self, "table", tuple(sorted(out)))
 
     @classmethod
     def _canonical(cls, items):
-        """Trusted constructor: slots sorted, distinct int pairs, canonical functions."""
+        """Trusted constructor: slots sorted, distinct int pairs, nonzero
+        canonical functions, all taken as given."""
         out = object.__new__(cls)
-        out.__dict__["table"] = tuple([e for e in items if e[1].pieces])
+        set_field(out, "table", tuple(items))
         return out
 
     @memo
@@ -97,13 +97,14 @@ class _IndexedTable:
     def corner(self, r: int, s: int):
         """Compression to the single slot (r, s)."""
         _check_slot(self._what, (r, s))
-        return self._canonical([((r, s), self.at(r, s))])
+        func = self.at(r, s)
+        return self._canonical([((r, s), func)] if func.pieces else [])
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         acc = self._lookup | {k: self.at(*k) + f for k, f in other.table}
-        return self._canonical(sorted(acc.items()))
+        return self._canonical(sorted(e for e in acc.items() if e[1].pieces))
 
     def __neg__(self):
         return self._canonical([(k, -f) for k, f in self.table])
@@ -112,6 +113,9 @@ class _IndexedTable:
         return self + (-other)
 
     def scale(self, c: Scalar):
+        # a nonzero multiple of a nonzero function is nonzero
+        if c.is_zero():
+            return self._canonical([])
         return self._canonical([(k, f.scale(c)) for k, f in self.table])
 
 
@@ -161,7 +165,7 @@ def _check_supports(f: _IndexedTable, a: ZPartialAction, index, what: str) -> No
                 f"{what} ({r},{s}) supported on {func.support()}, "
                 f"outside X_{t} = {a.domain(t)}"
             )
-    f.__dict__["_checked_for"] = a
+    set_field(f, "_checked_for", a)
 
 
 def validate_blocks(f: GroupoidFunction, a: ZPartialAction) -> None:
@@ -193,13 +197,19 @@ def convolve(
                 continue
             key = (r, u)
             acc[key] = acc.get(key, ZERO_FUNC) + term
-    out = GroupoidFunction._canonical(sorted(acc.items()))
+    out = GroupoidFunction._canonical(sorted(e for e in acc.items() if e[1].pieces))
     validate_blocks(out, a)
     return out
 
 
 def adjoint(f: GroupoidFunction, a: ZPartialAction) -> GroupoidFunction:
-    """Block (s, r) of f* = conjugate of f_{r,s}, transported by h_{s-r}."""
+    """Block (s, r) of f* = conjugate of f_{r,s}, transported by h_{s-r}.
+
+    No block comes out zero.  f passes its support check first, so a piece
+    [w] of a nonzero f_{r,s} lies in X_{s-r}, the image of h_{s-r}; a target
+    of h_{s-r} meets [w] and is thus comparable with w, and pulling back
+    along that rule keeps the piece's conjugate value, which is nonzero.
+    """
     validate_blocks(f, a)
     table = []
     for (r, s), func in f.table:
@@ -239,13 +249,17 @@ def kernel_multiply(
                 continue
             key = (r, s)
             acc[key] = acc.get(key, ZERO_FUNC) + term
-    out = KernelElement._canonical(sorted(acc.items()))
+    out = KernelElement._canonical(sorted(e for e in acc.items() if e[1].pieces))
     validate_entries(out, a)
     return out
 
 
 def kernel_adjoint(k: KernelElement, a: ZPartialAction) -> KernelElement:
-    """Entry (r, s) of k* = conjugate of k(s, r), transported by h_{s-r}."""
+    """Entry (r, s) of k* = conjugate of k(s, r), transported by h_{s-r}.
+
+    No entry comes out zero, as in `adjoint`: a nonzero k(s, r) that passed
+    its support check lies in X_{s-r}, the image of h_{s-r}.
+    """
     validate_entries(k, a)
     table = []
     for (s, r), func in k.table:

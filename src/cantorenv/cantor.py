@@ -19,9 +19,8 @@ primitive period and a minimal preperiod, so point equality is field equality.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-
 from .errors import DepthTooSmall, ParseError
+from .value import Value, set_field
 
 ALPHABET = "01"
 
@@ -92,8 +91,7 @@ def primitive_root(word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """Eventually periodic point pre.per^infinity, canonicalized on construction.
 
     Canonical form: the period is primitive, and the preperiod does not end with
@@ -103,18 +101,18 @@ class Point:
     preperiod: str = ""
     period: str = "0"
 
-    def __post_init__(self):
-        check_word(self.preperiod)
-        check_word(self.period)
-        if not self.period:
+    def __init__(self, preperiod: str = "", period: str = "0"):
+        check_word(preperiod)
+        check_word(period)
+        if not period:
             raise ParseError("period must be nonempty")
-        per = primitive_root(self.period)
-        pre = self.preperiod
+        per = primitive_root(period)
+        pre = preperiod
         while pre and pre[-1] == per[-1]:
             per = per[-1] + per[:-1]
             pre = pre[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        set_field(self, "preperiod", pre)
+        set_field(self, "period", per)
 
     def unroll(self, n: int) -> str:
         """The first n symbols of the sequence."""
@@ -241,14 +239,13 @@ def normalize_words(words) -> tuple[str, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(Value):
     """A clopen subset of the Cantor space in canonical antichain form."""
 
     words: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "words", normalize_words(self.words))
+    def __init__(self, words: tuple[str, ...] = ()):
+        set_field(self, "words", normalize_words(words))
 
     @staticmethod
     def cylinder(word: str) -> "ClopenSet":

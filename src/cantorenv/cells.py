@@ -32,12 +32,12 @@ number of its class, building no class at all.  Everything downstream
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, compress, repeat, starmap
 
 from .action import ZPartialAction
 from .cantor import extensions
 from .errors import CapExceeded, DepthTooSmall, NotStabilized
+from .value import Value
 
 # Most cells (t, w), |t| <= n and |w| = d, one partition may hold.  The cells,
 # their words and the class tuples take 150-230 bytes per cell (CPython
@@ -79,8 +79,7 @@ def adapted_depth(a: ZPartialAction, n: int) -> int:
     return max((len(u) for u, _ in rules), default=0)
 
 
-@dataclass(frozen=True)
-class CellPartition:
+class CellPartition(Value):
     """Cells (t, w), |t| <= n, len(w) = d, grouped into relation classes."""
 
     n: int

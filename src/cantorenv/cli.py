@@ -9,12 +9,10 @@ point 141 (128 + SIGPIPE) when the reader of stdout closed it early.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .action import (
@@ -47,18 +45,27 @@ from .filtration import (
     truncated_relation,
 )
 from .prefix_map import GeneratedMap, PrefixMap
+from .value import Value, set_field
 from .verify import equivariance_sign, isomorphism_suite
 
 _TOP_KEYS = {"name", "generator", "exhaustion", "defaults"}
 _DEFAULT_KEYS = {"bound", "depth", "level", "levels", "cap", "seed"}
 
 
-@dataclass(frozen=True)
-class SystemDefinition:
+class SystemDefinition(Value):
+    """A loaded system file; `defaults` is a fresh dict when omitted."""
+
     name: str
     generator: PrefixMap | GeneratedMap
     counts: tuple[int, ...] | None = None
-    defaults: dict = field(default_factory=dict)
+    defaults: dict
+
+    def __init__(self, name: str, generator: PrefixMap | GeneratedMap,
+                 counts: tuple[int, ...] | None = None, defaults: dict | None = None):
+        set_field(self, "name", name)
+        set_field(self, "generator", generator)
+        set_field(self, "counts", counts)
+        set_field(self, "defaults", {} if defaults is None else defaults)
 
     @property
     def is_generated(self) -> bool:
@@ -334,8 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built from `COMMANDS` once per process on first use.
 
     Sharing it is safe: `parse_args` returns a fresh namespace and leaves
-    the parser unchanged.
+    the parser unchanged.  `argparse` is imported here, so importing this
+    module without parsing loads none of it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cantorenv",
         description="Exact analysis of partial integer actions on binary Cantor space.",

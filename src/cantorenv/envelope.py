@@ -21,17 +21,15 @@ named violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
     ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes, show_word
 )
 from .errors import BaseNotInDomain, NoWitness
+from .value import Value
 
 
-@dataclass(frozen=True)
-class GermPair:
+class GermPair(Value):
     index: int
     point: Point
 
@@ -47,8 +45,7 @@ def related(a: ZPartialAction, p: GermPair, q: GermPair) -> bool:
     return moved == q.point
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Value):
     checked: int
     violations: tuple[str, ...]
 
@@ -84,8 +81,7 @@ def symmetry_transitivity_probe(a: ZPartialAction, triples) -> ProbeReport:
 # Hausdorffness
 
 
-@dataclass(frozen=True)
-class HausdorffCertificate:
+class HausdorffCertificate(Value):
     verdict: str  # "clopen" | "non-clopen-witness" | "unknown"
     bound: int | None = None
     t: int | None = None
@@ -169,8 +165,7 @@ def hausdorff_decide(
     return HausdorffCertificate("unknown", depth=depth)
 
 
-@dataclass(frozen=True)
-class NonSeparablePair:
+class NonSeparablePair(Value):
     first: GermPair
     second: GermPair
     approach: tuple[tuple[Point, Point], ...]
@@ -237,8 +232,7 @@ def nonseparable_pair(
 # Etale structure and groupoid laws
 
 
-@dataclass(frozen=True)
-class EtaleReport:
+class EtaleReport(Value):
     t: int
     s: int
     base: ClopenSet

@@ -11,7 +11,6 @@ vertex sizes obey an exact counting identity.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add
 
@@ -20,6 +19,7 @@ from .cantor import Point, extensions
 from .cells import CellPartition, adapted_depth, cell_partition, class_table
 from .envelope import GermPair, ProbeReport, related
 from .errors import CapExceeded, EngineError, NotInDomain, ParseError
+from .value import Value
 
 
 # An exhaustion is the enumerated action itself: ZPartialAction owns the
@@ -133,8 +133,7 @@ def default_schedule(a: ZPartialAction, levels: int) -> Schedule:
     return tuple((m, m + 1, adapted_depth(a.stage(m), m + 1)) for m in range(levels))
 
 
-@dataclass(frozen=True)
-class BratteliLevel:
+class BratteliLevel(Value):
     m: int
     k: int
     n: int
@@ -142,8 +141,7 @@ class BratteliLevel:
     vertices: tuple[tuple[int, int, int], ...]  # (id, size, fresh)
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(Value):
     levels: tuple[BratteliLevel, ...]
     edges: tuple[tuple[int, int, int, int], ...]  # (m, src, dst, mult)
 

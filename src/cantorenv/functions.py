@@ -25,7 +25,6 @@ sources keep it sorted and prefix-free.  Outside this module only
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -34,6 +33,7 @@ from .cantor import (
     ClopenSet, check_word, leaves_below, merge_siblings, prefix_join, proper_prefixes,
     show_word,
 )
+from .value import FrozenInstanceError, Value, set_field
 
 _Rat = (int, Fraction)
 
@@ -163,20 +163,20 @@ class memo:
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        out = obj.__dict__[self.name] = self.func(obj)
+        out = self.func(obj)
+        set_field(obj, self.name, out)
         return out
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant:
+class PiecewiseConstant(Value):
     """A locally constant function with finitely many nonzero cylinder values."""
 
     pieces: tuple[tuple[str, Scalar], ...] = ()
 
-    def __post_init__(self):
+    def __init__(self, pieces: tuple[tuple[str, Scalar], ...] = ()):
         seen: set[str] = set()
         live = []
-        for w, c in self.pieces:
+        for w, c in pieces:
             check_word(w)
             if w in seen:
                 raise ValueError(f"duplicate piece {w!r}")
@@ -190,13 +190,13 @@ class PiecewiseConstant:
         for (u, _), (v, _) in zip(live, live[1:]):
             if v.startswith(u):
                 raise ValueError(f"pieces overlap: {u!r} and {v!r}")
-        object.__setattr__(self, "pieces", tuple(merge_siblings(live)))
+        set_field(self, "pieces", tuple(merge_siblings(live)))
 
     @classmethod
     def _canonical(cls, live) -> "PiecewiseConstant":
         """Trusted constructor: sorted, prefix-free, checked, nonzero pieces."""
         out = object.__new__(cls)
-        out.__dict__["pieces"] = tuple(merge_siblings(live))
+        set_field(out, "pieces", tuple(merge_siblings(live)))
         return out
 
     def is_zero(self) -> bool:

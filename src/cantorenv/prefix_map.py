@@ -10,15 +10,14 @@ expose clopen truncations consisting of the first rules of the enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .cantor import ClopenSet, Point, check_word, prefix_join, read_word, show_word
 from .errors import NotInDomain, ParseError
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class PrefixMap:
+class PrefixMap(Value):
     """A finite prefix rewrite system, rules kept sorted by source.
 
     Construction does not reject overlapping rules; `violations` reports them,
@@ -27,11 +26,9 @@ class PrefixMap:
 
     rules: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        cleaned = tuple(
-            (check_word(u), check_word(v)) for u, v in self.rules
-        )
-        object.__setattr__(self, "rules", tuple(sorted(cleaned)))
+    def __init__(self, rules: tuple[tuple[str, str], ...] = ()):
+        cleaned = [(check_word(u), check_word(v)) for u, v in rules]
+        set_field(self, "rules", tuple(sorted(cleaned)))
 
     @classmethod
     def _canonical(cls, rules) -> "PrefixMap":
@@ -40,7 +37,7 @@ class PrefixMap:
         build their rules from words that were checked already, in that
         order; no other code calls it."""
         out = object.__new__(cls)
-        object.__setattr__(out, "rules", tuple(rules))
+        set_field(out, "rules", tuple(rules))
         return out
 
     def violations(self) -> tuple[str, ...]:
@@ -134,8 +131,7 @@ def compose(g: PrefixMap, f: PrefixMap) -> PrefixMap:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedMap:
+class GeneratedMap(Value):
     """A countable enumeration of pairwise disjoint prefix rules.
 
     kind "odometer" is the built-in infinite family 1^k 0 -> 0^k 1 (add one,
@@ -149,12 +145,13 @@ class GeneratedMap:
     kind: str
     rules: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self):
-        if self.kind not in ("odometer", "rules"):
-            raise ParseError(f"unknown generated-map kind {self.kind!r}")
-        if self.kind == "rules":
-            cleaned = tuple((check_word(u), check_word(v)) for u, v in self.rules)
-            object.__setattr__(self, "rules", cleaned)
+    def __init__(self, kind: str, rules: tuple[tuple[str, str], ...] = ()):
+        if kind not in ("odometer", "rules"):
+            raise ParseError(f"unknown generated-map kind {kind!r}")
+        if kind == "rules":
+            rules = tuple((check_word(u), check_word(v)) for u, v in rules)
+        set_field(self, "kind", kind)
+        set_field(self, "rules", rules)
 
     def violations(self) -> tuple[str, ...]:
         if self.kind == "odometer":

@@ -7,7 +7,6 @@ A fixed seed fixes the sampled elements, so failures replay exactly.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 
 from .action import ZPartialAction
@@ -25,13 +24,13 @@ from .algebra import (
 )
 from .errors import EngineError, SupportViolation
 from .sampling import Sampler
+from .value import Value
 
 # equivariance_sign checks every shift t with |t| <= SHIFT_BOUND
 SHIFT_BOUND = 3
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Value):
     trials: int
     checked: int
     failures: tuple[str, ...]

@@ -379,3 +379,45 @@ class TestReindexing:
             f = s.groupoid_function(ODO1, max_index=2, depth=4)
             for t in (-2, -1, 1, 2):
                 assert to_kernel(f.shift(t)) == to_kernel(f).shift(-t)
+
+
+def assert_canonical(table):
+    """No zero slot, and equal to the public constructor on the same items."""
+    assert all(not func.is_zero() for _, func in table.table), table
+    assert table == type(table)(table.table)
+
+
+class TestTrustedTables:
+    """Every operation hands `_canonical` nonzero slots, or filters them."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        slot=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        t=st.integers(-3, 3),
+        c=st.sampled_from([Scalar(0), Scalar(1), Scalar(-1), Scalar(0, 1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_operation_returns_canonical_tables(self, seed, slot, t, c):
+        s = Sampler(seed)
+        a = (ODO1, FLIP)[seed % 2]
+        f, g = (s.groupoid_function(a, max_index=2, depth=4) for _ in range(2))
+        k1, k2 = to_kernel(f), to_kernel(g)
+        for out in (
+            f.corner(*slot), k1.corner(*slot), f + g, f - f, k1 - k1,
+            f.scale(c), k1.scale(c), convolve(f, g, a), adjoint(f, a),
+            kernel_multiply(k1, k2, a), kernel_adjoint(k1, a), f.shift(t),
+            -f, to_kernel(f), from_kernel(k1), row_part(k1, t), col_part(k1, t),
+        ):
+            assert_canonical(out)
+
+    def test_cancelling_products_drop_their_slot(self):
+        # on [0 -> 1]: 1_{1} 1_{1} at slot (0, 0) and -1_{1} (1_{0} o h_{-1})
+        # through the middle slot 1 cancel, so the product is zero
+        f = blocks(((0, 0), ONE_1), ((0, 1), -ONE_1))
+        g = blocks(((0, 0), ONE_1), ((1, 0), ONE_0))
+        product = convolve(f, g, FLIP)
+        assert product == ZERO_BLOCKS
+        assert_canonical(product)
+        kernels = kernel_multiply(to_kernel(f), to_kernel(g), FLIP)
+        assert kernels == ZERO_KERNEL
+        assert_canonical(kernels)
