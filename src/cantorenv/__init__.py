@@ -34,7 +34,6 @@ from .envelope import (
     hausdorff_decide,
     nonseparable_pair,
     related,
-    symmetry_transitivity_probe,
 )
 from .errors import (
     BaseNotInDomain,

@@ -89,7 +89,7 @@ class ZPartialAction:
                 raise LevelRequired(f"exhaustion schedule has no stage {k}")
             return self.counts[k]
         if self.generator.is_finite:
-            return min(k + 1, self.generator.rule_count)
+            return min(k + 1, len(self.generator.rules))
         return k + 1
 
     def stage(self, k: int) -> "ZPartialAction":

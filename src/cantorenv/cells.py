@@ -36,7 +36,7 @@ from itertools import chain, compress, repeat, starmap
 
 from .action import ZPartialAction
 from .cantor import extensions
-from .errors import CapExceeded, DepthTooSmall, NotStabilized
+from .errors import CapExceeded, DepthTooSmall, NotStabilized, ParseError
 from .value import Value
 
 # Most cells (t, w), |t| <= n and |w| = d, one partition may hold.  The cells,
@@ -98,10 +98,10 @@ def cell_partition(a: ZPartialAction, n: int, d: int) -> CellPartition:
     (module docstring), so they are decided at d0 alone (`_rows`) and
     copied to d, as the paragraph Copies below spells out.
 
-    Budget: `_rows` refuses (2n+1)*2^d cells over CELL_BUDGET with
-    CapExceeded before anything is built.  Classes: `_rows` numbers the
-    depth-d0 classes by least cell and gives each depth-d0 cell the number
-    of its class.  Each
+    Window: `_rows` refuses a bad window (ParseError) and (2n+1)*2^d cells
+    over CELL_BUDGET (CapExceeded) before anything is built.  Classes:
+    `_rows` numbers the depth-d0 classes by least cell and gives each
+    depth-d0 cell the number of its class.  Each
     depth-d0 cell stands for the group of its 2^(d-d0) copies, its word
     followed by each suffix z in suffix order, and a class collects the
     groups of its members in slot-major order.  Copies: zipping the groups
@@ -142,7 +142,8 @@ def class_table(a: ZPartialAction, n: int, d: int) -> tuple[int, list[int]]:
 def _rows(a: ZPartialAction, n: int, d: int) -> tuple[int, int, list[int]]:
     """The classes at the adapted depth d0 <= d: (d0, count, ids), ids[i] the
     number, by least cell, of the class of the depth-d0 cell of slot-major
-    index i.  Before any table: CapExceeded for (2n+1)*2^d cells over
+    index i.  Before any table: ParseError for an n or d that is not an int
+    (a bool or a float) or for n < 0, CapExceeded for (2n+1)*2^d cells over
     CELL_BUDGET, and DepthTooSmall for d < d0.
 
     Table: T_1 lists the image index of every depth-d0 cell within its
@@ -180,6 +181,10 @@ def _rows(a: ZPartialAction, n: int, d: int) -> tuple[int, int, list[int]]:
     (r - 1, T w): H is the least cell of each class, and the ranks of the
     heads in slot-major order number the classes by least cell.
     """
+    if type(n) is not int or type(d) is not int or n < 0:
+        raise ParseError(
+            f"a cell window needs ints n >= 0 and d, not n={n!r}, d={d!r}"
+        )
     if d > CELL_BUDGET.bit_length() or (2 * n + 1) << max(d, 0) > CELL_BUDGET:
         raise CapExceeded(
             f"{2 * n + 1} slots x 2^{d} cells exceed the budget of "

@@ -25,7 +25,7 @@ from .action import (
 )
 from .cantor import ClopenSet, Point
 from .cells import adapted_depth, cell_partition
-from .envelope import GermPair, etale_probe, hausdorff_decide, nonseparable_pair
+from .envelope import GermPair, etale_probe, hausdorff_decide, nonseparable_pair, related
 from .errors import (
     BaseNotInDomain,
     CapExceeded,
@@ -229,7 +229,7 @@ def cmd_related(args, sd: SystemDefinition):
     member = dom.contains_point(p.point)
     image = a.apply(transport_index(p.index, q.index), p.point) if member else None
     return 0, {
-        "related": bool(member and image == q.point),
+        "related": related(a, p, q),
         "p": str(p),
         "q": str(q),
         "germ_set": str(dom),
@@ -255,8 +255,8 @@ def cmd_quotient(args, sd: SystemDefinition):
         "n": part.n,
         "d": part.d,
         "count": len(part.classes),
-        "sizes": list(part.sizes),
-        "classes": [[[t2, w] for t2, w in cls] for cls in part.classes],
+        "sizes": part.sizes,
+        "classes": part.classes,
     }
 
 
@@ -264,8 +264,6 @@ def cmd_filtrate(args, sd: SystemDefinition):
     if (args.p is None) != (args.q is None):
         raise ParseError("--p and --q must be given together")
     if args.p is not None:
-        if not sd.is_generated:
-            raise ParseError("inclusion witnesses need an open enumeration")
         p, q = _germ(args.p), _germ(args.q)
         cap = _resolve(args, sd, "cap", 64)
         level = inclusion_witness(
@@ -280,9 +278,9 @@ def cmd_filtrate(args, sd: SystemDefinition):
         "k": k,
         "n": part.n,
         "d": part.d,
-        "classes": [[[t, w] for t, w in cls] for cls in part.classes],
+        "classes": part.classes,
         "count": len(part.classes),
-        "sizes": list(part.sizes),
+        "sizes": part.sizes,
     }
 
 

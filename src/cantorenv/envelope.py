@@ -8,15 +8,15 @@ decision procedure either materializes the domains as canonical clopen sets
 or hunts for a limit point sitting on the boundary of the union U_k of an
 exhaustion.  Both sides of a witness are read from the stages of one
 action: U_k is the X_t of stage k, and the other side is its X_{-t}.
-The arrows of the groupoid of this relation are the related pairs of germs
-(p, q), composing as (p, q)(q, r) = (p, r); the groupoid probe checks its
-laws on such pairs through `related` alone.  The probe for the range/source
-bijections lives here too; it decides on cylinder words with
-`PrefixMap.image_word`, cutting its base only at rule boundaries, and builds
-one canonical set, the image it reports.  Its checks read the action's
-power h_k for the moved cells, its inverse power h_{-k} for the pull-back
-and its domain X_k for the range, so a broken power or domain shows as a
-named violation.
+The arrows of the groupoid are the related pairs of germs (p, q), composing
+as (p, q)(q, r) = (p, r); one probe checks its laws through `related`
+alone, and its unit, inverse and composite laws are the reflexivity,
+symmetry and transitivity of the relation.  The probe for the range/source
+bijections decides on cylinder words with `PrefixMap.image_word`, cutting
+its base only at rule boundaries, and builds one canonical set, the image
+it reports.  Its checks read the action's power h_k for the moved cells,
+its inverse power h_{-k} for the pull-back and its domain X_k for the
+range, so a broken power or domain shows as a named violation.
 """
 
 from __future__ import annotations
@@ -61,22 +61,6 @@ class ProbeReport(Value):
         }
 
 
-def symmetry_transitivity_probe(a: ZPartialAction, triples) -> ProbeReport:
-    """Check reflexivity, symmetry and transitivity on supplied germ triples."""
-    checked = 0
-    bad: list[str] = []
-    for p, q, r in triples:
-        checked += 1
-        for g in (p, q, r):
-            if not related(a, g, g):
-                bad.append(f"{g} not related to itself")
-        if related(a, p, q) and not related(a, q, p):
-            bad.append(f"{p} ~ {q} but not conversely")
-        if related(a, p, q) and related(a, q, r) and not related(a, p, r):
-            bad.append(f"{p} ~ {q} ~ {r} but {p} !~ {r}")
-    return ProbeReport(checked, tuple(bad))
-
-
 # --------------------------------------------------------------------------
 # Hausdorffness
 
@@ -94,11 +78,10 @@ class HausdorffCertificate(Value):
         if self.verdict == "clopen":
             out["bound"] = self.bound
             out["domains"] = {str(t): str(s) for t, s in self.domains}
-        elif self.verdict == "non-clopen-witness":
-            out["t"] = self.t
-            out["point"] = str(self.point)
-            out["depth"] = self.depth
         else:
+            if self.verdict == "non-clopen-witness":
+                out["t"] = self.t
+                out["point"] = str(self.point)
             out["depth"] = self.depth
         return out
 
@@ -153,7 +136,7 @@ def hausdorff_decide(
     if a.counts is not None:
         a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
-        full = a if a.clopen else a.stage(a.generator.rule_count - 1)
+        full = a if a.clopen else a.stage(len(a.generator.rules) - 1)
         doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
         return HausdorffCertificate("clopen", bound=bound, domains=doms)
 

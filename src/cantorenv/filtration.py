@@ -32,12 +32,13 @@ def inclusion_witness(
 ) -> int:
     """Least stage K whose relation already contains the instance (r,x,s,y).
 
-    The orbit from the lower slot to the higher one is walked one rule at a
-    time; the stage must cover every rule index used on the way.  The result
-    is re-checked by running the stage-K relation on the pair.
+    A clopen action has no stages and is refused with ParseError.  The orbit
+    from the lower slot to the higher one is walked one rule at a time; the
+    stage must cover every rule index used on the way, and the result is
+    re-checked by running the stage-K relation on the pair.
     """
     if a.clopen:
-        raise ParseError("inclusion witnesses need an enumerated generator")
+        raise ParseError("inclusion witnesses need an open enumeration")
     steps = r - s
     p, goal = (x, y) if steps >= 0 else (y, x)
     top = -1

@@ -116,10 +116,7 @@ class Scalar:
         )
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        d, e = self._den, other._den
-        return Scalar._make(
-            self._a * e - other._a * d, self._b * e - other._b * d, d * e
-        )
+        return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, e = self._a, self._b, other._a, other._b

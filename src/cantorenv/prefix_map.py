@@ -135,11 +135,11 @@ class GeneratedMap(Value):
     """A countable enumeration of pairwise disjoint prefix rules.
 
     kind "odometer" is the built-in infinite family 1^k 0 -> 0^k 1 (add one,
-    carry to the right); kind "rules" is an explicit finite enumeration whose
-    domain is taken to be exhausted by the listed source cylinders.  `rule`
-    and `apply_point` index rules in enumeration order, not sorted order.
-    Only the forward direction is enumerated: the inverse of a truncation is
-    its `PrefixMap.inverse`, which is what h_{-t} of a stage uses.
+    carry to the right) and stores no rules; kind "rules" is the finite
+    enumeration (`is_finite`) of its `rules`, whose domain is taken to be
+    exhausted by their source cylinders.  `rule` and `apply_point` index
+    rules in enumeration order, not sorted order.  Only the forward map is
+    enumerated: h_{-t} of a stage is its truncation's `PrefixMap.inverse`.
     """
 
     kind: str
@@ -163,10 +163,6 @@ class GeneratedMap(Value):
     @property
     def is_finite(self) -> bool:
         return self.kind == "rules"
-
-    @property
-    def rule_count(self) -> int | None:
-        return len(self.rules) if self.is_finite else None
 
     def rule(self, i: int) -> tuple[str, str]:
         if i < 0 or self.is_finite and i >= len(self.rules):

@@ -84,7 +84,7 @@ class Sampler:
         """A nonzero Gaussian rational p/q + (r/s)i: p, r drawn from -4..4 and
         q, s from 1..4, in the order p, q, r, s, redrawn while p = r = 0.
         Here, in `pwc` and in `groupoid_function`, randint(lo, hi) is drawn
-        as lo + _randbelow(hi - lo + 1), the call it makes in CPython 3.10-3.12."""
+        as lo + _randbelow(hi - lo + 1), the call it makes in CPython 3.10-3.13."""
         below = self.rng._randbelow
         while True:
             p, q, r, s = below(9) - 4, below(4) + 1, below(9) - 4, below(4) + 1

@@ -15,8 +15,13 @@ from hypothesis import given, settings, strategies as st
 from cantorenv import cells
 from cantorenv.action import ZPartialAction
 from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition, class_table
-from cantorenv.errors import CapExceeded, NotStabilized
-from cantorenv.filtration import default_schedule
+from cantorenv.errors import CapExceeded, NotStabilized, ParseError
+from cantorenv.filtration import (
+    bratteli_build,
+    default_schedule,
+    inclusion_probe,
+    truncated_relation,
+)
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 
 from oracles import brute_partition, words
@@ -84,6 +89,44 @@ def test_budget_refuses_before_any_work(n, d):
     for entry in ENTRY_POINTS:
         with pytest.raises(CapExceeded, match="budget"):
             entry(Untouchable(), n, d)
+
+
+class UntouchableStages:
+    """An enumerated action whose every stage is `Untouchable`."""
+
+    def stage(self, k):
+        return Untouchable()
+
+
+# every entry point that reads a cell window, each called with the window (n, d)
+STAGES = UntouchableStages()
+WINDOW_READERS = {
+    "class_table": lambda n, d: class_table(Untouchable(), n, d),
+    "cell_partition": lambda n, d: cell_partition(Untouchable(), n, d),
+    "truncated_relation": lambda n, d: truncated_relation(STAGES, 0, n, d),
+    "inclusion_probe": lambda n, d: inclusion_probe(STAGES, (0, n, d), (0, n, d)),
+    "bratteli_build": lambda n, d: bratteli_build(STAGES, ((0, n, d),)),
+}
+BAD_WINDOWS = {
+    "negative n": (-1, 3, "not n=-1, d=3"),
+    "bool n": (True, 2, "not n=True, d=2"),
+    "float d": (1, 2.0, "not n=1, d=2.0"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, window",
+    # bratteli_build reads its schedule rows through int(), so a bool or a
+    # float there is an int by the time the window is checked
+    [(e, w) for e in WINDOW_READERS for w in BAD_WINDOWS
+     if e != "bratteli_build" or w == "negative n"],
+)
+def test_a_window_that_is_no_cell_window_is_refused(entry, window):
+    n, d, tail = BAD_WINDOWS[window]
+    message = "a cell window needs ints n >= 0 and d, " + tail
+    with pytest.raises(ParseError) as err:
+        WINDOW_READERS[entry](n, d)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n, d", [(0, 20), (1, 18)])

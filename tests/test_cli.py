@@ -248,6 +248,12 @@ class TestCommands:
                         "--p", "2:(0)")
         assert code == 1
 
+    def test_filtrate_refuses_a_witness_on_a_clopen_system(self, sysfile, capsys):
+        code, out = run(capsys, "filtrate", sysfile(FLIP_DEF),
+                        "--p", "1:(0)", "--q", "0:1(0)")
+        assert code == 1
+        assert out == {"error": "inclusion witnesses need an open enumeration"}
+
     def test_filtrate_cap(self, sysfile, capsys):
         code, out = run(capsys, "filtrate", sysfile(ODOMETER_DEF),
                         "--p", "1:1110(0)", "--q", "0:0001(0)", "--cap", "2")

@@ -11,7 +11,6 @@ from cantorenv.envelope import (
     hausdorff_decide,
     nonseparable_pair,
     related,
-    symmetry_transitivity_probe,
 )
 from cantorenv.action import ZPartialAction, germ_index, transport_index
 from cantorenv.cells import cell_partition
@@ -57,8 +56,7 @@ class TestRelated:
     @settings(max_examples=30, deadline=None)
     def test_probe_finds_no_defect(self, seed):
         s = Sampler(seed)
-        triples = [s.related_triple(ODO.stage(2)) for _ in range(5)]
-        assert symmetry_transitivity_probe(ODO.stage(2), triples).ok
+        assert groupoid_probe(ODO.stage(2), s.arrow_triples(ODO.stage(2), 5)).ok
 
     def test_probe_str_output(self):
         assert str(GermPair(1, Point.parse("(0)"))) == "[1, (0)]"

@@ -27,6 +27,7 @@ from cantorenv.filtration import (
     inclusion_witness,
     truncated_relation,
 )
+from cantorenv import filtration
 from cantorenv.action import ZPartialAction
 from cantorenv.cells import CellPartition, adapted_depth, cell_partition
 from cantorenv.cli import main
@@ -102,6 +103,12 @@ class TestInclusionWitness:
         K = inclusion_witness(ex, 1, Point.parse("1110(0)"), 0,
                               Point.parse("0001(0)"))
         assert K == 0
+
+    def test_a_clopen_action_is_refused(self):
+        flip = ZPartialAction(PrefixMap.parse("[0 -> 1, 1 -> 0]"))
+        with pytest.raises(ParseError) as err:
+            inclusion_witness(flip, 1, Point.parse("(0)"), 0, Point.parse("1(0)"))
+        assert str(err.value) == "inclusion witnesses need an open enumeration"
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -219,6 +226,24 @@ class TestBratteli:
         assert report.violations == (
             "class 1 ((-1, '1'), (0, '0')) splits with suffix ''",
             "class 2 ((0, '1'), (1, '0')) splits with suffix ''",
+        )
+
+    def test_dimension_identity_fires_on_a_table_out_of_id_order(self, monkeypatch):
+        # Stage 1 meets id 1 before id 0, so its Counter-ordered sizes give
+        # vertex 0 the two cells of id 1, while vertex 0 receives one unit
+        # (the copy of the coarse class) and has no fresh unit.  The split
+        # guard passes: the one coarse class is copied whole.
+        tables = {0: (1, [0]), 1: (2, [1, 0, 1])}
+        monkeypatch.setattr(filtration, "class_table", lambda k, n, d: tables[k])
+
+        class Stages:
+            def stage(self, k):
+                return k
+
+        with pytest.raises(EngineError) as err:
+            bratteli_build(Stages(), ((0, 0, 0), (1, 1, 0)))
+        assert str(err.value) == (
+            "dimension identity fails at level 1 vertex 0: 2 != 1 + 0"
         )
 
     def test_json_roundtrip_and_determinism(self):

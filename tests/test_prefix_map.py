@@ -179,7 +179,6 @@ class TestGeneratedMap:
         for i in range(4):
             assert ODOMETER.rule(i) == ("1" * i + "0", "0" * i + "1")
         assert not ODOMETER.is_finite
-        assert ODOMETER.rule_count is None
 
     def test_truncation_matches_rule_list(self):
         t2 = ODOMETER.truncation(2)
