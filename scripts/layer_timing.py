@@ -5,6 +5,7 @@
     PYTHONPATH=src python3 scripts/layer_timing.py cli --repeat 5
     PYTHONPATH=src python3 scripts/layer_timing.py cells --seed 0 --repeat 3
     PYTHONPATH=src python3 scripts/layer_timing.py join --seed 0 --repeat 3
+    PYTHONPATH=src python3 scripts/layer_timing.py axioms --seed 1 --repeat 15
     PYTHONPATH=src python3 scripts/layer_timing.py import --repeat 10
 
 Every case prints the best of `--repeat` wall-clock times.  A case with the
@@ -34,6 +35,7 @@ import cantorenv.cli
 import cantorenv.filtration
 import cantorenv.verify
 from cantorenv import GroupoidFunction, ZPartialAction, convolve, isomorphism_suite
+from cantorenv.action import axioms_check
 from cantorenv.cantor import ClopenSet, extensions
 from cantorenv.cells import adapted_depth, class_table
 from cantorenv.errors import SupportViolation
@@ -408,6 +410,71 @@ def time_join(args) -> int:
     return status
 
 
+# axioms: the partial-action axioms on the families the CLI hands over
+
+
+@contextlib.contextmanager
+def counted_meets():
+    """Within the block, count the calls of ClopenSet.intersect and of its
+    alias `&` in a list, one entry per call."""
+    original = ClopenSet.intersect
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    ClopenSet.intersect = ClopenSet.__and__ = counted
+    try:
+        yield calls
+    finally:
+        ClopenSet.intersect = ClopenSet.__and__ = original
+
+
+def time_axioms(args) -> int:
+    """Run the validate and axioms jobs of cli_mix (`--seed`) once through
+    `cli.main`, from the root of the checkout with the job's system files
+    written under .bench_out/, and keep the family each one hands to
+    `axioms_check`.  For each family, print the best of `--repeat` calls of
+    `axioms_check` and the intersections one call makes against the pair
+    bound (2b+1)(2b+2)/2 at bound b.  Exit 1 when a report is not ok or a
+    call makes more intersections than the pair bound."""
+    os.chdir(ROOT)
+    jobs = [job for job in workloads.make_jobs("cli_mix", args.seed)
+            if job["argv"][0] in ("validate", "axioms")]
+    workloads.write_inputs(jobs, ROOT)
+    families = []
+
+    def kept(family):
+        families.append(family)
+        return axioms_check(family)
+
+    cantorenv.cli.axioms_check = kept
+    try:
+        for job in jobs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                ce.cli.main(list(job["argv"]))
+    finally:
+        cantorenv.cli.axioms_check = axioms_check
+    print(f"{'ms':>7} {'meets':>5} {'bound':>5}  job")
+    status, total = 0, 0.0
+    for job, family in zip(jobs, families, strict=True):
+        dt, report = best(lambda: axioms_check(family), args.repeat)
+        with counted_meets() as meets:
+            axioms_check(family)
+        b = report.bound
+        most = (2 * b + 1) * (2 * b + 2) // 2
+        wrong = [] if report.ok else ["REPORT NOT OK"]
+        if len(meets) > most:
+            wrong.append(f"MORE THAN {most} INTERSECTIONS")
+        status |= bool(wrong)
+        total += dt
+        print(f"{dt * 1e3:7.2f} {len(meets):5d} {most:5d}  {shlex.join(job['argv'])}"
+              f"{'  ' + ', '.join(wrong) if wrong else ''}")
+    print(f"{total * 1e3:7.2f} ms for {len(jobs)} calls (best of {args.repeat} each)")
+    return status
+
+
 # import: the package's cold import, one fresh interpreter at a time
 
 MAX_IMPORTS = 40
@@ -464,6 +531,7 @@ LAYERS = {
     "cli": (time_cli, {"--repeat": 5}),
     "cells": (time_cells, {"--seed": 0, "--repeat": 3}),
     "join": (time_join, {"--seed": 0, "--repeat": 3}),
+    "axioms": (time_axioms, {"--seed": 1, "--repeat": 15}),
     "import": (time_import, {"--repeat": 10}),
 }
 

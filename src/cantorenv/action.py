@@ -172,7 +172,9 @@ def _show(w: str | None) -> str:
 
 
 def generated_family(a: ZPartialAction, bound: int):
-    """The explicit family {(X_t, h_t)} for |t| <= bound."""
+    """The explicit family {(X_t, h_t)} for |t| <= bound, an int >= 0."""
+    if type(bound) is not int or bound < 0:
+        raise ParseError(f"a family bound needs an int >= 0, not {bound!r}")
     return {t: (a.domain(t), a.h(t)) for t in range(-bound, bound + 1)}
 
 
@@ -186,6 +188,11 @@ def axioms_check(family: dict) -> AxiomsReport:
     cut them, and each piece [w] needs h_t(h_s([w])) = h_{t+s}([w]) as image
     words.  One (t, s) pass decides (2) and (3); every violation is kept, (3)
     once per bad piece, in the order (1), (2), (3), each in (t, s) order.
+
+    Each meet X_i & X_j is built once per call, kept under the unordered key
+    (min(i, j), max(i, j)) since `&` is commutative on canonical sets: at
+    most (2b+1)(2b+2)/2 intersections at bound b, where the (t, s) pass asks
+    for three per pair.
     """
     bound = max(abs(t) for t in family)
     viol = []
@@ -212,21 +219,30 @@ def axioms_check(family: dict) -> AxiomsReport:
                 )
             )
 
+    meets: dict[tuple[int, int], ClopenSet] = {}
+
+    def meet(i: int, j: int) -> ClopenSet:
+        key = (i, j) if i <= j else (j, i)
+        out = meets.get(key)
+        if out is None:
+            out = meets[key] = family[i][0] & family[j][0]
+        return out
+
     third = []  # axiom (3), reported after every axiom (2) violation
     span = range(-bound, bound + 1)
     for t in span:
         for s in span:
             if abs(t + s) > bound:
                 continue
-            left = family[t][1].image_set(family[-t][0] & family[s][0])
-            right = family[t][0] & family[t + s][0]
+            left = family[t][1].image_set(meet(-t, s))
+            right = meet(t, t + s)
             if left != right:
                 viol.append(
                     AxiomViolation(
                         2, t, s, f"image {left} differs from {right}"
                     )
                 )
-            inter = family[-s][0] & family[-s - t][0]
+            inter = meet(-s, -s - t)
             if inter.is_empty():
                 continue
             h_t, h_s, h_ts = family[t][1], family[s][1], family[t + s][1]

@@ -7,7 +7,10 @@ sibling pair {w0, w1} has been merged to w, so set equality is tuple equality an
 of w.  `normalize_words` builds that form for plain words in one pass: two
 symbol counts of the words' concatenation check them all, and one stack pass
 over the sorted words absorbs extensions and repeats and merges siblings.
-`ClopenSet.covers` decides each cylinder with one bisect into the set.
+`ClopenSet.covers` decides each cylinder with one bisect into the set, and
+`ClopenSet.intersect` keeps the deeper word of each comparable pair, which is
+canonical as it comes out (its docstring has the proof), so a meet is never
+normalized again and `a & b == b & a`.
 `merge_siblings` merges the siblings of labelled pieces (equal labels only),
 `prefix_join` alone pairs two antichains, `leaves_below` alone walks the
 prefix tree, and `show_word` and `read_word` alone print and parse the empty
@@ -247,6 +250,14 @@ class ClopenSet(Value):
     def __init__(self, words: tuple[str, ...] = ()):
         set_field(self, "words", normalize_words(words))
 
+    @classmethod
+    def _canonical(cls, words) -> "ClopenSet":
+        """Trusted constructor: the caller's words are already a canonical
+        antichain.  `intersect` builds its words so; no other code calls it."""
+        out = object.__new__(cls)
+        set_field(out, "words", tuple(words))
+        return out
+
     @staticmethod
     def cylinder(word: str) -> "ClopenSet":
         return ClopenSet((word,))
@@ -261,8 +272,21 @@ class ClopenSet(Value):
         return max((len(w) for w in self.words), default=0)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
+        """The meet: the deeper word of each comparable pair, canonical as built.
+
+        Let a = self and b = other, both canonical.  For each u of a, the
+        pairs lie inside [u]: either u alone (b holds a prefix of u) or b's
+        extensions of u, which come in sorted order.  The cylinders of a's
+        words are disjoint and sorted, so the output is sorted and
+        prefix-free.  It has no sibling pair either: were w0 and w1 both
+        kept, then a alone, or b alone, would hold both siblings, or one of
+        them would hold a word together with a prefix of its sibling, and
+        each case contradicts a or b being canonical.  So the words go to the
+        trusted constructor.  The same deeper words come out whichever side
+        is self, so a & b == b & a.
+        """
         pairs = prefix_join(self.words, other.words)
-        return ClopenSet(tuple(u + v[len(u):] for u, v in pairs))  # the deeper word
+        return ClopenSet._canonical(u + v[len(u):] for u, v in pairs)
 
     def complement(self) -> "ClopenSet":
         """The leaves of the prefix tree the words span, minus the words."""

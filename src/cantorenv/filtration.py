@@ -154,7 +154,9 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     multiplicity counts the suffix-refined copies of a coarse class lying
     inside a fine class.  Fresh units are those using slots beyond the
     previous bound; the identity size' = sum(mult * size) + fresh is
-    enforced at every level.
+    enforced at every level.  A row that is not three ints (a bool or a
+    float among them) is refused with ParseError, as is a schedule that
+    steps backwards.
 
     Each stage is read as a `class_table` and no class is spelled out.  A
     class table meets its classes in id order, so the sizes are the counts
@@ -168,7 +170,10 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     pairs in class order, so the sort merges 2^gap sorted runs, and with a
     depth gap of 0 it only reads the one run.
     """
-    schedule = tuple((int(k), int(n), int(d)) for k, n, d in schedule)
+    schedule = tuple(map(tuple, schedule))
+    for row in schedule:
+        if len(row) != 3 or any(type(x) is not int for x in row):
+            raise ParseError(f"a schedule row needs ints k, n and d, not {row!r}")
     for prev, cur in zip(schedule, schedule[1:]):
         if any(x > y for x, y in zip(prev, cur)):
             raise ParseError(f"schedule steps backwards from {prev} to {cur}")

@@ -165,6 +165,36 @@ def brute_diagram(rules_of_stage, schedule):
     return {"levels": levels, "edges": edges}
 
 
+def axiom2_failures(family, bound):
+    """The (t, s) with |t|, |s|, |t + s| <= bound where h_t(X_{-t} & X_s)
+    differs from X_t & X_{t+s}.
+
+    `family` maps t to (words of X_t, rules of h_t), the rules with
+    prefix-free sources.  The left side is the image of the cells of X_{-t}
+    and X_s, taken deep enough that h_t is decisive on each; both sides are
+    then compared as the cells they cover at the depth of their longest word.
+    """
+    def longest(ws):
+        return max((len(w) for w in ws), default=0)
+
+    span = range(-bound, bound + 1)
+    out = set()
+    for t, s in itertools.product(span, span):
+        if abs(t + s) > bound:
+            continue
+        rules = family[t][1]
+        xa, xb = family[-t][0], family[s][0]
+        d = max(longest(xa), longest(xb), longest(u for u, _ in rules))
+        left = image_cells(rules, cells_covered(xa, d) & cells_covered(xb, d), d)
+        xc, xd = family[t][0], family[t + s][0]
+        e = max(longest(xc), longest(xd))
+        right = cells_covered(xc, e) & cells_covered(xd, e)
+        e = max(e, longest(left))
+        if cells_covered(left, e) != cells_covered(right, e):
+            out.add((t, s))
+    return out
+
+
 def axiom3_failures(family, bound):
     """The (t, s) with |t|, |s|, |t + s| <= bound where h_t h_s != h_{t+s}.
 

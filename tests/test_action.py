@@ -28,13 +28,14 @@ from cantorenv.sampling import Sampler
 
 from oracles import (
     FLIP_RULES,
+    axiom2_failures,
     axiom3_failures,
     deep_identity_rules,
     odometer_rules,
     transport,
     words,
 )
-from strategies import length_preserving_rules, mixed_length_rules
+from strategies import antichains, length_preserving_rules, mixed_length_rules
 
 
 def test_index_conventions_are_consistent():
@@ -313,6 +314,48 @@ class TestAxioms:
         got = {(v.t, v.s) for v in axioms_check(fam).violations if v.axiom == 3}
         plain = {t: (x.words, h.rules) for t, (x, h) in fam.items()}
         assert got == axiom3_failures(plain, 2)
+
+    @given(
+        seed=st.integers(0, 10**6),
+        sets=st.dictionaries(st.integers(-2, 2), antichains, max_size=2),
+        redraw=st.sets(st.integers(-2, 2), max_size=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_axiom2_matches_brute_force_on_redrawn_sets(self, seed, sets, redraw):
+        # the tests above keep every X_t genuine; a redrawn X_t breaks the
+        # family so that a meet read under the wrong pair of indices shows
+        sampler = Sampler(seed)
+        fam = generated_family(ZPartialAction(sampler.prefix_map()), 2)
+        for t, ws in sets.items():
+            fam[t] = (ClopenSet(tuple(ws)), fam[t][1])
+        for t in redraw:
+            fam[t] = (fam[t][0], sampler.prefix_map())
+        got = {(v.t, v.s) for v in axioms_check(fam).violations if v.axiom == 2}
+        plain = {t: (x.words, h.rules) for t, (x, h) in fam.items()}
+        assert got == axiom2_failures(plain, 2)
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3])
+    def test_each_meet_is_built_once(self, bound, monkeypatch):
+        # X_i & X_j once per unordered pair {i, j}, |i|, |j| <= bound
+        calls = []
+        intersect = ClopenSet.intersect
+
+        def counted(self, other):
+            calls.append((self, other))
+            return intersect(self, other)
+
+        monkeypatch.setattr(ClopenSet, "intersect", counted)
+        monkeypatch.setattr(ClopenSet, "__and__", counted)
+        rep = axioms_check(generated_family(ZPartialAction(ODOMETER).stage(2), bound))
+        assert rep.ok
+        assert 0 < len(calls) <= (2 * bound + 1) * (2 * bound + 2) // 2
+
+    @pytest.mark.parametrize("bound", [-1, True, 1.0])
+    def test_family_bound_must_be_an_int_at_least_zero(self, bound):
+        a = ZPartialAction(ODOMETER).stage(1)
+        with pytest.raises(ParseError) as err:
+            generated_family(a, bound)
+        assert str(err.value) == f"a family bound needs an int >= 0, not {bound!r}"
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

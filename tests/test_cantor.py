@@ -313,7 +313,16 @@ class TestClopenSet:
     def test_intersect_and_subset_match_cells(self, a, b):
         sa, sb = ClopenSet(tuple(a)), ClopenSet(tuple(b))
         ca, cb = cells_covered(a, 4), cells_covered(b, 4)
-        assert cells_covered((sa & sb).words, 4) == ca & cb
+        meet = (sa & sb).words
+        assert cells_covered(meet, 4) == ca & cb
+        # the meet skips the canonical-form pass, so it must come out
+        # canonical: strictly sorted, prefix-free and with no sibling pair,
+        # the same either way round and the canonical set of the deeper words
+        assert list(meet) == sorted(set(meet))
+        assert not overlaps(meet) and not equal_siblings([(u, 0) for u in meet])
+        assert sb & sa == sa & sb
+        deeper = [max(u, v, key=len) for u, v in comparable_pairs(sa.words, sb.words)]
+        assert meet == ClopenSet(tuple(deeper)).words
         assert sa.subset_of(sb) == (ca <= cb)
         assert sa.subset_of(ClopenSet(sa.words + sb.words)) and (sa & sb).subset_of(sb)
 

@@ -116,8 +116,8 @@ BAD_WINDOWS = {
 
 @pytest.mark.parametrize(
     "entry, window",
-    # bratteli_build reads its schedule rows through int(), so a bool or a
-    # float there is an int by the time the window is checked
+    # bratteli_build refuses a bool or a float in a schedule row before any
+    # window is read, naming the row (test_filtration.py)
     [(e, w) for e in WINDOW_READERS for w in BAD_WINDOWS
      if e != "bratteli_build" or w == "negative n"],
 )

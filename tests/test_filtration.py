@@ -217,6 +217,14 @@ class TestBratteli:
         with pytest.raises(ParseError):
             bratteli_build(ODO, ((1, 2, 2), (0, 3, 3)))
 
+    @pytest.mark.parametrize("bad", [(0, True, 1), (1.5, 2, 2), (0, 1, 1.0)])
+    def test_a_schedule_row_that_is_no_ints_is_refused(self, bad):
+        # the bad row is the first or the second; each named as given
+        rows = ((0, 1, 1), bad) if bad[0] else (bad, (1, 2, 2))
+        with pytest.raises(ParseError) as err:
+            bratteli_build(ZPartialAction(ODOMETER), rows)
+        assert str(err.value) == f"a schedule row needs ints k, n and d, not {bad!r}"
+
     def test_split_guard_rejects_a_stage_that_drops_a_gluing(self):
         a = DroppingStages()
         with pytest.raises(EngineError, match=r"refined copy of class \d+ splits"):
