@@ -7,7 +7,6 @@ from .action import (
     generated_family,
     germ_index,
     kernel_tag,
-    pullback,
     transport_index,
 )
 from .algebra import (
@@ -30,7 +29,6 @@ from .envelope import (
     HausdorffCertificate,
     NonSeparablePair,
     etale_probe,
-    groupoid_probe,
     hausdorff_decide,
     nonseparable_pair,
     related,
@@ -56,7 +54,6 @@ from .filtration import (
     diagram_to_dot,
     diagram_to_json,
     export,
-    inclusion_probe,
     inclusion_witness,
     truncated_relation,
 )

@@ -19,8 +19,7 @@ Index conventions are owned by the three helpers below and used everywhere:
 from __future__ import annotations
 
 from .cantor import ClopenSet, Point, leaves_below, proper_prefixes, show_word
-from .errors import LevelRequired, ParseError, SupportViolation
-from .functions import PiecewiseConstant, compose_with_map
+from .errors import LevelRequired, ParseError, require_int
 from .prefix_map import IDENTITY, GeneratedMap, PrefixMap, compose
 from .value import Value
 
@@ -173,8 +172,7 @@ def _show(w: str | None) -> str:
 
 def generated_family(a: ZPartialAction, bound: int):
     """The explicit family {(X_t, h_t)} for |t| <= bound, an int >= 0."""
-    if type(bound) is not int or bound < 0:
-        raise ParseError(f"a family bound needs an int >= 0, not {bound!r}")
+    require_int(bound, 0, "a family bound")
     return {t: (a.domain(t), a.h(t)) for t in range(-bound, bound + 1)}
 
 
@@ -262,13 +260,4 @@ def axioms_check(family: dict) -> AxiomsReport:
                             )
                         )
     return AxiomsReport(bound, tuple(viol + third))
-
-
-def pullback(f: PiecewiseConstant, a: ZPartialAction, t: int) -> PiecewiseConstant:
-    """Transport f supported in X_{-t} to the function f o h_t^{-1} on X_t."""
-    if not a.domain(-t).covers(f.words):
-        raise SupportViolation(
-            f"support {f.support()} escapes X_{-t} = {a.domain(-t)}"
-        )
-    return compose_with_map(f, a.h(-t))
 

@@ -9,14 +9,16 @@ or hunts for a limit point sitting on the boundary of the union U_k of an
 exhaustion.  Both sides of a witness are read from the stages of one
 action: U_k is the X_t of stage k, and the other side is its X_{-t}.
 The arrows of the groupoid are the related pairs of germs (p, q), composing
-as (p, q)(q, r) = (p, r); one probe checks its laws through `related`
-alone, and its unit, inverse and composite laws are the reflexivity,
-symmetry and transitivity of the relation.  The probe for the range/source
-bijections decides on cylinder words with `PrefixMap.image_word`, cutting
-its base only at rule boundaries, and builds one canonical set, the image
-it reports.  Its checks read the action's power h_k for the moved cells,
-its inverse power h_{-k} for the pull-back and its domain X_k for the
-range, so a broken power or domain shows as a named violation.
+as (p, q)(q, r) = (p, r); its unit, inverse and composite laws are the
+reflexivity, symmetry and transitivity of the relation.  On a cell window
+at the adapted depth the relation is a finite equivalence relation on the
+cells, which the test suite compares with a brute-force partition on
+every ordered cell pair.  The probe for the range/source bijections
+decides on cylinder words with `PrefixMap.image_word`, cutting its base
+only at rule boundaries, and builds one canonical set, the image it
+reports.  Its checks read the action's power h_k for the moved cells, its
+inverse power h_{-k} for the pull-back and its domain X_k for the range,
+so a broken power or domain shows as a named violation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
     ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes, show_word
 )
-from .errors import BaseNotInDomain, NoWitness
+from .errors import BaseNotInDomain, NoWitness, require_int
 from .value import Value
 
 
@@ -43,22 +45,6 @@ def related(a: ZPartialAction, p: GermPair, q: GermPair) -> bool:
         return False
     moved = a.apply(transport_index(p.index, q.index), p.point)
     return moved == q.point
-
-
-class ProbeReport(Value):
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checked": self.checked,
-            "violations": list(self.violations),
-        }
 
 
 # --------------------------------------------------------------------------
@@ -131,8 +117,11 @@ def hausdorff_decide(
     is then verified to avoid every U_k while its cylinders all meet
     U_depth.  Anything else is an honest "unknown".  Hausdorffness belongs
     to the enumeration, so a schedule is dropped: stage k keeps the first
-    k+1 rules.
+    k+1 rules.  A bound or depth that is not an int >= 0 is refused with
+    ParseError.
     """
+    require_int(bound, 0, "a Hausdorff bound")
+    require_int(depth, 0, "a Hausdorff depth")
     if a.counts is not None:
         a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
@@ -212,7 +201,7 @@ def nonseparable_pair(
 
 
 # --------------------------------------------------------------------------
-# Etale structure and groupoid laws
+# Etale structure
 
 
 class EtaleReport(Value):
@@ -280,41 +269,3 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
             bad.append("diagonal block moved its base")
     return EtaleReport(t, s, base, image, t == s, tuple(bad))
 
-
-def groupoid_probe(a: ZPartialAction, samples) -> ProbeReport:
-    """Groupoid laws on composable triples ((p, q), (q, r), (r, w)).
-
-    An arrow is a pair of related germs.  It composes with the next arrow to
-    the pair of outer germs, its inverse is the swapped pair and the units
-    are the pairs (p, p), so both bracketings of a triple are (p, w):
-    associativity holds by construction, and only the relation can fail.
-    Per triple the probe checks that each arrow, each inverse (q, p), the
-    composites (p, r), (q, w) and (p, w) and each unit (p, p) are related
-    pairs, and that no arrow is related to its target with the first symbol
-    flipped (definedness).  A triple whose arrows do not share germs is
-    reported as not composable.
-    """
-    checked = 0
-    bad: list[str] = []
-    for z1, z2, z3 in samples:
-        checked += 1
-        (p, q), (q2, r), (r2, w) = z1, z2, z3
-        if q != q2 or r != r2:
-            bad.append(f"sample chain {z1}, {z2}, {z3} is not composable")
-            continue
-        laws = {
-            "arrow": (z1, z2, z3),
-            "inverse": ((q, p), (r, q), (w, r)),
-            "composite": ((p, r), (q, w), (p, w)),
-            "unit": ((p, p), (q, q), (r, r), (w, w)),
-        }
-        for kind, pairs in laws.items():
-            for x, y in pairs:
-                if not related(a, x, y):
-                    bad.append(f"{kind} ({x}, {y}) is not an arrow")
-        for x, y in (z1, z2, z3):
-            flip = "1" if y.point.unroll(1) == "0" else "0"
-            corrupt = GermPair(y.index, y.point.shift(1).with_prefix(flip))
-            if related(a, x, corrupt):
-                bad.append(f"{x} is related to both {y} and {corrupt}")
-    return ProbeReport(checked, tuple(bad))

@@ -9,6 +9,12 @@ class ParseError(EngineError):
     """Malformed word, point, rule, or system description."""
 
 
+def require_int(value, least: int, what: str) -> None:
+    """Refuse anything but an int >= least, a bool included, naming the value."""
+    if type(value) is not int or value < least:
+        raise ParseError(f"{what} needs an int >= {least}, not {value!r}")
+
+
 class NotInDomain(EngineError):
     """A point was fed to a partial map outside its domain."""
 

@@ -15,10 +15,10 @@ from itertools import chain, repeat
 from operator import add
 
 from .action import ZPartialAction
-from .cantor import Point, extensions
+from .cantor import Point
 from .cells import CellPartition, adapted_depth, cell_partition, class_table
-from .envelope import GermPair, ProbeReport, related
-from .errors import CapExceeded, EngineError, NotInDomain, ParseError
+from .envelope import GermPair, related
+from .errors import CapExceeded, EngineError, NotInDomain, ParseError, require_int
 from .value import Value
 
 
@@ -68,7 +68,7 @@ def truncated_relation(a: ZPartialAction, k: int, n: int, d: int) -> CellPartiti
     return cell_partition(a.stage(k), n, d)
 
 
-def _copies(coarse, fine) -> tuple[list[list[int]], set[tuple[int, int]]]:
+def _copies(coarse, fine) -> tuple[list[list[int]], int | None]:
     """Where the suffix copies of every coarse class land in the fine table.
 
     `coarse` and `fine` are (n, d, ids) with ids a `class_table`, fine
@@ -81,45 +81,20 @@ def _copies(coarse, fine) -> tuple[list[list[int]], set[tuple[int, int]]]:
     the classes by least cell, so slot-major order meets them in id order,
     and dict(zip(ids, column)) lists them in id order.  Returns, for each
     suffix z, the fine class of copy z of each coarse class, by class, and
-    the set of (class, z) whose copy splits.
+    the least class with a copy that splits (None when no copy splits).
     """
     (n1, d1, ids1), (n2, d2, ids2) = coarse, fine
     step = 1 << (d2 - d1)
     inner = ids2[(n2 - n1) << d2 : (n2 + n1 + 1) << d2]
     targets: list[list[int]] = []
-    splits: set[tuple[int, int]] = set()
+    splits: set[int] = set()
     for z in range(step):
         column = inner[z::step]
         dest = dict(zip(ids1, column))  # each class: the fine id at its last cell
         if [*map(dest.__getitem__, ids1)] != column:
-            splits.update((i, z) for i, j in zip(ids1, column) if dest[i] != j)
+            splits.update(i for i, j in zip(ids1, column) if dest[i] != j)
         targets.append([*dest.values()])
-    return targets, splits
-
-
-def inclusion_probe(a: ZPartialAction, first, second) -> ProbeReport:
-    """Every related cell pair of the coarse stage stays related at the fine one.
-
-    Each coarse class is pushed forward once per suffix of the depth gap by
-    appending the suffix to all its cells; the fine partition must keep
-    every such copy inside one class.  Both stages are read as class
-    tables, and `_copies` decides every copy at once.  `checked` counts
-    the copies, and a violation names the coarse class, spelled out as its
-    cells, and the suffix that split it.
-    """
-    (k1, n1, d1), (k2, n2, d2) = first, second
-    if k2 < k1 or n2 < n1 or d2 < d1:
-        raise ParseError("second stage must refine the first")
-    count, ids = class_table(a.stage(k1), n1, d1)
-    fine = class_table(a.stage(k2), n2, d2)[1]
-    _, splits = _copies((n1, d1, ids), (n2, d2, fine))
-    bad: list[str] = []
-    if splits:
-        classes = truncated_relation(a, k1, n1, d1).classes
-        suffixes = extensions("", d2 - d1)
-        bad = [f"class {i} {classes[i]} splits with suffix {suffixes[z]!r}"
-               for i, z in sorted(splits)]
-    return ProbeReport(count << (d2 - d1), tuple(bad))
+    return targets, min(splits, default=None)
 
 
 # --------------------------------------------------------------------------
@@ -130,7 +105,9 @@ Schedule = tuple[tuple[int, int, int], ...]
 
 def default_schedule(a: ZPartialAction, levels: int) -> Schedule:
     """Stage m uses (k, n) = (m, m+1) at its adapted depth, the longest rule of
-    its h_1; that never decreases, as stage m+1 keeps every rule of stage m."""
+    its h_1; that never decreases, as stage m+1 keeps every rule of stage m.
+    `levels` must be an int >= 1."""
+    require_int(levels, 1, "a level count")
     return tuple((m, m + 1, adapted_depth(a.stage(m), m + 1)) for m in range(levels))
 
 
@@ -201,11 +178,9 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
         if m + 1 == len(schedule):
             break
         (_, n2, d2), (count2, fine) = schedule[m + 1], tables[m + 1]
-        targets, splits = _copies((n, d, ids), (n2, d2, fine))
-        if splits:
-            raise EngineError(
-                f"refined copy of class {min(splits)[0]} splits across fine classes"
-            )
+        targets, split = _copies((n, d, ids), (n2, d2, fine))
+        if split is not None:
+            raise EngineError(f"refined copy of class {split} splits across fine classes")
         incoming = [0] * count2
         for i, j in sorted(chain.from_iterable(map(zip, repeat(vertices), targets))):
             edges.append((m, i, j, 1))

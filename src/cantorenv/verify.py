@@ -22,7 +22,7 @@ from .algebra import (
     row_part,
     to_kernel,
 )
-from .errors import EngineError, SupportViolation
+from .errors import EngineError, SupportViolation, require_int
 from .sampling import Sampler
 from .value import Value
 
@@ -74,6 +74,13 @@ class _Tally:
             self.failures.append(msg() + why)
 
 
+def _require_sizes(trials, max_index) -> None:
+    """A suite samples at least one trial, on slots |t| <= max_index >= 0;
+    with no trial it would report ok on nothing."""
+    require_int(trials, 1, "a trial count")
+    require_int(max_index, 0, "a slot bound")
+
+
 def isomorphism_suite(
     a: ZPartialAction,
     trials: int = 100,
@@ -85,6 +92,7 @@ def isomorphism_suite(
     """Exercise the reindexing on random elements: homomorphism, involution,
     inversion, corners, shifts and the counting norm, all exactly.
     """
+    _require_sizes(trials, max_index)
     if level is not None:
         a = a.stage(level)
     sampler = Sampler(seed)
@@ -192,6 +200,7 @@ def equivariance_sign(
     The sign is fixed by the first sampled element that distinguishes the
     two candidates, then enforced across every sample and every |t| bound.
     """
+    _require_sizes(trials, max_index)
     if level is not None:
         a = a.stage(level)
     sampler = Sampler(seed)

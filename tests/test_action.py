@@ -11,7 +11,6 @@ from cantorenv.action import (
     generated_family,
     germ_index,
     kernel_tag,
-    pullback,
     transport_index,
 )
 from cantorenv.cantor import FULL, ClopenSet, Point
@@ -20,9 +19,8 @@ from cantorenv.errors import (
     LevelRequired,
     NotInDomain,
     ParseError,
-    SupportViolation,
 )
-from cantorenv.functions import Scalar, indicator
+from cantorenv.functions import Scalar, compose_with_map, indicator
 from cantorenv.prefix_map import IDENTITY, ODOMETER, GeneratedMap, PrefixMap, compose
 from cantorenv.sampling import Sampler
 
@@ -369,12 +367,6 @@ class TestPullback:
     def test_moves_support_through_transport(self):
         a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
         f = indicator(ClopenSet.parse("{0}"), Scalar(3))
-        # f lives on X_{-1} = [0]; pulled back along h_{-1} it sits on X_1
-        g = pullback(f, a, 1)
+        # f lives on X_{-1} = [0]; f o h_{-1} sits on X_1
+        g = compose_with_map(f, a.h(-1))
         assert g == indicator(ClopenSet.parse("{1}"), Scalar(3))
-
-    def test_rejects_support_outside_domain(self):
-        a = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
-        f = indicator(ClopenSet.parse("{1}"))
-        with pytest.raises(SupportViolation):
-            pullback(f, a, 1)

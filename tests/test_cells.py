@@ -16,12 +16,7 @@ from cantorenv import cells
 from cantorenv.action import ZPartialAction
 from cantorenv.cells import CELL_BUDGET, adapted_depth, cell_partition, class_table
 from cantorenv.errors import CapExceeded, NotStabilized, ParseError
-from cantorenv.filtration import (
-    bratteli_build,
-    default_schedule,
-    inclusion_probe,
-    truncated_relation,
-)
+from cantorenv.filtration import bratteli_build, default_schedule, truncated_relation
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 
 from oracles import brute_partition, words
@@ -104,7 +99,6 @@ WINDOW_READERS = {
     "class_table": lambda n, d: class_table(Untouchable(), n, d),
     "cell_partition": lambda n, d: cell_partition(Untouchable(), n, d),
     "truncated_relation": lambda n, d: truncated_relation(STAGES, 0, n, d),
-    "inclusion_probe": lambda n, d: inclusion_probe(STAGES, (0, n, d), (0, n, d)),
     "bratteli_build": lambda n, d: bratteli_build(STAGES, ((0, n, d),)),
 }
 BAD_WINDOWS = {

@@ -7,28 +7,31 @@ from cantorenv.cantor import ClopenSet, Point, common_prefix_length
 from cantorenv.envelope import (
     GermPair,
     etale_probe,
-    groupoid_probe,
     hausdorff_decide,
     nonseparable_pair,
     related,
 )
 from cantorenv.action import ZPartialAction, germ_index, transport_index
-from cantorenv.cells import cell_partition
+from cantorenv.cells import adapted_depth, cell_partition
 from cantorenv.errors import (
     BaseNotInDomain,
     LevelRequired,
     NoWitness,
+    ParseError,
 )
 from cantorenv.prefix_map import IDENTITY, ODOMETER, PrefixMap
 from cantorenv.sampling import Sampler
 
+from germ_windows import window_failures, windows_failures
 from oracles import (
+    brute_partition,
     cells_covered,
     deep_identity_rules,
     image_cells,
     odometer_rules,
     transport,
 )
+from strategies import length_preserving_rules
 
 FLIP = ZPartialAction(PrefixMap.parse("[0 -> 1]"))
 ODO = ZPartialAction(ODOMETER)
@@ -52,11 +55,13 @@ class TestRelated:
         assert not related(ODO.stage(0), p, q)
         assert related(ODO.stage(1), p, q)
 
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_probe_finds_no_defect(self, seed):
-        s = Sampler(seed)
-        assert groupoid_probe(ODO.stage(2), s.arrow_triples(ODO.stage(2), 5)).ok
+    @given(rules=length_preserving_rules(), extra=st.integers(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_probe_finds_no_defect(self, rules, extra):
+        # the window check of TestArrows on random partial injections
+        a = ZPartialAction(PrefixMap(tuple(rules)))
+        _, bad = window_failures(a, rules, 1, adapted_depth(a, 1) + extra)
+        assert not bad, bad[:2]
 
     def test_probe_str_output(self):
         assert str(GermPair(1, Point.parse("(0)"))) == "[1, (0)]"
@@ -78,6 +83,19 @@ class TestHausdorff:
         g = GeneratedMap("rules", (("0", "1"),))
         cert = hausdorff_decide(ZPartialAction(g), bound=2)
         assert cert.verdict == "clopen"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"bound": -1}, "a Hausdorff bound needs an int >= 0, not -1"),
+        ({"bound": True}, "a Hausdorff bound needs an int >= 0, not True"),
+        ({"depth": -1}, "a Hausdorff depth needs an int >= 0, not -1"),
+        ({"depth": 2.0}, "a Hausdorff depth needs an int >= 0, not 2.0"),
+    ])
+    def test_a_bound_or_depth_that_is_no_int_at_least_0_is_refused(self, kwargs, message):
+        # bound=-1 would certify "clopen" with no domains at all
+        for a in (FLIP, ODO):
+            with pytest.raises(ParseError) as err:
+                hausdorff_decide(a, **kwargs)
+            assert str(err.value) == message
 
     def test_odometer_witness(self):
         cert = hausdorff_decide(ODO, bound=4, depth=10)
@@ -247,31 +265,27 @@ class TestEtaleViolations:
 
 
 class TestArrows:
-    def test_probe_rejects_unshared_germs(self):
-        # ([2, x], [1, h_1 x]) is an arrow, but it does not compose with itself
-        x = Point.parse("00(0)")
-        z = (GermPair(2, x), GermPair(1, ODO.stage(1).apply(1, x)))
-        assert related(ODO.stage(1), *z)
-        rep = groupoid_probe(ODO.stage(1), [(z, z, z)])
-        assert rep.checked == 1
-        assert rep.violations == (
-            f"sample chain {z}, {z}, {z} is not composable",
-        )
+    """The groupoid laws, as the agreement of `related` with the brute-force
+    classes on every ordered cell pair of a window (tests/germ_windows.py)."""
+
+    def test_related_is_the_oracle_relation_on_every_cell_pair(self):
+        checked, bad = windows_failures()
+        assert not bad, bad[:2]
+        assert checked == 59_330
 
     def test_probe_rejects_arrows_of_a_later_stage(self):
-        triples = Sampler(5).arrow_triples(ODO.stage(1), 25)
-        assert groupoid_probe(ODO.stage(1), triples).ok
-        rep = groupoid_probe(ODO.stage(0), triples)
-        assert not rep.ok and rep.checked == 25
-        assert any("is not an arrow" in v for v in rep.violations)
-
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
-    def test_probe_on_sampled_arrows(self, seed):
-        triples = Sampler(seed).arrow_triples(ODO.stage(1), 25)
-        rep = groupoid_probe(ODO.stage(1), triples)
-        assert rep.ok, rep.violations[:2]
-        assert rep.checked == 25
+        # stage 1 glues (1, 10) to (0, 01), which stage 0 keeps apart: each
+        # stage's relation, checked against the other stage's classes, fails
+        # on exactly the pairs that the two partitions tell apart
+        owner = [{c: i for i, cls in enumerate(brute_partition(odometer_rules(k), 1, 2))
+                  for c in cls} for k in (0, 1)]
+        cells = sorted(owner[0])
+        split = sum((owner[0][p] == owner[0][q]) != (owner[1][p] == owner[1][q])
+                    for p in cells for q in cells)
+        assert split == 8
+        for k in (0, 1):
+            checked, bad = window_failures(ODO.stage(k), odometer_rules(1 - k), 1, 2)
+            assert checked == 144 and len(bad) == split
 
 
 class TestQuotient:

@@ -23,7 +23,6 @@ from cantorenv.filtration import (
     diagram_to_dot,
     diagram_to_json,
     export,
-    inclusion_probe,
     inclusion_witness,
     truncated_relation,
 )
@@ -146,17 +145,15 @@ class TestTruncatedRelation:
         assert look[(0, "00")] != look[(0, "01")]
 
     def test_monotone_in_all_three_parameters(self):
+        # the split guard of bratteli_build: every refined copy of a class of
+        # the coarse stage lies inside one class of the fine stage
         for k in range(3):
             for n in range(3):
-                a = ZPartialAction(ODOMETER)
-                d1 = adapted_depth(a.stage(k), n)
-                d2 = max(d1, adapted_depth(a.stage(k + 1), n + 1))
-                rep = inclusion_probe(ODO, (k, n, d1), (k + 1, n + 1, d2))
-                assert rep.ok, rep.violations[:1]
-
-    def test_probe_rejects_non_refining_stages(self):
-        with pytest.raises(ParseError):
-            inclusion_probe(ODO, (2, 2, 2), (1, 3, 3))
+                d1 = adapted_depth(ODO.stage(k), n)
+                d2 = max(d1, adapted_depth(ODO.stage(k + 1), n + 1))
+                diag = bratteli_build(ODO, ((k, n, d1), (k + 1, n + 1, d2)))
+                count = len(truncated_relation(ODO, k, n, d1).classes)
+                assert len(diag.edges) == count << (d2 - d1)
 
 
 class DroppingStages:
@@ -171,6 +168,17 @@ class DroppingStages:
 class TestBratteli:
     def test_default_schedule(self):
         assert default_schedule(ODO, 3) == ((0, 1, 1), (1, 2, 2), (2, 3, 3))
+
+    @pytest.mark.parametrize("levels, message", [
+        (0, "a level count needs an int >= 1, not 0"),
+        (True, "a level count needs an int >= 1, not True"),
+        (2.0, "a level count needs an int >= 1, not 2.0"),
+    ])
+    def test_a_level_count_that_is_no_int_at_least_1_is_refused(self, levels, message):
+        # levels=0 would give the empty schedule, and an empty diagram
+        with pytest.raises(ParseError) as err:
+            default_schedule(ODO, levels)
+        assert str(err.value) == message
 
     @given(
         rules=mixed_length_rules().filter(bool).flatmap(st.permutations),
@@ -214,8 +222,13 @@ class TestBratteli:
             assert size == fresh
 
     def test_schedule_must_be_nondecreasing(self):
-        with pytest.raises(ParseError):
-            bratteli_build(ODO, ((1, 2, 2), (0, 3, 3)))
+        # a stage, a slot bound and a depth step back, after a first step
+        # that does not; the message names the backward step
+        for prev, cur in (((1, 2, 2), (0, 3, 3)), ((0, 2, 2), (1, 1, 3)),
+                          ((0, 1, 2), (0, 1, 1))):
+            with pytest.raises(ParseError) as err:
+                bratteli_build(ODO, ((0, 0, 0), prev, cur))
+            assert str(err.value) == f"schedule steps backwards from {prev} to {cur}"
 
     @pytest.mark.parametrize("bad", [(0, True, 1), (1.5, 2, 2), (0, 1, 1.0)])
     def test_a_schedule_row_that_is_no_ints_is_refused(self, bad):
@@ -227,14 +240,11 @@ class TestBratteli:
 
     def test_split_guard_rejects_a_stage_that_drops_a_gluing(self):
         a = DroppingStages()
-        with pytest.raises(EngineError, match=r"refined copy of class \d+ splits"):
+        # classes 1 and 2, ((-1, '1'), (0, '0')) and ((0, '1'), (1, '0')),
+        # split; the guard names the least
+        with pytest.raises(EngineError) as err:
             bratteli_build(a, ((0, 1, 1), (1, 1, 1)))
-        report = inclusion_probe(a, (0, 1, 1), (1, 1, 1))
-        assert report.to_json()["ok"] is False
-        assert report.violations == (
-            "class 1 ((-1, '1'), (0, '0')) splits with suffix ''",
-            "class 2 ((0, '1'), (1, '0')) splits with suffix ''",
-        )
+        assert str(err.value) == "refined copy of class 1 splits across fine classes"
 
     def test_dimension_identity_fires_on_a_table_out_of_id_order(self, monkeypatch):
         # Stage 1 meets id 1 before id 0, so its Counter-ordered sizes give

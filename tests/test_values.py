@@ -19,7 +19,7 @@ from cantorenv.cantor import EMPTY, FULL, ClopenSet, Point
 from cantorenv.cells import CellPartition
 from cantorenv.cli import SystemDefinition
 from cantorenv.envelope import (
-    EtaleReport, GermPair, HausdorffCertificate, NonSeparablePair, ProbeReport,
+    EtaleReport, GermPair, HausdorffCertificate, NonSeparablePair,
 )
 from cantorenv.filtration import BratteliDiagram, BratteliLevel
 from cantorenv.functions import ONE, PiecewiseConstant, Scalar
@@ -53,8 +53,6 @@ SAMPLES = {
     BratteliDiagram: [{"levels": (LEVEL,), "edges": ()},
                       {"levels": (LEVEL, LEVEL), "edges": ((0, 0, 0, 1),)}],
     GermPair: [{"index": 0, "point": Point()}, {"index": 1, "point": Point("1")}],
-    ProbeReport: [{"checked": 3, "violations": ()},
-                  {"checked": 3, "violations": ("bad",)}],
     HausdorffCertificate: [{"verdict": "clopen", "bound": 1, "domains": ((0, FULL),)},
                            {"verdict": "unknown", "depth": 4}],
     NonSeparablePair: [{"first": GERM, "second": GermPair(0, Point()),
@@ -122,7 +120,7 @@ def test_every_value_class_is_sampled():
             classes.add(sub)
             stack.append(sub)
     assert classes - {_IndexedTable} == set(SAMPLES)
-    assert len(classes) == 20  # 18 classes, and the two kinds of table
+    assert len(classes) == 19  # 17 classes, and the two kinds of table
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda c: c.__name__)

@@ -5,7 +5,7 @@ import pytest
 import cantorenv.verify
 from cantorenv.action import ZPartialAction
 from cantorenv.algebra import KernelElement
-from cantorenv.errors import EngineError
+from cantorenv.errors import EngineError, ParseError
 from cantorenv.prefix_map import ODOMETER, PrefixMap
 from cantorenv.verify import equivariance_sign, isomorphism_suite
 
@@ -67,6 +67,21 @@ def test_sign_is_minus_one_everywhere():
 def test_sign_needs_a_distinguishing_sample():
     with pytest.raises(EngineError):
         equivariance_sign(FLIP, trials=0, seed=0)
+
+
+@pytest.mark.parametrize("suite", [isomorphism_suite, equivariance_sign])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 0}, "a trial count needs an int >= 1, not 0"),
+    ({"trials": True}, "a trial count needs an int >= 1, not True"),
+    ({"trials": 2, "max_index": -1}, "a slot bound needs an int >= 0, not -1"),
+    ({"trials": 2, "max_index": 1.0}, "a slot bound needs an int >= 0, not 1.0"),
+])
+def test_a_suite_refuses_sizes_that_would_check_nothing(suite, kwargs, message):
+    # trials=0 would report ok after 0 checks, and max_index=-1 ok on
+    # elements that are all zero
+    with pytest.raises(ParseError) as err:
+        suite(FLIP, seed=0, **kwargs)
+    assert str(err.value) == message
 
 
 def test_report_serialization():
