@@ -155,6 +155,13 @@ class TestTruncatedRelation:
                 count = len(truncated_relation(ODO, k, n, d1).classes)
                 assert len(diag.edges) == count << (d2 - d1)
 
+    def test_probe_rejects_non_refining_stages(self):
+        # stage 2 does not refine into stage 1: the pair is refused before
+        # any class is compared
+        with pytest.raises(ParseError) as err:
+            bratteli_build(ODO, ((2, 2, 2), (1, 3, 3)))
+        assert str(err.value) == "schedule steps backwards from (2, 2, 2) to (1, 3, 3)"
+
 
 class DroppingStages:
     """Stage 0 glues (r, 1x) to (r + 1, 0x) by the flip 0 -> 1; stage 1
