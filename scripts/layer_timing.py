@@ -102,33 +102,42 @@ def psi_pass(jobs: list[dict]) -> None:
             raise SystemExit(f"psi_suite job failed on {job['rules']}: {bad[:3]}")
 
 
+@contextlib.contextmanager
+def patched(owner, name: str, wrap):
+    """Within the block, owner.name is wrap(original); after it, the original."""
+    original = getattr(owner, name)
+    setattr(owner, name, wrap(original))
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
 def call_counts(fn) -> tuple[int, int, Counter]:
     """Calls of ZPartialAction.domain made by fn(), their distinct keys, and
     the calls of each product the suites make (as bound in cantorenv.verify)."""
-    orig = ZPartialAction.domain
     keys = []
     products = Counter()
 
-    def counted(self, t):
-        keys.append((self.generator, self.counts, t))
-        return orig(self, t)
+    def keyed(domain):
+        def counted(self, t):
+            keys.append((self.generator, self.counts, t))
+            return domain(self, t)
+        return counted
 
-    def counting(name, product):
-        def counted_product(*args):
-            products[name] += 1
-            return product(*args)
-        return counted_product
+    def counting(name):
+        def wrap(product):
+            def counted_product(*args):
+                products[name] += 1
+                return product(*args)
+            return counted_product
+        return wrap
 
-    originals = {name: getattr(cantorenv.verify, name) for name in PRODUCTS}
-    ZPartialAction.domain = counted
-    for name, product in originals.items():
-        setattr(cantorenv.verify, name, counting(name, product))
-    try:
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(patched(ZPartialAction, "domain", keyed))
+        for name in PRODUCTS:
+            stack.enter_context(patched(cantorenv.verify, name, counting(name)))
         fn()
-    finally:
-        ZPartialAction.domain = orig
-        for name, product in originals.items():
-            setattr(cantorenv.verify, name, product)
     return len(keys), len(set(keys)), products
 
 
@@ -239,21 +248,19 @@ def table_matches_orbits(count: int, ids, rules, n: int, d: int) -> bool:
 @contextlib.contextmanager
 def calls_to(module, name: str):
     """Within the block, record the wall time of every call of module.name."""
-    original = getattr(module, name)
     times = []
 
-    def timed(*args):
-        t0 = time.perf_counter()
-        try:
-            return original(*args)
-        finally:
-            times.append(time.perf_counter() - t0)
+    def timing(original):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return original(*args)
+            finally:
+                times.append(time.perf_counter() - t0)
+        return timed
 
-    setattr(module, name, timed)
-    try:
+    with patched(module, name, timing):
         yield times
-    finally:
-        setattr(module, name, original)
 
 
 def time_tables(name: str, ex: ZPartialAction, levels: int, repeat: int) -> int:
@@ -417,18 +424,17 @@ def time_join(args) -> int:
 def counted_meets():
     """Within the block, count the calls of ClopenSet.intersect and of its
     alias `&` in a list, one entry per call."""
-    original = ClopenSet.intersect
     calls = []
 
-    def counted(self, other):
-        calls.append(1)
-        return original(self, other)
+    def counting(meet):
+        def counted(self, other):
+            calls.append(1)
+            return meet(self, other)
+        return counted
 
-    ClopenSet.intersect = ClopenSet.__and__ = counted
-    try:
+    with patched(ClopenSet, "intersect", counting), \
+            patched(ClopenSet, "__and__", counting):
         yield calls
-    finally:
-        ClopenSet.intersect = ClopenSet.__and__ = original
 
 
 def time_axioms(args) -> int:
@@ -445,17 +451,16 @@ def time_axioms(args) -> int:
     workloads.write_inputs(jobs, ROOT)
     families = []
 
-    def kept(family):
-        families.append(family)
-        return axioms_check(family)
+    def keeping(check):
+        def kept(family):
+            families.append(family)
+            return check(family)
+        return kept
 
-    cantorenv.cli.axioms_check = kept
-    try:
+    with patched(cantorenv.cli, "axioms_check", keeping):
         for job in jobs:
             with contextlib.redirect_stdout(io.StringIO()):
                 ce.cli.main(list(job["argv"]))
-    finally:
-        cantorenv.cli.axioms_check = axioms_check
     print(f"{'ms':>7} {'meets':>5} {'bound':>5}  job")
     status, total = 0, 0.0
     for job, family in zip(jobs, families, strict=True):

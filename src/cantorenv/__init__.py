@@ -51,8 +51,6 @@ from .filtration import (
     Exhaustion,
     bratteli_build,
     default_schedule,
-    diagram_to_dot,
-    diagram_to_json,
     export,
     inclusion_witness,
     truncated_relation,

@@ -32,7 +32,7 @@ from math import lcm
 from .action import ZPartialAction, germ_index, kernel_tag, transport_index
 from .errors import ParseError, SupportViolation
 from .functions import ZERO_FUNC, PiecewiseConstant, Scalar, compose_with_map, memo
-from .value import Value, set_field
+from .value import Value, set_field, trusted
 
 Index = tuple[int, int]
 
@@ -66,13 +66,9 @@ class _IndexedTable(Value):
                 out.append((key, func))
         set_field(self, "table", tuple(sorted(out)))
 
-    @classmethod
-    def _canonical(cls, items):
-        """Trusted constructor: slots sorted, distinct int pairs, nonzero
-        canonical functions, all taken as given."""
-        out = object.__new__(cls)
-        set_field(out, "table", tuple(items))
-        return out
+    # trusted: slots sorted, distinct int pairs, nonzero canonical functions,
+    # all taken as given (the module docstring lists the callers)
+    _canonical = trusted("table")
 
     @memo
     def _lookup(self) -> dict:

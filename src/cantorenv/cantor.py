@@ -9,8 +9,9 @@ symbol counts of the words' concatenation check them all, and one stack pass
 over the sorted words absorbs extensions and repeats and merges siblings.
 `ClopenSet.covers` decides each cylinder with one bisect into the set, and
 `ClopenSet.intersect` keeps the deeper word of each comparable pair, which is
-canonical as it comes out (its docstring has the proof), so a meet is never
-normalized again and `a & b == b & a`.
+canonical as it comes out (its docstring has the proof), so it goes to the
+trusted constructor `ClopenSet._canonical` (bound from `value.trusted`), a
+meet is never normalized again, and `a & b == b & a`.
 `merge_siblings` merges the siblings of labelled pieces (equal labels only),
 `prefix_join` alone pairs two antichains, `leaves_below` alone walks the
 prefix tree, and `show_word` and `read_word` alone print and parse the empty
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from .errors import DepthTooSmall, ParseError
-from .value import Value, set_field
+from .value import Value, set_field, trusted
 
 ALPHABET = "01"
 
@@ -250,13 +251,9 @@ class ClopenSet(Value):
     def __init__(self, words: tuple[str, ...] = ()):
         set_field(self, "words", normalize_words(words))
 
-    @classmethod
-    def _canonical(cls, words) -> "ClopenSet":
-        """Trusted constructor: the caller's words are already a canonical
-        antichain.  `intersect` builds its words so; no other code calls it."""
-        out = object.__new__(cls)
-        set_field(out, "words", tuple(words))
-        return out
+    # trusted: the words are already a canonical antichain; `intersect`
+    # builds its words so, and no other code calls it
+    _canonical = trusted("words")
 
     @staticmethod
     def cylinder(word: str) -> "ClopenSet":

@@ -7,7 +7,9 @@ relation is Hausdorff exactly when every domain X_t is clopen, so the
 decision procedure either materializes the domains as canonical clopen sets
 or hunts for a limit point sitting on the boundary of the union U_k of an
 exhaustion.  Both sides of a witness are read from the stages of one
-action: U_k is the X_t of stage k, and the other side is its X_{-t}.
+action: U_k is the X_t of stage k, and the other side is its X_{-t}.  Each
+side's limit comes from `_residual_limit`, which returns only a limit that
+it has verified against the unions.
 The arrows of the groupoid are the related pairs of germs (p, q), composing
 as (p, q)(q, r) = (p, r); its unit, inverse and composite laws are the
 reflexivity, symmetry and transitivity of the relation.  On a cell window
@@ -27,7 +29,7 @@ from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
     ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes, show_word
 )
-from .errors import BaseNotInDomain, NoWitness, require_int
+from .errors import BaseNotInDomain, NoWitness, ParseError, require_int
 from .value import Value
 
 
@@ -72,33 +74,26 @@ class HausdorffCertificate(Value):
         return out
 
 
-def _residual_limit(
-    a: ZPartialAction, t: int, depth: int
-) -> tuple[Point | None, list[ClopenSet]]:
-    """The unions U_0 .. U_depth, the domains X_t of stages 0 .. depth, and
-    the limit point of their residuals when those form a strictly shrinking
-    nested chain of single cylinders (else None)."""
+def _residual_limit(a: ZPartialAction, t: int, depth: int) -> Point | None:
+    """The limit of the residuals X minus U_k, U_k the X_t of stage k <= depth,
+    when they form a strictly shrinking nested chain of single cylinders and
+    the limit (the last increment repeated forever) is verified to avoid every
+    U_k while its cylinders of length 0 .. depth all meet U_depth; else None."""
     unions = [a.stage(k).domain(t) for k in range(depth + 1)]
     residuals = [u.complement().words for u in unions]
     if len(residuals) < 2 or any(len(ws) != 1 for ws in residuals):
-        return None, unions
+        return None
     words = [ws[0] for ws in residuals]
     for prev, cur in zip(words, words[1:]):
         if not (cur.startswith(prev) and len(cur) > len(prev)):
-            return None, unions
-    # repeat the last observed increment forever
-    return Point(words[-1], words[-1][len(words[-2]):]), unions
-
-
-def _witness_soundness(x: Point, unions) -> bool:
-    last = unions[-1]
+            return None
+    x = Point(words[-1], words[-1][len(words[-2]):])
     if any(u.contains_point(x) for u in unions):
-        return False
-    for j in range(len(unions)):
-        probe = ClopenSet.cylinder(x.unroll(j))
-        if (probe & last).is_empty():
-            return False
-    return True
+        return None
+    last = unions[-1]
+    if any((ClopenSet.cylinder(x.unroll(j)) & last).is_empty() for j in range(depth + 1)):
+        return None
+    return x
 
 
 def hausdorff_decide(
@@ -129,8 +124,8 @@ def hausdorff_decide(
         doms = tuple((t, full.domain(t)) for t in range(-bound, bound + 1))
         return HausdorffCertificate("clopen", bound=bound, domains=doms)
 
-    x, unions = _residual_limit(a, -1, depth)
-    if x is not None and _witness_soundness(x, unions):
+    x = _residual_limit(a, -1, depth)
+    if x is not None:
         return HausdorffCertificate(
             "non-clopen-witness", t=-1, point=x, depth=depth
         )
@@ -161,8 +156,10 @@ def nonseparable_pair(
     [0, y], and the approach points x_j in U_depth = X_t of stage depth
     agree with x to depth j while their images under h_{-t} agree with y to
     depth j.  Every claimed property is re-verified before the pair is
-    returned.  As in hausdorff_decide, a schedule is dropped.
+    returned.  As in hausdorff_decide, a schedule is dropped, and a depth
+    that is not an int >= 0 is refused with ParseError.
     """
+    require_int(depth, 0, "a witness depth")
     if a.counts is not None:
         a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
@@ -170,14 +167,14 @@ def nonseparable_pair(
     if t not in (-1, 1):
         raise NoWitness(f"witness search only covers the generator index, not t={t}")
 
-    x, unions = _residual_limit(a, t, depth)
-    if x is None or not _witness_soundness(x, unions):
+    x = _residual_limit(a, t, depth)
+    if x is None:
         raise NoWitness(f"no single-cylinder residual chain for t={t}")
-    y, _ = _residual_limit(a, -t, depth)
+    y = _residual_limit(a, -t, depth)
     if y is None:
         raise NoWitness("transported limit is not a single-cylinder chain")
 
-    last = unions[-1]
+    last = a.stage(depth).domain(t)
     approach = []
     for j in range(1, depth + 1):
         meet = last & ClopenSet.cylinder(x.unroll(j))
@@ -242,8 +239,10 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
     the images alone); they must lie inside X_k (`a.domain(k)`, the range);
     `a.h(-k)` must take each image back to its own cell (pull-back, through
     the action's inverse power); and a diagonal block (t = s) must fix its
-    base.
+    base.  A slot t or s that is not an int is refused with ParseError.
     """
+    if type(t) is not int or type(s) is not int:
+        raise ParseError(f"etale slots t and s need ints, not {t!r} and {s!r}")
     k = transport_index(t, s)
     if not base.subset_of(a.domain(germ_index(t, s))):
         raise BaseNotInDomain(

@@ -5,7 +5,8 @@ domain.  Each stage keeps finitely many rules and is an honest clopen
 action; the germ relations of the stages filter the full relation, every
 true germ instance already lives at some finite stage, and the finite cell
 relations of successive stages assemble into a leveled multigraph whose
-vertex sizes obey an exact counting identity.
+vertex sizes obey an exact counting identity.  `export` is the one entry
+point that renders such a diagram, as JSON or as DOT.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ def inclusion_witness(
     A clopen action has no stages and is refused with ParseError.  The orbit
     from the lower slot to the higher one is walked one rule at a time; the
     stage must cover every rule index used on the way, and the result is
-    re-checked by running the stage-K relation on the pair.
+    re-checked by running the stage-K relation on the pair.  A cap that is
+    not an int >= 0 is refused with ParseError.
     """
+    require_int(cap, 0, "an inclusion cap")
     if a.clopen:
         raise ParseError("inclusion witnesses need an open enumeration")
     steps = r - s
@@ -132,8 +135,8 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     inside a fine class.  Fresh units are those using slots beyond the
     previous bound; the identity size' = sum(mult * size) + fresh is
     enforced at every level.  A row that is not three ints (a bool or a
-    float among them) is refused with ParseError, as is a schedule that
-    steps backwards.
+    float among them) is refused with ParseError, as is an empty schedule
+    or one that steps backwards.
 
     Each stage is read as a `class_table` and no class is spelled out.  A
     class table meets its classes in id order, so the sizes are the counts
@@ -148,6 +151,8 @@ def bratteli_build(a: ZPartialAction, schedule: Schedule) -> BratteliDiagram:
     depth gap of 0 it only reads the one run.
     """
     schedule = tuple(map(tuple, schedule))
+    if not schedule:
+        raise ParseError("a Bratteli schedule needs at least one row")
     for row in schedule:
         if len(row) != 3 or any(type(x) is not int for x in row):
             raise ParseError(f"a schedule row needs ints k, n and d, not {row!r}")
@@ -226,19 +231,6 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def diagram_to_json(d: BratteliDiagram) -> str:
-    """The diagram as the exact bytes of json.dumps(obj, indent=2) + "\n".
-
-    obj is {"levels": [{"m", "params": {"k", "n", "d"}, "vertices":
-    [{"id", "size", "fresh"}]}], "edges": [{"from": [m, i], "to": [m + 1, j],
-    "mult"}]} with int values.  json.dumps with an indent runs the
-    pure-Python encoder, so the layout is written from fixed templates, and
-    the ints of the vertices and edges are looked up in a name table
-    (`_named`) rather than formatted one by one.
-    """
-    return _named(_json_text, d)
-
-
 def _json_text(d: BratteliDiagram, names: dict[int, str]) -> str:
     levels = []
     for lv in d.levels:
@@ -264,12 +256,6 @@ def _json_text(d: BratteliDiagram, names: dict[int, str]) -> str:
     )
 
 
-def diagram_to_dot(d: BratteliDiagram) -> str:
-    """The diagram as DOT: one rank per level, an edge labelled by its
-    multiplicity; the ints come from a name table as in `diagram_to_json`."""
-    return _named(_dot_text, d)
-
-
 def _dot_text(d: BratteliDiagram, names: dict[int, str]) -> str:
     lines = ["digraph bratteli {", "  rankdir=TB;"]
     for lv in d.levels:
@@ -287,8 +273,18 @@ def _dot_text(d: BratteliDiagram, names: dict[int, str]) -> str:
 
 
 def export(d: BratteliDiagram, fmt: str) -> str:
+    """The diagram as "json" or "dot" text; another format is a ParseError.
+
+    "json" gives the exact bytes of json.dumps(obj, indent=2) + "\n", where
+    obj is {"levels": [{"m", "params": {"k", "n", "d"}, "vertices":
+    [{"id", "size", "fresh"}]}], "edges": [{"from": [m, i], "to": [m + 1, j],
+    "mult"}]} with int values, written from fixed templates, since json.dumps
+    with an indent runs the pure-Python encoder.  "dot" gives one rank per
+    level and labels an edge by its multiplicity.  Either way the ints are
+    looked up in a name table (`_named`), not formatted one by one.
+    """
     if fmt == "json":
-        return diagram_to_json(d)
+        return _named(_json_text, d)
     if fmt == "dot":
-        return diagram_to_dot(d)
+        return _named(_dot_text, d)
     raise ParseError(f"unknown export format {fmt!r}")

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .cantor import ClopenSet, Point, check_word, prefix_join, read_word, show_word
 from .errors import NotInDomain, ParseError
-from .value import Value, set_field
+from .value import Value, set_field, trusted
 
 
 class PrefixMap(Value):
@@ -30,15 +30,9 @@ class PrefixMap(Value):
         cleaned = [(check_word(u), check_word(v)) for u, v in rules]
         set_field(self, "rules", tuple(sorted(cleaned)))
 
-    @classmethod
-    def _canonical(cls, rules) -> "PrefixMap":
-        """Trusted constructor: the caller's rules are pairs of checked words,
-        sorted as the public constructor sorts them.  `compose` and `inverse`
-        build their rules from words that were checked already, in that
-        order; no other code calls it."""
-        out = object.__new__(cls)
-        set_field(out, "rules", tuple(rules))
-        return out
+    # trusted: checked word pairs, sorted as the public constructor sorts them;
+    # only `compose` and `inverse` call it, on rules they build so
+    _canonical = trusted("rules")
 
     def violations(self) -> tuple[str, ...]:
         msgs = []

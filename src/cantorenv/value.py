@@ -16,6 +16,9 @@ below give each instance the semantics of a frozen dataclass:
 
 Constructors, trusted constructors and memoized properties write past the
 frozen `__setattr__` with `set_field`, which is `object.__setattr__`.
+`trusted(field)` is the one trusted constructor of a one-field class: it
+stores `tuple(value)` unchecked, and the class binds it once with its field
+name (`_canonical = trusted("words")`) and a comment on its callers' promise.
 Writing through `__dict__` would work too, but CPython (3.11 and later)
 keeps instance values inline until `__dict__` is first asked for, and reads
 a field much faster from inline values than from a materialized dict.  A
@@ -28,6 +31,16 @@ from __future__ import annotations
 from operator import attrgetter
 
 set_field = object.__setattr__
+
+
+def trusted(field: str) -> classmethod:
+    """A classmethod that builds an instance whose `field` is tuple(value)."""
+    def _canonical(cls, value):
+        out = object.__new__(cls)
+        set_field(out, field, tuple(value))
+        return out
+
+    return classmethod(_canonical)
 
 
 class FrozenInstanceError(AttributeError):

@@ -1,7 +1,8 @@
 """The checked twins of the trusted constructors.
 
-`PiecewiseConstant._canonical`, `_IndexedTable._canonical` and
-`PrefixMap._canonical` skip the checks, the sort and the filters of the
+The four trusted constructors `PiecewiseConstant._canonical`,
+`_IndexedTable._canonical`, `PrefixMap._canonical` and
+`ClopenSet._canonical` skip the checks, the sort and the filters of the
 public constructors, on the word of their callers that the input is
 canonical by construction; `Scalar._make` reduces an integer triple with
 one gcd.  For the whole test session every call of any of them also runs
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from cantorenv.algebra import _IndexedTable
+from cantorenv.cantor import ClopenSet
 from cantorenv.functions import PiecewiseConstant, Scalar
 from cantorenv.prefix_map import PrefixMap
 
@@ -52,7 +54,7 @@ def _checked_make(trusted):
 @pytest.fixture(scope="session", autouse=True)
 def checked_twin():
     with pytest.MonkeyPatch.context() as mp:
-        for owner in (PiecewiseConstant, _IndexedTable, PrefixMap):
+        for owner in (PiecewiseConstant, _IndexedTable, PrefixMap, ClopenSet):
             trusted = owner.__dict__["_canonical"].__func__
             mp.setattr(owner, "_canonical", _checked(trusted))
         mp.setattr(Scalar, "_make", _checked_make(Scalar.__dict__["_make"].__func__))

@@ -23,8 +23,7 @@ from cantorenv.cantor import Point, common_prefix_length
 from cantorenv.filtration import (
     bratteli_build,
     default_schedule,
-    diagram_to_dot,
-    diagram_to_json,
+    export,
     inclusion_witness,
 )
 from cantorenv.prefix_map import ODOMETER, PrefixMap
@@ -174,9 +173,9 @@ def test_criterion_6_bratteli_diagram():
                              if m == prev.m and jj == j)
                 assert size == inflow + fresh
         again = bratteli_build(ODO, sched)
-        assert diagram_to_json(diag) == diagram_to_json(again)
-        assert diagram_to_dot(diag) == diagram_to_dot(again)
-        assert diagram_to_json(diag).encode() == diagram_to_json(again).encode()
+        assert export(diag, "json") == export(again, "json")
+        assert export(diag, "dot") == export(again, "dot")
+        assert export(diag, "json").encode() == export(again, "json").encode()
 
 
 def test_criterion_7_reindexing_isomorphism():

@@ -265,6 +265,19 @@ class TestAxioms:
             (3, 2, -2), (3, 2, -2), (3, 2, -1), (3, 2, -1),
         ]
 
+    def test_a_broken_family_serializes_each_violation(self):
+        fam = generated_family(ZPartialAction(PrefixMap.parse("[0 -> 1]")), 1)
+        fam[0] = (ClopenSet.parse("{0}"), IDENTITY)
+        assert axioms_check(fam).to_json() == {"ok": False, "bound": 1, "violations": [
+            {"axiom": 1, "t": 0, "s": None, "detail": "X_0 = {0}, expected full"},
+            {"axiom": 1, "t": 0, "s": None,
+             "detail": "dom(h_0) = {ε} differs from X_0 = {0}"},
+            {"axiom": 1, "t": 0, "s": None,
+             "detail": "ran(h_0) = {ε} differs from X_0 = {0}"},
+            {"axiom": 2, "t": -1, "s": 0, "detail": "image {} differs from {0}"},
+            {"axiom": 2, "t": 1, "s": -1, "detail": "image {1} differs from {}"},
+        ]}
+
     def test_report_serializes(self):
         rep = axioms_check({t: (FULL, IDENTITY) for t in range(-1, 2)})
         out = rep.to_json()

@@ -19,7 +19,7 @@ from cantorenv.cantor import (
 )
 from cantorenv.action import ZPartialAction, axioms_check
 from cantorenv.envelope import etale_probe
-from cantorenv.errors import ParseError
+from cantorenv.errors import DepthTooSmall, ParseError
 from cantorenv.functions import indicator
 from cantorenv.prefix_map import IDENTITY, PrefixMap
 from oracles import (
@@ -66,6 +66,12 @@ def test_extensions():
     assert extensions("", 0) == [""]
     assert extensions("1", 1) == ["1"]
     assert extensions("1", 3) == ["100", "101", "110", "111"]
+
+
+def test_extensions_below_the_word_length_are_refused():
+    with pytest.raises(DepthTooSmall) as err:
+        extensions("01", 1)
+    assert str(err.value) == "depth 1 is below |'01'|"
 
 
 @given(word=w, gap=st.integers(1, 8))
@@ -286,6 +292,16 @@ class TestClopenSet:
         s = ClopenSet.parse("{0}")
         assert s.refine_to_depth(2) == ("00", "01")
         assert FULL.refine_to_depth(1) == ("0", "1")
+
+    def test_refine_below_the_word_length_is_refused(self):
+        with pytest.raises(DepthTooSmall) as err:
+            ClopenSet.parse("{1,01}").refine_to_depth(1)
+        assert str(err.value) == "depth 1 cannot resolve words of length 2"
+
+    def test_parse_needs_braces(self):
+        with pytest.raises(ParseError) as err:
+            ClopenSet.parse("0,1")
+        assert str(err.value) == "clopen syntax is '{w1,w2}': '0,1'"
 
     @given(ws=st.lists(w, max_size=4))
     def test_complement_is_involutive(self, ws):

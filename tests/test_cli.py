@@ -228,6 +228,11 @@ class TestCommands:
                         "--bound", "1", "--depth", "1")
         assert code == 0 and out["count"] == 4
 
+    def test_quotient_below_the_adapted_depth_is_usage(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert main(["quotient", "systems/flip.json", "--bound", "1", "--depth", "0"]) == 1
+        assert capsys.readouterr().out == '{"error": "depth 0 < adapted depth 1"}\n'
+
     def test_quotient_over_the_cell_budget(self, monkeypatch, capsys):
         # 9 slots x 2^40 cells: refused before the partition reads a map
         def unreachable(a, n):
@@ -369,6 +374,22 @@ class TestExitCodes:
 
     def test_missing_file_is_usage(self, capsys):
         assert main(["validate", "/no/such.json"]) == 1
+
+    @pytest.mark.parametrize("system, error", [
+        ([], "system definition must be a JSON object"),
+        ({"generator": {"kind": "odometer"}}, "system definition needs a 'name' field"),
+        ({**ODOMETER_DEF, "name": 7}, "system name must be text"),
+        ({"name": "x", "generator": {"rules": []}},
+         "generator must be an object with a 'kind'"),
+        ({"name": "x", "generator": {"kind": "odometer", "rules": []}},
+         "odometer generator takes no other fields"),
+        ({"name": "x", "generator": {"kind": "rules", "rules": [["0", "1"]]}},
+         "rules generator needs exactly 'kind', 'rules' and 'exhausts'"),
+        ({"name": "x", "generator": {"kind": "cat"}}, "unknown generator kind 'cat'"),
+    ])
+    def test_a_malformed_system_file_is_usage(self, sysfile, capsys, system, error):
+        assert main(["validate", sysfile(system)]) == 1
+        assert capsys.readouterr().out == json.dumps({"error": error}) + "\n"
 
     def test_unreadable_json(self, tmp_path, capsys):
         p = tmp_path / "x.json"

@@ -170,8 +170,38 @@ class TestNonSeparablePair:
         with pytest.raises(NoWitness):
             nonseparable_pair(ODO, 2, depth=6)
 
+    @pytest.mark.parametrize("depth, message", [
+        (True, "a witness depth needs an int >= 0, not True"),
+        (-1, "a witness depth needs an int >= 0, not -1"),
+        (2.0, "a witness depth needs an int >= 0, not 2.0"),
+    ])
+    def test_a_depth_that_is_no_int_at_least_0_is_refused(self, depth, message):
+        # unguarded, depth=True would give the depth-1 pair and -1 a NoWitness
+        with pytest.raises(ParseError) as err:
+            nonseparable_pair(ODO, -1, depth=depth)
+        assert str(err.value) == message
+
+    def test_the_pair_is_the_same_at_every_depth(self):
+        # both limits pass the soundness check at every depth that has a
+        # residual chain, so the odometer's pair never moves
+        for depth in range(1, 12):
+            for t, x, y in ((-1, "(1)", "(0)"), (1, "(0)", "(1)")):
+                pair = nonseparable_pair(ODO, t, depth)
+                assert (str(pair.first.point), str(pair.second.point)) == (x, y)
+
 
 class TestEtale:
+    @pytest.mark.parametrize("t, s, message", [
+        ("1", 0, "etale slots t and s need ints, not '1' and 0"),
+        (0, "1", "etale slots t and s need ints, not 0 and '1'"),
+        (1, True, "etale slots t and s need ints, not 1 and True"),
+    ])
+    def test_a_slot_that_is_no_int_is_refused(self, t, s, message):
+        # unguarded, a text slot would raise a bare TypeError
+        with pytest.raises(ParseError) as err:
+            etale_probe(FLIP, t, s, ClopenSet.parse("{0}"))
+        assert str(err.value) == message
+
     def test_flip_generator_open(self):
         rep = etale_probe(FLIP, 1, 0, ClopenSet.parse("{0}"))
         assert rep.ok

@@ -20,8 +20,6 @@ from cantorenv.filtration import (
     Exhaustion,
     bratteli_build,
     default_schedule,
-    diagram_to_dot,
-    diagram_to_json,
     export,
     inclusion_witness,
     truncated_relation,
@@ -102,6 +100,17 @@ class TestInclusionWitness:
         K = inclusion_witness(ex, 1, Point.parse("1110(0)"), 0,
                               Point.parse("0001(0)"))
         assert K == 0
+
+    @pytest.mark.parametrize("cap, message", [
+        (-1, "an inclusion cap needs an int >= 0, not -1"),
+        (True, "an inclusion cap needs an int >= 0, not True"),
+        ("64", "an inclusion cap needs an int >= 0, not '64'"),
+    ])
+    def test_a_cap_that_is_no_int_at_least_0_is_refused(self, cap, message):
+        # unguarded, cap=-1 would return stage 0
+        with pytest.raises(ParseError) as err:
+            inclusion_witness(ODO, 1, Point.parse("(0)"), 0, Point.parse("1(0)"), cap=cap)
+        assert str(err.value) == message
 
     def test_a_clopen_action_is_refused(self):
         flip = ZPartialAction(PrefixMap.parse("[0 -> 1, 1 -> 0]"))
@@ -245,6 +254,12 @@ class TestBratteli:
             bratteli_build(ZPartialAction(ODOMETER), rows)
         assert str(err.value) == f"a schedule row needs ints k, n and d, not {bad!r}"
 
+    def test_an_empty_schedule_is_refused(self):
+        # unguarded, it would return a diagram with no levels
+        with pytest.raises(ParseError) as err:
+            bratteli_build(ODO, ())
+        assert str(err.value) == "a Bratteli schedule needs at least one row"
+
     def test_split_guard_rejects_a_stage_that_drops_a_gluing(self):
         a = DroppingStages()
         # classes 1 and 2, ((-1, '1'), (0, '0')) and ((0, '1'), (1, '0')),
@@ -274,14 +289,14 @@ class TestBratteli:
     def test_json_roundtrip_and_determinism(self):
         sched = default_schedule(ODO, 4)
         diag = bratteli_build(ODO, sched)
-        one = diagram_to_json(diag)
-        two = diagram_to_json(bratteli_build(ODO, sched))
+        one = export(diag, "json")
+        two = export(bratteli_build(ODO, sched), "json")
         assert one == two
         assert json.loads(one) == diagram_object(diag)
 
     def test_json_schema(self):
         diag = bratteli_build(ODO, default_schedule(ODO, 2))
-        obj = json.loads(diagram_to_json(diag))
+        obj = json.loads(export(diag, "json"))
         assert set(obj) == {"levels", "edges"}
         lv = obj["levels"][0]
         assert set(lv) == {"m", "params", "vertices"}
@@ -292,7 +307,7 @@ class TestBratteli:
 
     def test_dot_output(self):
         diag = bratteli_build(ODO, default_schedule(ODO, 2))
-        dot = diagram_to_dot(diag)
+        dot = export(diag, "dot")
         assert dot.startswith("digraph")
         assert "L0_0" in dot and "rank=same" in dot
         assert dot == export(diag, "dot")

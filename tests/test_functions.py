@@ -117,6 +117,12 @@ class TestPiecewiseConstant:
         f = PiecewiseConstant((("0", ZERO), ("1", ONE)))
         assert f.pieces == (("1", ONE),)
 
+    @pytest.mark.parametrize("value", [1, Fraction(1, 2), None])
+    def test_a_piece_value_that_is_no_scalar_is_refused(self, value):
+        with pytest.raises(TypeError) as err:
+            PiecewiseConstant((("0", value),))
+        assert str(err.value) == "piece values must be Scalars"
+
     def test_support_is_computed_once_per_value(self):
         f = PiecewiseConstant((("00", ONE), ("01", Scalar(2)), ("1", ONE)))
         assert f.support() == FULL

@@ -45,6 +45,14 @@ class TestValidity:
         m = PrefixMap((("00", "1"), ("01", "10")))
         assert m.violations()
 
+    def test_duplicate_sources_and_targets_are_named(self):
+        assert PrefixMap((("0", "1"), ("0", "0"))).violations() == (
+            "sources not prefix-free: duplicate '0'",
+        )
+        assert PrefixMap((("0", "1"), ("1", "1"))).violations() == (
+            "targets not prefix-free: duplicate '1'",
+        )
+
     def test_empty_map_is_valid(self):
         assert not PrefixMap(()).violations()
         assert PrefixMap(()).domain().is_empty()
@@ -175,6 +183,11 @@ class TestCompose:
 
 
 class TestGeneratedMap:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ParseError) as err:
+            GeneratedMap("cat")
+        assert str(err.value) == "unknown generated-map kind 'cat'"
+
     def test_odometer_rules(self):
         for i in range(4):
             assert ODOMETER.rule(i) == ("1" * i + "0", "0" * i + "1")
