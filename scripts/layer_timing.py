@@ -35,7 +35,7 @@ import cantorenv.cli
 import cantorenv.filtration
 import cantorenv.verify
 from cantorenv import GroupoidFunction, ZPartialAction, convolve, isomorphism_suite
-from cantorenv.action import axioms_check
+from cantorenv.action import axioms_check, germ_index
 from cantorenv.cantor import ClopenSet, extensions
 from cantorenv.cells import adapted_depth, class_table
 from cantorenv.errors import SupportViolation
@@ -365,12 +365,14 @@ def time_join(args) -> int:
     building the first set, intersect, subset_of, image_set, compose, and,
     on the first etale job of deep_cells (the flip at (t, s) = (1, 0) over
     1,000 depth-12 cylinders), covers of the base words by their canonical
-    set and the job itself.  Exit 1 when extensions("", 14) is not the 14-bit
-    binary numerals in order; when covers, on each base word and each
-    flipped base word alone or on all of them at once, disagrees with a
-    word-by-word `startswith` scan of the canonical base; when the probe is
-    not ok; or when its image is not the base flipped here on strings (first
-    symbol 0 -> 1)."""
+    set, subset_of of the base in its germ set X and the job itself.  Exit 1
+    when extensions("", 14) is not the 14-bit binary numerals in order; when
+    covers, on each base word and each flipped base word alone or on all of
+    them at once, disagrees with a word-by-word `startswith` scan of the
+    canonical base; when `image_words` of the base's canonical words, under
+    the flip's powers 1 and -1 or the 1,200-rule map, differs anywhere from
+    `image_word` of each word; when the probe is not ok; or when its image is
+    not the base flipped here on strings (first symbol 0 -> 1)."""
     rng = random.Random(args.seed)
     raw = tuple(rng.sample(words(14), 3200))
     a, b = ClopenSet(raw), ClopenSet(tuple(rng.sample(words(14), 3200)))
@@ -379,6 +381,8 @@ def time_join(args) -> int:
                if j["kind"] == "etale")
     base = ClopenSet(tuple(job["base"]))
     flipped = tuple("1" + w[1:] for w in job["base"])
+    flip = ZPartialAction(PrefixMap(tuple(map(tuple, job["rules"]))))
+    germs = flip.domain(germ_index(job["t"], job["s"]))
     print(f"|A| = {len(a.words)}, |B| = {len(b.words)}, rules = {len(m.rules)}, "
           f"|base| = {len(base.words)}")
     cases = [
@@ -389,6 +393,7 @@ def time_join(args) -> int:
         ("m.image_set(A)", lambda: m.image_set(a)),
         ("compose(m, m)", lambda: compose(m, m)),
         ("base.covers(base)", lambda: base.covers(job["base"])),
+        ("base.subset_of(X)", lambda: base.subset_of(germs)),
         ("etale flip(base)", functools.partial(workloads.run, ce, job, None)),
     ]
     out = {}
@@ -408,6 +413,14 @@ def time_join(args) -> int:
               f"{out['base.covers(base)']}, base and flipped covered "
               f"{base.covers(probes)}, words {wrong[:3]}", file=sys.stderr)
         status = 1
+    for name, h in (("h_1", flip.h(1)), ("h_-1", flip.h(-1)), ("m", m)):
+        runs = h.image_words(base.words)
+        differ = [w for w, got in zip(base.words, runs) if got != h.image_word(w)]
+        if differ or len(runs) != len(base.words):
+            print(f"IMAGE_WORDS DISAGREES WITH IMAGE_WORD UNDER {name}: "
+                  f"{len(runs)} images of {len(base.words)} words, words {differ[:3]}",
+                  file=sys.stderr)
+            status = 1
     rep = out["etale flip(base)"]
     want = ClopenSet(flipped)
     if not rep.ok or rep.image != want:

@@ -12,17 +12,22 @@ over the sorted words absorbs extensions and repeats and merges siblings.
 canonical as it comes out (its docstring has the proof), so it goes to the
 trusted constructor `ClopenSet._canonical` (bound from `value.trusted`), a
 meet is never normalized again, and `a & b == b & a`.
-`merge_siblings` merges the siblings of labelled pieces (equal labels only),
-`prefix_join` alone pairs two antichains, `leaves_below` alone walks the
-prefix tree, and `show_word` and `read_word` alone print and parse the empty
-word as ε, here and in `prefix_map`, `functions`, `action` and `envelope`.
+`merge_siblings` merges the siblings of labelled pieces (equal labels only)
+and `merge_word_siblings` those of sorted prefix-free words.
+`prefix_join` alone pairs two antichains, and `cylinder_runs` alone finds
+the words of a sorted list inside each of a sorted list of cylinders, one
+slice by two bisects each: `PrefixMap.image_words` moves one run per rule
+with it, and `ClopenSet.subset_of` counts the runs inside a smaller set.
+`leaves_below` alone walks the prefix tree, and `show_word` and `read_word`
+alone print and parse the empty word as ε, here and in `prefix_map`,
+`functions`, `action` and `envelope`.
 Points are eventually periodic sequences pre.per^infinity, stored with a
 primitive period and a minimal preperiod, so point equality is field equality.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from .errors import DepthTooSmall, ParseError
 from .value import Value, set_field, trusted
 
@@ -189,6 +194,18 @@ def merge_siblings(pieces) -> list:
     return stack
 
 
+def merge_word_siblings(words) -> list[str]:
+    """The canonical antichain of sorted, prefix-free words: their siblings
+    merged in one stack pass, as in `normalize_words`, whose absorbing of
+    extensions such words do not need."""
+    kept: list[str] = []
+    for w in words:
+        while w[-1:] == "1" and kept and kept[-1] == w[:-1] + "0":
+            w = kept.pop()[:-1]
+        kept.append(w)
+    return kept
+
+
 def prefix_join(a, b, key_a=str, key_b=str):
     """Pairs (x, y) from `a` and `b` where one of key_a(x), key_b(y) prefixes the other.
 
@@ -204,6 +221,24 @@ def prefix_join(a, b, key_a=str, key_b=str):
         while i < len(b) and key_b(b[i]).startswith(u):
             yield x, b[i]
             i += 1
+
+
+def cylinder_runs(words, items, key=str):
+    """Each item with the slice words[i:j] of sorted `words` that lie in [key(item)].
+
+    The words inside [u] are those from u up to u + "2", which sorts after
+    every extension of u and before every later word outside [u], so two
+    bisects find the run.  The items must come sorted by key; each run is
+    looked for after the last one, so the runs are disjoint, and an item
+    whose key repeats or extends an earlier key gets an empty run: the
+    earlier key, which sorts first, keeps those words.
+    """
+    lo = 0
+    for x in items:
+        u = key(x)
+        i = bisect_left(words, u, lo)
+        lo = bisect_left(words, u + "2", i)
+        yield x, i, lo
 
 
 def normalize_words(words) -> tuple[str, ...]:
@@ -236,8 +271,9 @@ def normalize_words(words) -> tuple[str, ...]:
         if kept and w.startswith(kept[-1]):
             continue
         if w[-1:] == "1":
-            # a kept sibling pair is u0 then u1: same length, same parent
-            while kept and len(kept[-1]) == len(w) and kept[-1][:-1] == w[:-1]:
+            # u1 meets the u0 kept just before it; a merged parent ending
+            # in 0 compares with itself, never kept, as the u0 under it was
+            while kept and kept[-1] == w[:-1] + "0":
                 w = kept.pop()[:-1]
         kept.append(w)
     return tuple(kept)
@@ -251,8 +287,8 @@ class ClopenSet(Value):
     def __init__(self, words: tuple[str, ...] = ()):
         set_field(self, "words", normalize_words(words))
 
-    # trusted: the words are already a canonical antichain; `intersect`
-    # builds its words so, and no other code calls it
+    # trusted: the words are already a canonical antichain; `intersect` and
+    # `envelope.etale_probe` build their words so, and no other code calls it
     _canonical = trusted("words")
 
     @staticmethod
@@ -306,7 +342,19 @@ class ClopenSet(Value):
         return True
 
     def subset_of(self, other: "ClopenSet") -> bool:
-        return other.covers(self.words)
+        """Whether this set lies inside `other`, one run per word of `other`.
+
+        `other` is canonical, so a word of this set lies inside it exactly
+        when it lies inside one of its words, and its words are disjoint
+        cylinders: the set is a subset when the runs of its words inside
+        them add up to all of its words.  When `other` has at least as many
+        words, `other.covers` takes one bisect per word of this set instead
+        of two per word of `other`.
+        """
+        if len(other.words) >= len(self.words):
+            return other.covers(self.words)
+        runs = cylinder_runs(self.words, other.words)
+        return sum(j - i for _, i, j in runs) == len(self.words)
 
     def contains_word(self, word: str) -> bool:
         """Whole-cylinder membership: [word] inside this set, one bisect."""

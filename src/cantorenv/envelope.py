@@ -16,18 +16,19 @@ reflexivity, symmetry and transitivity of the relation.  On a cell window
 at the adapted depth the relation is a finite equivalence relation on the
 cells, which the test suite compares with a brute-force partition on
 every ordered cell pair.  The probe for the range/source bijections
-decides on cylinder words with `PrefixMap.image_word`, cutting its base
-only at rule boundaries, and builds one canonical set, the image it
-reports.  Its checks read the action's power h_k for the moved cells, its
-inverse power h_{-k} for the pull-back and its domain X_k for the range,
-so a broken power or domain shows as a named violation.
+moves sorted cylinder words one run per rule with `PrefixMap.image_words`,
+cutting its base only at rule boundaries, and builds one canonical set,
+the image it reports.  Its checks read the action's power h_k for the
+moved cells, its inverse power h_{-k} for the pull-back and its domain X_k
+for the range, so a broken power or domain shows as a named violation.
 """
 
 from __future__ import annotations
 
 from .action import ZPartialAction, germ_index, transport_index
 from .cantor import (
-    ClopenSet, Point, common_prefix_length, leaves_below, proper_prefixes, show_word
+    ClopenSet, Point, common_prefix_length, leaves_below, merge_word_siblings,
+    proper_prefixes, show_word,
 )
 from .errors import BaseNotInDomain, NoWitness, ParseError, require_int
 from .value import Value
@@ -157,9 +158,12 @@ def nonseparable_pair(
     agree with x to depth j while their images under h_{-t} agree with y to
     depth j.  Every claimed property is re-verified before the pair is
     returned.  As in hausdorff_decide, a schedule is dropped, and a depth
-    that is not an int >= 0 is refused with ParseError.
+    that is not an int >= 0 is refused with ParseError, as is a t that is
+    not an int (a bool included).
     """
     require_int(depth, 0, "a witness depth")
+    if type(t) is not int:
+        raise ParseError(f"a witness index t needs an int, not {t!r}")
     if a.counts is not None:
         a = ZPartialAction(a.generator)
     if a.clopen or a.generator.is_finite:
@@ -230,16 +234,26 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
 
     The basic open over (t, s) with the given base consists of the pairs
     ((t, x), (s, y)) with x in the base and y = h_k(x), k = t - s; the range
-    map keeps (t, x) and the source map keeps (s, y).  The base is cut once
-    into cells at the rule boundaries of h_k below it, and each cell is
-    mapped with `h_k.image_word`; only the image, which the report prints,
-    becomes a canonical set.  Each check reads the action's own data:
-    every cell must have an image (h_k); the sorted images must be
-    prefix-free, so no two cells overlap after the move (injectivity, from
-    the images alone); they must lie inside X_k (`a.domain(k)`, the range);
-    `a.h(-k)` must take each image back to its own cell (pull-back, through
+    map keeps (t, x) and the source map keeps (s, y).  A base word is cut
+    into cells only where it is a proper prefix of a source of h_k, at the
+    rule boundaries below it, and `h_k.image_words` moves the sorted cells
+    one run per rule; only the image, which the report prints, becomes a
+    canonical set.  Each check reads the action's own data: every cell must
+    have an image (h_k); the sorted images must be prefix-free, so no two
+    cells overlap after the move (injectivity, from the images alone); they
+    must lie inside X_k (`a.domain(k)`, the range); `a.h(-k).image_words`
+    must take the sorted images back to their own cells (pull-back, through
     the action's inverse power); and a diagonal block (t = s) must fix its
     base.  A slot t or s that is not an int is refused with ParseError.
+
+    Injective images need only their siblings merged to be canonical, so
+    they go through `merge_word_siblings` to the trusted constructor.  In a
+    sorted prefix-free list u0 comes just before u1, since a word sorting
+    between them would extend u0; so the stack pass, which merges a u1 with
+    the u0 kept just before it, meets every sibling pair.  The parent u of
+    a merged pair keeps the list sorted and prefix-free, as no other word
+    lies inside [u], and it sits just after the word kept before u0, so it
+    meets its own sibling in the same way.  No sibling pair is left.
     """
     if type(t) is not int or type(s) is not int:
         raise ParseError(f"etale slots t and s need ints, not {t!r} and {s!r}")
@@ -250,18 +264,25 @@ def etale_probe(a: ZPartialAction, t: int, s: int, base: ClopenSet) -> EtaleRepo
         )
     h = a.h(k)
     inner = proper_prefixes(u for u, _ in h.rules)
-    pairs = [(c, h.image_word(c)) for w in base.words for c in leaves_below(w, inner)]
-    bad = [f"h_{k} does not map the cell {show_word(c)}" for c, m in pairs if m is None]
-    pairs = [(c, m) for c, m in pairs if m is not None]
-    moved = sorted(m for _, m in pairs)
-    image = ClopenSet(tuple(moved))
-
-    if any(v.startswith(u) for u, v in zip(moved, moved[1:])):
+    cells = base.words
+    if not inner.isdisjoint(cells):
+        cells = [c for w in cells for c in leaves_below(w, inner)]
+    images = h.image_words(cells)
+    bad = [f"h_{k} does not map the cell {show_word(c)}"
+           for c, m in zip(cells, images) if m is None]
+    pairs = zip(images, cells)
+    if bad:
+        pairs = [(m, c) for m, c in pairs if m is not None]
+    pairs = sorted(pairs)
+    moved = [m for m, _ in pairs]
+    if any(map(str.startswith, moved[1:], moved)):
+        image = ClopenSet(tuple(moved))
         bad.append("transport is not injective on cells")
-    if not a.domain(k).covers(image.words):
+    else:
+        image = ClopenSet._canonical(merge_word_siblings(moved))
+    if not image.subset_of(a.domain(k)):
         bad.append(f"cell images leave X_{k}")
-    back = a.h(-k)
-    if any(back.image_word(m) != c for c, m in pairs):
+    if a.h(-k).image_words(moved) != [c for _, c in pairs]:
         bad.append("source fibers do not pull back to the base")
     if t == s:
         if image != base:

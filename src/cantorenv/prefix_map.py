@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .cantor import ClopenSet, Point, check_word, prefix_join, read_word, show_word
+from .cantor import (
+    ClopenSet, Point, check_word, cylinder_runs, prefix_join, read_word, show_word
+)
 from .errors import NotInDomain, ParseError
 from .value import Value, set_field, trusted
 
@@ -73,6 +75,20 @@ class PrefixMap(Value):
             if w.startswith(u):
                 return v + w[len(u):]
         return None
+
+    def image_words(self, words) -> list[str | None]:
+        """`image_word` of each of the sorted `words`, one run per rule.
+
+        The words a source u prefixes are the run of [u]; each rule moves its
+        run with one comprehension.  When sources overlap, a source that
+        extends an earlier one gets an empty run, so here too the first
+        source in sorted order decides.
+        """
+        out: list[str | None] = [None] * len(words)
+        for (u, v), i, j in cylinder_runs(words, self.rules, itemgetter(0)):
+            n = len(u)
+            out[i:j] = [v + w[n:] for w in words[i:j]]
+        return out
 
     def image_set(self, s: ClopenSet) -> ClopenSet:
         pairs = prefix_join(self.rules, s.words, itemgetter(0))

@@ -342,6 +342,18 @@ class TestClopenSet:
         assert sa.subset_of(sb) == (ca <= cb)
         assert sa.subset_of(ClopenSet(sa.words + sb.words)) and (sa & sb).subset_of(sb)
 
+    # a small set against a large one, each way round: subset_of counts runs
+    # when the other side has fewer words and asks covers otherwise
+    @given(few=st.lists(w, max_size=3), many=st.lists(w, max_size=24))
+    @example(few=[], many=[])
+    @example(few=[""], many=["0", "1"])
+    @example(few=["0"], many=["00", "01", "10"])
+    @example(few=["01", "1"], many=["0", "011", "11"])
+    def test_subset_of_agrees_with_covers(self, few, many):
+        a, b = ClopenSet(tuple(few)), ClopenSet(tuple(many))
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert x.subset_of(y) == y.covers(x.words)
+
     # raw lists: repeats, unmerged siblings, words above the set's words,
     # the empty word and the empty list
     @given(own=st.lists(w, max_size=6), ws=st.lists(w, max_size=6))

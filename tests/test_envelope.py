@@ -181,6 +181,20 @@ class TestNonSeparablePair:
             nonseparable_pair(ODO, -1, depth=depth)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("t, message", [
+        (1.0, "a witness index t needs an int, not 1.0"),
+        (-1.0, "a witness index t needs an int, not -1.0"),
+        (True, "a witness index t needs an int, not True"),
+        ("1", "a witness index t needs an int, not '1'"),
+    ])
+    def test_an_index_that_is_no_int_is_refused(self, t, message):
+        # unguarded, a float raised a bare TypeError on cold caches and -1.0
+        # gave a pair with a float index on warm ones; True ran as 1, and "1"
+        # was told NoWitness
+        with pytest.raises(ParseError) as err:
+            nonseparable_pair(ODO, t, depth=6)
+        assert str(err.value) == message
+
     def test_the_pair_is_the_same_at_every_depth(self):
         # both limits pass the soundness check at every depth that has a
         # residual chain, so the odometer's pair never moves
@@ -217,7 +231,11 @@ class TestEtale:
             etale_probe(FLIP, 1, 0, ClopenSet.parse("{1}"))
 
     def test_all_small_opens(self):
-        for a in (FLIP, ODO.stage(1)):
+        # the cycle [0] -> [11] -> [10] -> [0] moves the cells 0, 10, 11 of
+        # [ε] to 11, 0, 10, whose merge cascades: 10 and 11 to 1, then 0
+        # and 1 to ε, inside one step of the sibling pass
+        cycle = ZPartialAction(PrefixMap.parse("[0 -> 11, 10 -> 0, 11 -> 10]"))
+        for a in (FLIP, ODO.stage(1), cycle):
             for t in range(-2, 3):
                 for s in range(-2, 3):
                     base = a.domain(germ_index(t, s))

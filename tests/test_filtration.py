@@ -307,10 +307,24 @@ class TestBratteli:
 
     def test_dot_output(self):
         diag = bratteli_build(ODO, default_schedule(ODO, 2))
-        dot = export(diag, "dot")
-        assert dot.startswith("digraph")
-        assert "L0_0" in dot and "rank=same" in dot
-        assert dot == export(diag, "dot")
+        assert export(diag, "dot") == (
+            'digraph bratteli {\n'
+            '  rankdir=TB;\n'
+            '  { rank=same; L0_0 [label="1"]; L0_1 [label="2"]; L0_2 [label="2"];'
+            ' L0_3 [label="1"]; }\n'
+            '  { rank=same; L1_0 [label="1"]; L1_1 [label="3"]; L1_2 [label="2"];'
+            ' L1_3 [label="4"]; L1_4 [label="4"]; L1_5 [label="3"]; L1_6 [label="2"];'
+            ' L1_7 [label="1"]; }\n'
+            '  L0_0 -> L1_2 [label="1"];\n'
+            '  L0_0 -> L1_3 [label="1"];\n'
+            '  L0_1 -> L1_1 [label="1"];\n'
+            '  L0_1 -> L1_4 [label="1"];\n'
+            '  L0_2 -> L1_3 [label="1"];\n'
+            '  L0_2 -> L1_5 [label="1"];\n'
+            '  L0_3 -> L1_4 [label="1"];\n'
+            '  L0_3 -> L1_6 [label="1"];\n'
+            '}\n'
+        )
 
     @pytest.mark.parametrize("levels, digest", [
         (4, "bea8969d57701f02402c1004c4fe5eea5e4d1332f89ed0c4ca804741fa865105"),

@@ -1,7 +1,7 @@
 """Prefix rewriting maps: validity, application, composition, generators."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cantorenv.cantor import ClopenSet, Point, extensions
 from cantorenv.errors import NotInDomain, ParseError
@@ -25,6 +25,9 @@ from oracles import (
     words,
 )
 from strategies import antichains, rule_lists
+
+
+short = st.text(alphabet="01", max_size=4)
 
 
 def pm(text):
@@ -107,6 +110,18 @@ class TestApplication:
         # [1] is cut by the source 10, and [11] misses every source
         for w in ("", "1", "11"):
             assert m.image_word(w) is None
+
+    # raw rule lists: sources may overlap or repeat, as in the rule sets the
+    # probe's cache-surgery tests inject; words may repeat or extend others
+    @given(rules=st.lists(st.tuples(short, short), max_size=8),
+           ws=st.lists(st.text(alphabet="01", max_size=6), max_size=12))
+    @example(rules=[("", "1"), ("0", "00")], ws=["0", "01", "1"])
+    @example(rules=[("0", "1"), ("0", "0")], ws=["0", "00", "01"])
+    @example(rules=[("01", "1")], ws=["", "0", "01", "011"])
+    def test_image_words_is_image_word_of_each(self, rules, ws):
+        m = PrefixMap._canonical(sorted(rules))
+        ws = sorted(ws)
+        assert m.image_words(ws) == [m.image_word(w) for w in ws]
 
     def test_image_and_preimage_sets(self):
         m = pm("[10 -> 01, 0 -> 1]")
